@@ -96,8 +96,9 @@ PLOS_NO_SIMD=1 ./target/release/trace_parity > "$trace_tmp/nosimd.txt"
 diff "$trace_tmp/dark.txt" "$trace_tmp/nosimd.txt"
 
 # Resume parity: a run killed at every checkpoint seam and resumed from
-# disk must reproduce the uninterrupted model bit for bit, for both the
-# centralized (CCCP) and distributed (ADMM) trainers (DESIGN.md §10).
+# disk must reproduce the uninterrupted model bit for bit, for the
+# centralized (CCCP) trainer, the flat ADMM server, and the bounded-
+# staleness server at S=0 and S=2 (DESIGN.md §10).
 echo "==> resume parity (kill at every checkpoint seam, bit-identical models)"
 cargo build -q --release -p plos-bench --bin resume_parity
 ./target/release/resume_parity
@@ -128,6 +129,14 @@ PLOS_FAULT_SEED=2024 ./target/release/mux_parity
 echo "==> shard parity (flat star vs sharded tree + root failover)"
 cargo build -q --release -p plos-bench --bin shard_parity
 PLOS_FAULT_SEED=2024 ./target/release/shard_parity
+
+# Benchmark ledger: a standalone package that imports the trainers' public
+# API (reports, topology, checkpoint policy, wire messages). Building and
+# unit-testing it here makes an API change that breaks the benchmark fail
+# CI instead of the next benchmark run.
+echo "==> benchmark ledger (build + unit tests)"
+cargo build -q --release --manifest-path ledger/Cargo.toml
+cargo test -q --manifest-path ledger/Cargo.toml
 
 # Scale smoke: one 1000-user distributed point through the mux runner —
 # past the thread-per-device wall, with OS thread count bounded by the

@@ -1,8 +1,9 @@
 //! Resume-parity gate: killing and resuming training must not change the
 //! model by a single bit.
 //!
-//! For each trainer (centralized CCCP and distributed ADMM) this binary
-//! first runs a seeded fit to completion, then re-runs it with an abort
+//! For each trainer (centralized CCCP, the flat ADMM server, and the
+//! bounded-staleness server at S = 0 and at S = 2) this binary first runs
+//! a seeded fit to completion, then re-runs it with an abort
 //! threshold of one — the run dies at its *first* checkpoint, is resumed,
 //! dies at the next, and so on until completion. Every checkpoint seam the
 //! run can produce is therefore exercised as an actual kill/resume cycle.
@@ -15,10 +16,12 @@
 
 use plos_ckpt::model_digest;
 use plos_core::{
-    CentralizedPlos, CheckpointPolicy, CoreError, DistributedPlos, PersonalizedModel, PlosConfig,
+    AsyncDistributedPlos, AsyncSpec, CentralizedPlos, CheckpointPolicy, CoreError, DistributedPlos,
+    PersonalizedModel, PlosConfig,
 };
 use plos_sensing::dataset::{LabelMask, MultiUserDataset};
 use plos_sensing::synthetic::{generate_synthetic, SyntheticSpec};
+use std::time::Duration;
 
 /// Canonical model digest (same fold as `trace_parity` and the golden
 /// fixtures): w0 coefficients, then every user's bias, in user order.
@@ -100,8 +103,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|(model, _report)| model)
     })?;
 
+    // The bounded-staleness server snapshots at CCCP and refinement
+    // boundaries. A generous quiescence window keeps S > 0 pass membership
+    // decided by the seeded straggler process alone, not by host timing.
+    let mut async_ok = true;
+    for (name, staleness_bound) in [("async-s0", 0), ("async-s2", 2)] {
+        let spec = AsyncSpec {
+            availability: 0.6,
+            staleness_bound,
+            poll_window: Duration::from_secs(2),
+            seed: 5,
+        };
+        let (clean, _) = AsyncDistributedPlos::try_new(config.clone(), spec)?.fit(&data)?;
+        async_ok &= gate(name, &clean, &dir, |policy| {
+            AsyncDistributedPlos::try_new(config.clone(), spec)?
+                .with_checkpointing(policy)
+                .fit(&data)
+                .map(|(model, _report)| model)
+        })?;
+    }
+
     std::fs::remove_dir_all(&dir)?;
-    if !(central_ok && dist_ok) {
+    if !(central_ok && dist_ok && async_ok) {
         return Err(
             "resume parity violated: killed-and-resumed model differs from clean run".into()
         );

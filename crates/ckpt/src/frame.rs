@@ -26,10 +26,11 @@ use crate::wire::Reader;
 
 /// File magic identifying a PLOS checkpoint.
 pub const MAGIC: [u8; 8] = *b"PLOSCKPT";
-/// Format version written by this build.
-pub const FORMAT_VERSION: u16 = 1;
+/// Format version written by this build. Version 2 replaced the three
+/// per-server distributed snapshots with one `ConsensusState`.
+pub const FORMAT_VERSION: u16 = 2;
 /// Oldest format version this build still reads.
-pub const MIN_SUPPORTED_VERSION: u16 = 1;
+pub const MIN_SUPPORTED_VERSION: u16 = 2;
 
 /// An in-memory checkpoint: an ordered list of tagged byte sections.
 ///
@@ -235,6 +236,16 @@ mod tests {
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn version_one_files_are_rejected() {
+        let mut bytes = sample().encode();
+        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            CheckpointFile::decode(&bytes).unwrap_err(),
+            CkptError::UnsupportedVersion { found: 1, min: 2, max: 2 }
+        );
     }
 
     #[test]

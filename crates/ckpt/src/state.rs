@@ -9,13 +9,13 @@
 //! | 1   | CONTEXT  | kind byte + run fingerprint                     |
 //! | 2   | META     | phase, counters, flags, scalars                 |
 //! | 3   | MODEL    | w0 and per-user vector blocks                   |
-//! | 4   | HISTORY  | objective history (+ residuals, distributed)    |
-//! | 5   | ROSTER   | liveness, strikes, evictions, participation     |
-//! | 6   | LOG      | current-round broadcast replay log              |
+//! | 4   | HISTORY  | objective history (+ residuals, consensus)      |
+//! | 5   | FLEET    | per-device slots, roster, replay log (optional) |
+//! | 6   | TREE     | shard-map fingerprint and term (optional)       |
 //! | 7   | DUAL     | cutting-plane working set + warm start          |
 //!
 //! Privacy note: none of these sections ever carry device-local training
-//! data. The distributed state holds only quantities the server already
+//! data. The consensus state holds only quantities the server already
 //! received over the wire (consensus iterates, duals, slacks, anchors).
 
 use crate::error::CkptError;
@@ -31,10 +31,10 @@ pub const SEC_META: u16 = 2;
 pub const SEC_MODEL: u16 = 3;
 /// Section tag: objective history and residuals.
 pub const SEC_HISTORY: u16 = 4;
-/// Section tag: fleet roster (distributed only).
-pub const SEC_ROSTER: u16 = 5;
-/// Section tag: broadcast replay log (distributed only).
-pub const SEC_LOG: u16 = 6;
+/// Section tag: per-device fleet state (consensus only, optional).
+pub const SEC_FLEET: u16 = 5;
+/// Section tag: aggregation-tree binding (consensus only, optional).
+pub const SEC_TREE: u16 = 6;
 /// Section tag: dual-solver working set.
 pub const SEC_DUAL: u16 = 7;
 
@@ -44,12 +44,8 @@ pub const KIND_MODEL: u8 = 1;
 pub const KIND_DUAL: u8 = 2;
 /// Kind byte: a [`CentralizedState`].
 pub const KIND_CENTRALIZED: u8 = 3;
-/// Kind byte: a [`DistributedState`].
-pub const KIND_DISTRIBUTED: u8 = 4;
-/// Kind byte: an [`AsyncState`].
-pub const KIND_ASYNC: u8 = 5;
-/// Kind byte: a [`RootState`].
-pub const KIND_SHARDED: u8 = 6;
+/// Kind byte: a [`ConsensusState`].
+pub const KIND_CONSENSUS: u8 = 4;
 
 fn context_section(kind: u8, fingerprint: u64) -> Vec<u8> {
     let mut w = Writer::new();
@@ -347,11 +343,13 @@ impl CentralizedState {
     }
 }
 
-/// Which phase a distributed run was in when checkpointed.
+/// Where a consensus run (Algorithm 2) was when its state was captured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DistributedPhase {
-    /// Inside the ADMM consensus loop of some CCCP round.
+pub enum ConsensusPhase {
+    /// Inside CCCP round `cccp_round`, after `iters_done` ADMM iterations.
     Admm,
+    /// Between CCCP rounds: `cccp_round` is the next round to enter.
+    Boundary,
     /// Inside post-consensus refinement.
     Refine {
         /// Refinement rounds already completed.
@@ -359,105 +357,126 @@ pub enum DistributedPhase {
     },
 }
 
-/// One recorded participation round, mirrored from the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParticipationRecord {
-    /// Communication round number.
-    pub round: u32,
-    /// Devices that replied.
-    pub replied: u64,
-    /// Devices alive at the start of the round.
-    pub alive: u64,
-    /// Retries spent this round.
-    pub retries: u64,
-}
-
-/// One broadcast the server sent during the current CCCP round, kept so a
-/// resumed server can replay the round to rebuild device-side solver state
-/// bit-exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BroadcastRecord {
-    /// Original communication round number of the broadcast.
-    pub round: u32,
-    /// Consensus iterate `w0` sent that round.
-    pub w0: Vector,
-    /// Per-user scaled duals `u_t` sent that round.
-    pub us: Vec<Vector>,
-}
-
-/// Mid-run state of the distributed ADMM server, written after each ADMM
-/// iteration and each refinement round. Server-side quantities only.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistributedState {
-    /// Structural fingerprint of the run (cohort shape + config).
-    pub fingerprint: u64,
-    /// Phase and phase-local progress.
-    pub phase: DistributedPhase,
-    /// Last communication round number used.
-    pub round: u32,
-    /// Zero-based index of the current CCCP round.
-    pub cccp_round: u32,
-    /// ADMM iterations completed inside the current CCCP round.
-    pub iters_done: u32,
-    /// True once the current CCCP round's ADMM loop has finished (residual
-    /// break or iteration budget) and only the objective push remains.
-    pub inner_done: bool,
-    /// Total ADMM iterations across all CCCP rounds.
-    pub admm_iterations: u64,
-    /// CCCP rounds completed (incremented at round entry).
-    pub cccp_rounds: u32,
-    /// Whether the CCCP history reached its convergence tolerance.
-    pub converged: bool,
-    /// Current consensus iterate `w0`.
-    pub w0: Vector,
+/// The server's per-device view of a fleet: the flat star's or the
+/// bounded-staleness server's consensus slots, roster and replay log.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FleetSection {
     /// Per-user scaled duals `u_t`.
     pub us: Vec<Vector>,
-    /// Last per-user hyperplanes `w_t` received.
+    /// Last per-user hyperplanes `w_t` accepted.
     pub w_ts: Vec<Vector>,
-    /// Last per-user biases `v_t` received.
+    /// Last per-user biases `v_t` accepted.
     pub v_ts: Vec<Vector>,
-    /// Last per-user slack totals ξ_t received.
+    /// Last per-user slack totals ξ_t accepted.
     pub xi_ts: Vec<f64>,
-    /// Per-user CCCP anchors: each device's `w_t` at the start of the
-    /// current CCCP round (what its linearization signs derive from).
+    /// Each device's CCCP anchor: its `w_t` when the current CCCP round
+    /// began (equal to `w_ts` at a boundary or in refinement).
     pub anchors: Vec<Vector>,
-    /// Broadcasts of the current CCCP round, oldest first.
-    pub log: Vec<BroadcastRecord>,
     /// Device liveness flags.
     pub alive: Vec<bool>,
     /// Consecutive missed-round strikes per device.
     pub missed: Vec<u32>,
     /// Devices evicted so far, in eviction order.
     pub evicted: Vec<u64>,
-    /// Per-round participation records.
-    pub participation: Vec<ParticipationRecord>,
+    /// Per-gather attendance: (round, replied, alive, retries).
+    pub participation: Vec<(u32, u64, u64, u64)>,
     /// Malformed-reply count.
     pub protocol_errors: u64,
     /// Late/duplicate replies discarded.
     pub late_discards: u64,
-    /// Objective value after every completed CCCP round.
+    /// Updates discarded for exceeding the staleness bound.
+    pub stale_discards: u64,
+    /// Assignments re-issued after their awaited reply went over-stale.
+    pub reassignments: u64,
+    /// Broadcasts of the current CCCP round, oldest first: (round, w0,
+    /// per-user `u_t`), replayed on resume to rebuild device state.
+    pub log: Vec<(u32, Vector, Vec<Vector>)>,
+}
+
+/// Binds a tree root's state to the partition and leader term it was
+/// produced under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TreeSection {
+    /// Fingerprint of the shard map in force (`ShardMap::fingerprint`).
+    pub shard_fingerprint: u64,
+    /// Election term of the leader that produced the state.
+    pub term: u32,
+}
+
+/// The consensus-ADMM driver's state, shared by every topology: the flat
+/// star and the bounded-staleness server snapshot it to disk (with a
+/// [`FleetSection`]), and the sharded tree's root replicates it to its
+/// replicas by anti-entropy (with a [`TreeSection`]). Server-side
+/// quantities only.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConsensusState {
+    /// Structural fingerprint of the run (cohort shape + config).
+    pub fingerprint: u64,
+    /// Phase and phase-local progress.
+    pub phase: ConsensusPhase,
+    /// Last communication round number used (0 is the init round).
+    pub round: u32,
+    /// Current (or, at a boundary, next) zero-based CCCP round.
+    pub cccp_round: u32,
+    /// ADMM iterations applied inside the current CCCP round.
+    pub iters_done: u32,
+    /// True once the current CCCP round's ADMM loop has finished and only
+    /// the objective push remains.
+    pub inner_done: bool,
+    /// Total ADMM iterations across all CCCP rounds.
+    pub admm_iterations: u64,
+    /// CCCP rounds entered.
+    pub cccp_rounds: u32,
+    /// Whether the CCCP history reached its convergence tolerance.
+    pub converged: bool,
+    /// Current consensus iterate `w0`.
+    pub w0: Vector,
+    /// Objective value after every completed CCCP and refinement round.
     pub history: Vec<f64>,
     /// Per-ADMM-iteration residuals: (round, primal, dual).
     pub residuals: Vec<(u32, f64, f64)>,
+    /// Per-device state of a fleet server.
+    pub fleet: Option<FleetSection>,
+    /// Tree binding of a root replica's state.
+    pub tree: Option<TreeSection>,
 }
 
-impl DistributedState {
+impl ConsensusState {
+    /// The state before the initialization round: every counter zero and
+    /// `w0` the zero vector of dimension `dim`.
+    #[must_use]
+    pub fn fresh(fingerprint: u64, dim: usize) -> Self {
+        ConsensusState {
+            fingerprint,
+            phase: ConsensusPhase::Admm,
+            round: 0,
+            cccp_round: 0,
+            iters_done: 0,
+            inner_done: false,
+            admm_iterations: 0,
+            cccp_rounds: 0,
+            converged: false,
+            w0: Vector::zeros(dim),
+            history: Vec::new(),
+            residuals: Vec::new(),
+            fleet: None,
+            tree: None,
+        }
+    }
+
     /// Serializes into a framed checkpoint.
     #[must_use]
     pub fn encode(&self) -> CheckpointFile {
         let mut file = CheckpointFile::new();
-        file.push_section(SEC_CONTEXT, context_section(KIND_DISTRIBUTED, self.fingerprint));
+        file.push_section(SEC_CONTEXT, context_section(KIND_CONSENSUS, self.fingerprint));
         let mut meta = Writer::new();
-        match self.phase {
-            DistributedPhase::Admm => {
-                meta.put_u8(0);
-                meta.put_u32(0);
-            }
-            DistributedPhase::Refine { rounds_done } => {
-                meta.put_u8(1);
-                meta.put_u32(rounds_done);
-            }
-        }
+        let (phase, rounds_done) = match self.phase {
+            ConsensusPhase::Admm => (0, 0),
+            ConsensusPhase::Refine { rounds_done } => (1, rounds_done),
+            ConsensusPhase::Boundary => (2, 0),
+        };
+        meta.put_u8(phase);
+        meta.put_u32(rounds_done);
         meta.put_u32(self.round);
         meta.put_u32(self.cccp_round);
         meta.put_u32(self.iters_done);
@@ -465,43 +484,11 @@ impl DistributedState {
         meta.put_u64(self.admm_iterations);
         meta.put_u32(self.cccp_rounds);
         meta.put_bool(self.converged);
-        meta.put_u64(self.protocol_errors);
-        meta.put_u64(self.late_discards);
         file.push_section(SEC_META, meta.into_bytes());
 
         let mut model = Writer::new();
         model.put_vector(&self.w0);
-        put_vectors(&mut model, &self.us);
-        put_vectors(&mut model, &self.w_ts);
-        put_vectors(&mut model, &self.v_ts);
-        model.put_f64s(&self.xi_ts);
-        put_vectors(&mut model, &self.anchors);
         file.push_section(SEC_MODEL, model.into_bytes());
-
-        let mut log = Writer::new();
-        log.put_usize(self.log.len());
-        for rec in &self.log {
-            log.put_u32(rec.round);
-            log.put_vector(&rec.w0);
-            put_vectors(&mut log, &rec.us);
-        }
-        file.push_section(SEC_LOG, log.into_bytes());
-
-        let mut roster = Writer::new();
-        put_bools(&mut roster, &self.alive);
-        roster.put_usize(self.missed.len());
-        for &m in &self.missed {
-            roster.put_u32(m);
-        }
-        roster.put_u64s(&self.evicted);
-        roster.put_usize(self.participation.len());
-        for p in &self.participation {
-            roster.put_u32(p.round);
-            roster.put_u64(p.replied);
-            roster.put_u64(p.alive);
-            roster.put_u64(p.retries);
-        }
-        file.push_section(SEC_ROSTER, roster.into_bytes());
 
         let mut hist = Writer::new();
         hist.put_f64s(&self.history);
@@ -512,21 +499,32 @@ impl DistributedState {
             hist.put_f64(dual);
         }
         file.push_section(SEC_HISTORY, hist.into_bytes());
+
+        if let Some(fleet) = &self.fleet {
+            file.push_section(SEC_FLEET, fleet.encode());
+        }
+        if let Some(tree) = &self.tree {
+            let mut w = Writer::new();
+            w.put_u64(tree.shard_fingerprint);
+            w.put_u32(tree.term);
+            file.push_section(SEC_TREE, w.into_bytes());
+        }
         file
     }
 
     /// Reconstructs from a verified checkpoint file.
     pub fn decode(file: &CheckpointFile) -> Result<Self, CkptError> {
-        let fingerprint = read_context(file, KIND_DISTRIBUTED)?;
+        let fingerprint = read_context(file, KIND_CONSENSUS)?;
         let mut meta = Reader::new(file.section(SEC_META)?);
         let phase_byte = meta.get_u8("phase")?;
         let rounds_done = meta.get_u32("refine rounds done")?;
         let phase = match phase_byte {
-            0 => DistributedPhase::Admm,
-            1 => DistributedPhase::Refine { rounds_done },
+            0 => ConsensusPhase::Admm,
+            1 => ConsensusPhase::Refine { rounds_done },
+            2 => ConsensusPhase::Boundary,
             other => {
                 return Err(CkptError::Malformed {
-                    detail: format!("unknown distributed phase byte {other}"),
+                    detail: format!("unknown consensus phase byte {other}"),
                 })
             }
         };
@@ -537,49 +535,11 @@ impl DistributedState {
         let admm_iterations = meta.get_u64("admm_iterations")?;
         let cccp_rounds = meta.get_u32("cccp_rounds")?;
         let converged = meta.get_bool("converged")?;
-        let protocol_errors = meta.get_u64("protocol_errors")?;
-        let late_discards = meta.get_u64("late_discards")?;
         meta.finish("meta section")?;
 
         let mut model = Reader::new(file.section(SEC_MODEL)?);
         let w0 = model.get_vector("w0")?;
-        let us = get_vectors(&mut model, "duals")?;
-        let w_ts = get_vectors(&mut model, "hyperplanes")?;
-        let v_ts = get_vectors(&mut model, "biases")?;
-        let xi_ts = model.get_f64s("slacks")?;
-        let anchors = get_vectors(&mut model, "anchors")?;
         model.finish("model section")?;
-
-        let mut log_r = Reader::new(file.section(SEC_LOG)?);
-        let log_len = log_r.get_len(4 + 8 + 8, "broadcast log")?;
-        let mut log = Vec::with_capacity(log_len);
-        for _ in 0..log_len {
-            let rec_round = log_r.get_u32("log round")?;
-            let rec_w0 = log_r.get_vector("log w0")?;
-            let rec_us = get_vectors(&mut log_r, "log duals")?;
-            log.push(BroadcastRecord { round: rec_round, w0: rec_w0, us: rec_us });
-        }
-        log_r.finish("log section")?;
-
-        let mut roster = Reader::new(file.section(SEC_ROSTER)?);
-        let alive = get_bools(&mut roster, "alive flags")?;
-        let missed_len = roster.get_len(4, "missed strikes")?;
-        let mut missed = Vec::with_capacity(missed_len);
-        for _ in 0..missed_len {
-            missed.push(roster.get_u32("missed strikes")?);
-        }
-        let evicted = roster.get_u64s("evicted roster")?;
-        let part_len = roster.get_len(4 + 8 + 8 + 8, "participation")?;
-        let mut participation = Vec::with_capacity(part_len);
-        for _ in 0..part_len {
-            participation.push(ParticipationRecord {
-                round: roster.get_u32("participation round")?,
-                replied: roster.get_u64("participation replied")?,
-                alive: roster.get_u64("participation alive")?,
-                retries: roster.get_u64("participation retries")?,
-            });
-        }
-        roster.finish("roster section")?;
 
         let mut hist = Reader::new(file.section(SEC_HISTORY)?);
         let history = hist.get_f64s("objective history")?;
@@ -593,7 +553,19 @@ impl DistributedState {
         }
         hist.finish("history section")?;
 
-        let state = DistributedState {
+        // The extension sections are optional: absence is `None`.
+        let fleet = file.section(SEC_FLEET).ok().map(FleetSection::decode).transpose()?;
+        let tree = match file.section(SEC_TREE).ok() {
+            Some(bytes) => {
+                let mut r = Reader::new(bytes);
+                let shard_fingerprint = r.get_u64("shard fingerprint")?;
+                let term = r.get_u32("term")?;
+                r.finish("tree section")?;
+                Some(TreeSection { shard_fingerprint, term })
+            }
+            None => None,
+        };
+        Ok(ConsensusState {
             fingerprint,
             phase,
             round,
@@ -604,27 +576,106 @@ impl DistributedState {
             cccp_rounds,
             converged,
             w0,
+            history,
+            residuals,
+            fleet,
+            tree,
+        })
+    }
+}
+
+impl FleetSection {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        put_vectors(&mut w, &self.us);
+        put_vectors(&mut w, &self.w_ts);
+        put_vectors(&mut w, &self.v_ts);
+        w.put_f64s(&self.xi_ts);
+        put_vectors(&mut w, &self.anchors);
+        put_bools(&mut w, &self.alive);
+        w.put_usize(self.missed.len());
+        for &m in &self.missed {
+            w.put_u32(m);
+        }
+        w.put_u64s(&self.evicted);
+        w.put_usize(self.participation.len());
+        for &(round, replied, alive, retries) in &self.participation {
+            w.put_u32(round);
+            w.put_u64(replied);
+            w.put_u64(alive);
+            w.put_u64(retries);
+        }
+        w.put_u64(self.protocol_errors);
+        w.put_u64(self.late_discards);
+        w.put_u64(self.stale_discards);
+        w.put_u64(self.reassignments);
+        w.put_usize(self.log.len());
+        for (round, w0, us) in &self.log {
+            w.put_u32(*round);
+            w.put_vector(w0);
+            put_vectors(&mut w, us);
+        }
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
+        let mut r = Reader::new(bytes);
+        let us = get_vectors(&mut r, "duals")?;
+        let w_ts = get_vectors(&mut r, "hyperplanes")?;
+        let v_ts = get_vectors(&mut r, "biases")?;
+        let xi_ts = r.get_f64s("slacks")?;
+        let anchors = get_vectors(&mut r, "anchors")?;
+        let alive = get_bools(&mut r, "alive flags")?;
+        let missed_len = r.get_len(4, "missed strikes")?;
+        let mut missed = Vec::with_capacity(missed_len);
+        for _ in 0..missed_len {
+            missed.push(r.get_u32("missed strikes")?);
+        }
+        let evicted = r.get_u64s("evicted roster")?;
+        let part_len = r.get_len(4 + 8 + 8 + 8, "participation")?;
+        let mut participation = Vec::with_capacity(part_len);
+        for _ in 0..part_len {
+            participation.push((
+                r.get_u32("participation round")?,
+                r.get_u64("participation replied")?,
+                r.get_u64("participation alive")?,
+                r.get_u64("participation retries")?,
+            ));
+        }
+        let protocol_errors = r.get_u64("protocol_errors")?;
+        let late_discards = r.get_u64("late_discards")?;
+        let stale_discards = r.get_u64("stale_discards")?;
+        let reassignments = r.get_u64("reassignments")?;
+        let log_len = r.get_len(4 + 8 + 8, "broadcast log")?;
+        let mut log = Vec::with_capacity(log_len);
+        for _ in 0..log_len {
+            let round = r.get_u32("log round")?;
+            let w0 = r.get_vector("log w0")?;
+            log.push((round, w0, get_vectors(&mut r, "log duals")?));
+        }
+        r.finish("fleet section")?;
+        let fleet = FleetSection {
             us,
             w_ts,
             v_ts,
             xi_ts,
             anchors,
-            log,
             alive,
             missed,
             evicted,
             participation,
             protocol_errors,
             late_discards,
-            history,
-            residuals,
+            stale_discards,
+            reassignments,
+            log,
         };
-        state.validate()?;
-        Ok(state)
+        fleet.validate()?;
+        Ok(fleet)
     }
 
-    /// Cross-field consistency: every per-user collection must agree on
-    /// the cohort size.
+    /// Cross-field consistency: every per-device collection, and every
+    /// replay-log entry, must agree on the cohort size.
     fn validate(&self) -> Result<(), CkptError> {
         let t = self.us.len();
         let lens = [
@@ -635,423 +686,11 @@ impl DistributedState {
             ("alive", self.alive.len()),
             ("missed", self.missed.len()),
         ];
-        for (name, len) in lens {
+        let logged = self.log.iter().map(|(_, _, us)| ("log duals", us.len()));
+        for (name, len) in lens.into_iter().chain(logged) {
             if len != t {
                 return Err(CkptError::Malformed {
                     detail: format!("cohort size disagreement: us has {t}, {name} has {len}"),
-                });
-            }
-        }
-        for rec in &self.log {
-            if rec.us.len() != t {
-                return Err(CkptError::Malformed {
-                    detail: format!(
-                        "broadcast record round {} has {} duals for cohort of {t}",
-                        rec.round,
-                        rec.us.len()
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Boundary state of the bounded-staleness asynchronous ADMM server,
-/// written after each completed CCCP round and each refinement round.
-///
-/// Unlike [`DistributedState`] there is no broadcast replay log: the async
-/// server only checkpoints at CCCP/refinement boundaries, where every
-/// device's linearization anchor equals its last accepted hyperplane
-/// (`w_ts`), so a `Restore` handshake alone re-seats the fleet bit-exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AsyncState {
-    /// Structural fingerprint of the run (cohort shape + config + spec).
-    pub fingerprint: u64,
-    /// Phase and phase-local progress. `Admm` means "at a CCCP boundary".
-    pub phase: DistributedPhase,
-    /// Last consensus epoch number used (epochs continue the sync round
-    /// numbering: 0 is the init round).
-    pub epoch: u32,
-    /// Zero-based index of the next CCCP round to execute.
-    pub cccp_round: u32,
-    /// Applied ADMM epochs across all CCCP rounds (passes that folded at
-    /// least one update and advanced the consensus state).
-    pub admm_epochs: u64,
-    /// CCCP rounds completed.
-    pub cccp_rounds: u32,
-    /// Whether the CCCP history reached its convergence tolerance.
-    pub converged: bool,
-    /// Updates discarded because their basis exceeded the staleness bound.
-    pub stale_discards: u64,
-    /// Replies discarded as duplicates or answers to superseded epochs.
-    pub late_discards: u64,
-    /// Assignments re-issued after their awaited reply went over-stale.
-    pub reassignments: u64,
-    /// Malformed-reply count.
-    pub protocol_errors: u64,
-    /// Current consensus iterate `w0`.
-    pub w0: Vector,
-    /// Per-user scaled duals `u_t`.
-    pub us: Vec<Vector>,
-    /// Last per-user hyperplanes `w_t` accepted.
-    pub w_ts: Vec<Vector>,
-    /// Last per-user biases `v_t` accepted.
-    pub v_ts: Vec<Vector>,
-    /// Last per-user slack totals ξ_t accepted.
-    pub xi_ts: Vec<f64>,
-    /// Device liveness flags.
-    pub alive: Vec<bool>,
-    /// Devices evicted so far, in eviction order.
-    pub evicted: Vec<u64>,
-    /// Objective value after every completed CCCP round.
-    pub history: Vec<f64>,
-}
-
-impl AsyncState {
-    /// Serializes into a framed checkpoint.
-    #[must_use]
-    pub fn encode(&self) -> CheckpointFile {
-        let mut file = CheckpointFile::new();
-        file.push_section(SEC_CONTEXT, context_section(KIND_ASYNC, self.fingerprint));
-        let mut meta = Writer::new();
-        match self.phase {
-            DistributedPhase::Admm => {
-                meta.put_u8(0);
-                meta.put_u32(0);
-            }
-            DistributedPhase::Refine { rounds_done } => {
-                meta.put_u8(1);
-                meta.put_u32(rounds_done);
-            }
-        }
-        meta.put_u32(self.epoch);
-        meta.put_u32(self.cccp_round);
-        meta.put_u64(self.admm_epochs);
-        meta.put_u32(self.cccp_rounds);
-        meta.put_bool(self.converged);
-        meta.put_u64(self.stale_discards);
-        meta.put_u64(self.late_discards);
-        meta.put_u64(self.reassignments);
-        meta.put_u64(self.protocol_errors);
-        file.push_section(SEC_META, meta.into_bytes());
-
-        let mut model = Writer::new();
-        model.put_vector(&self.w0);
-        put_vectors(&mut model, &self.us);
-        put_vectors(&mut model, &self.w_ts);
-        put_vectors(&mut model, &self.v_ts);
-        model.put_f64s(&self.xi_ts);
-        file.push_section(SEC_MODEL, model.into_bytes());
-
-        let mut roster = Writer::new();
-        put_bools(&mut roster, &self.alive);
-        roster.put_u64s(&self.evicted);
-        file.push_section(SEC_ROSTER, roster.into_bytes());
-
-        let mut hist = Writer::new();
-        hist.put_f64s(&self.history);
-        file.push_section(SEC_HISTORY, hist.into_bytes());
-        file
-    }
-
-    /// Reconstructs from a verified checkpoint file.
-    pub fn decode(file: &CheckpointFile) -> Result<Self, CkptError> {
-        let fingerprint = read_context(file, KIND_ASYNC)?;
-        let mut meta = Reader::new(file.section(SEC_META)?);
-        let phase_byte = meta.get_u8("phase")?;
-        let rounds_done = meta.get_u32("refine rounds done")?;
-        let phase = match phase_byte {
-            0 => DistributedPhase::Admm,
-            1 => DistributedPhase::Refine { rounds_done },
-            other => {
-                return Err(CkptError::Malformed {
-                    detail: format!("unknown async phase byte {other}"),
-                })
-            }
-        };
-        let epoch = meta.get_u32("epoch")?;
-        let cccp_round = meta.get_u32("cccp_round")?;
-        let admm_epochs = meta.get_u64("admm_epochs")?;
-        let cccp_rounds = meta.get_u32("cccp_rounds")?;
-        let converged = meta.get_bool("converged")?;
-        let stale_discards = meta.get_u64("stale_discards")?;
-        let late_discards = meta.get_u64("late_discards")?;
-        let reassignments = meta.get_u64("reassignments")?;
-        let protocol_errors = meta.get_u64("protocol_errors")?;
-        meta.finish("meta section")?;
-
-        let mut model = Reader::new(file.section(SEC_MODEL)?);
-        let w0 = model.get_vector("w0")?;
-        let us = get_vectors(&mut model, "duals")?;
-        let w_ts = get_vectors(&mut model, "hyperplanes")?;
-        let v_ts = get_vectors(&mut model, "biases")?;
-        let xi_ts = model.get_f64s("slacks")?;
-        model.finish("model section")?;
-
-        let mut roster = Reader::new(file.section(SEC_ROSTER)?);
-        let alive = get_bools(&mut roster, "alive flags")?;
-        let evicted = roster.get_u64s("evicted roster")?;
-        roster.finish("roster section")?;
-
-        let mut hist = Reader::new(file.section(SEC_HISTORY)?);
-        let history = hist.get_f64s("objective history")?;
-        hist.finish("history section")?;
-
-        let state = AsyncState {
-            fingerprint,
-            phase,
-            epoch,
-            cccp_round,
-            admm_epochs,
-            cccp_rounds,
-            converged,
-            stale_discards,
-            late_discards,
-            reassignments,
-            protocol_errors,
-            w0,
-            us,
-            w_ts,
-            v_ts,
-            xi_ts,
-            alive,
-            evicted,
-            history,
-        };
-        state.validate()?;
-        Ok(state)
-    }
-
-    /// Cross-field consistency: every per-user collection must agree on
-    /// the cohort size.
-    fn validate(&self) -> Result<(), CkptError> {
-        let t = self.us.len();
-        let lens = [
-            ("w_ts", self.w_ts.len()),
-            ("v_ts", self.v_ts.len()),
-            ("xi_ts", self.xi_ts.len()),
-            ("alive", self.alive.len()),
-        ];
-        for (name, len) in lens {
-            if len != t {
-                return Err(CkptError::Malformed {
-                    detail: format!("cohort size disagreement: us has {t}, {name} has {len}"),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Per-shard progress mirrored at the root, one entry per shard of the
-/// [`RootState`]'s shard map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardState {
-    /// Shard index.
-    pub shard: u32,
-    /// Devices alive in the shard at the last completed round.
-    pub n: u64,
-    /// Last aggregation round whose partial the root accepted from this
-    /// shard.
-    pub last_round: u32,
-    /// FNV-1a digest of that partial's wire encoding — lets a failed-over
-    /// leader verify a re-replied partial matches what the dead leader
-    /// folded.
-    pub partial_digest: u64,
-    /// Devices that replied before the shard's quorum deadline that round.
-    pub participation: u64,
-}
-
-/// The sharded tree root's replicated consensus state.
-///
-/// This is both a checkpoint section set *and* the anti-entropy wire
-/// state: at every deterministic seam the leader encodes a `RootState`,
-/// replicas digest-compare, and mismatching replicas receive the full
-/// encoding. A failed-over leader therefore resumes from exactly the
-/// bytes the dead leader last synchronized. `shard_fingerprint` binds the
-/// state to the partition it was produced under (`ShardMap::fingerprint`
-/// in `plos-net`), so state is never applied across different shard maps.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RootState {
-    /// Structural fingerprint of the run (cohort shape + config).
-    pub fingerprint: u64,
-    /// Fingerprint of the shard map in force.
-    pub shard_fingerprint: u64,
-    /// Election term of the leader that produced this state.
-    pub term: u32,
-    /// Phase and phase-local progress.
-    pub phase: DistributedPhase,
-    /// Last aggregation round number used.
-    pub round: u32,
-    /// Zero-based index of the current CCCP round.
-    pub cccp_round: u32,
-    /// ADMM iterations completed inside the current CCCP round.
-    pub iters_done: u32,
-    /// True once the current CCCP round's ADMM loop has finished and only
-    /// the objective push remains.
-    pub inner_done: bool,
-    /// Total ADMM iterations across all CCCP rounds.
-    pub admm_iterations: u64,
-    /// CCCP rounds completed (incremented at round entry).
-    pub cccp_rounds: u32,
-    /// Whether the CCCP history reached its convergence tolerance.
-    pub converged: bool,
-    /// Current consensus iterate `w0`.
-    pub w0: Vector,
-    /// Objective value after every completed CCCP round.
-    pub history: Vec<f64>,
-    /// Per-ADMM-iteration residuals: (round, primal, dual).
-    pub residuals: Vec<(u32, f64, f64)>,
-    /// Per-shard progress, indexed by shard.
-    pub shards: Vec<ShardState>,
-}
-
-impl RootState {
-    /// Serializes into a framed checkpoint.
-    #[must_use]
-    pub fn encode(&self) -> CheckpointFile {
-        let mut file = CheckpointFile::new();
-        file.push_section(SEC_CONTEXT, context_section(KIND_SHARDED, self.fingerprint));
-        let mut meta = Writer::new();
-        meta.put_u64(self.shard_fingerprint);
-        meta.put_u32(self.term);
-        match self.phase {
-            DistributedPhase::Admm => {
-                meta.put_u8(0);
-                meta.put_u32(0);
-            }
-            DistributedPhase::Refine { rounds_done } => {
-                meta.put_u8(1);
-                meta.put_u32(rounds_done);
-            }
-        }
-        meta.put_u32(self.round);
-        meta.put_u32(self.cccp_round);
-        meta.put_u32(self.iters_done);
-        meta.put_bool(self.inner_done);
-        meta.put_u64(self.admm_iterations);
-        meta.put_u32(self.cccp_rounds);
-        meta.put_bool(self.converged);
-        file.push_section(SEC_META, meta.into_bytes());
-
-        let mut model = Writer::new();
-        model.put_vector(&self.w0);
-        file.push_section(SEC_MODEL, model.into_bytes());
-
-        let mut hist = Writer::new();
-        hist.put_f64s(&self.history);
-        hist.put_usize(self.residuals.len());
-        for &(round, primal, dual) in &self.residuals {
-            hist.put_u32(round);
-            hist.put_f64(primal);
-            hist.put_f64(dual);
-        }
-        file.push_section(SEC_HISTORY, hist.into_bytes());
-
-        let mut roster = Writer::new();
-        roster.put_usize(self.shards.len());
-        for s in &self.shards {
-            roster.put_u32(s.shard);
-            roster.put_u64(s.n);
-            roster.put_u32(s.last_round);
-            roster.put_u64(s.partial_digest);
-            roster.put_u64(s.participation);
-        }
-        file.push_section(SEC_ROSTER, roster.into_bytes());
-        file
-    }
-
-    /// Reconstructs from a verified checkpoint file.
-    pub fn decode(file: &CheckpointFile) -> Result<Self, CkptError> {
-        let fingerprint = read_context(file, KIND_SHARDED)?;
-        let mut meta = Reader::new(file.section(SEC_META)?);
-        let shard_fingerprint = meta.get_u64("shard fingerprint")?;
-        let term = meta.get_u32("term")?;
-        let phase_byte = meta.get_u8("phase")?;
-        let rounds_done = meta.get_u32("refine rounds done")?;
-        let phase = match phase_byte {
-            0 => DistributedPhase::Admm,
-            1 => DistributedPhase::Refine { rounds_done },
-            other => {
-                return Err(CkptError::Malformed {
-                    detail: format!("unknown sharded phase byte {other}"),
-                })
-            }
-        };
-        let round = meta.get_u32("round")?;
-        let cccp_round = meta.get_u32("cccp_round")?;
-        let iters_done = meta.get_u32("iters_done")?;
-        let inner_done = meta.get_bool("inner_done")?;
-        let admm_iterations = meta.get_u64("admm_iterations")?;
-        let cccp_rounds = meta.get_u32("cccp_rounds")?;
-        let converged = meta.get_bool("converged")?;
-        meta.finish("meta section")?;
-
-        let mut model = Reader::new(file.section(SEC_MODEL)?);
-        let w0 = model.get_vector("w0")?;
-        model.finish("model section")?;
-
-        let mut hist = Reader::new(file.section(SEC_HISTORY)?);
-        let history = hist.get_f64s("objective history")?;
-        let res_len = hist.get_len(4 + 8 + 8, "residuals")?;
-        let mut residuals = Vec::with_capacity(res_len);
-        for _ in 0..res_len {
-            let r = hist.get_u32("residual round")?;
-            let primal = hist.get_f64("primal residual")?;
-            let dual = hist.get_f64("dual residual")?;
-            residuals.push((r, primal, dual));
-        }
-        hist.finish("history section")?;
-
-        let mut roster = Reader::new(file.section(SEC_ROSTER)?);
-        let shard_len = roster.get_len(4 + 8 + 4 + 8 + 8, "shard states")?;
-        let mut shards = Vec::with_capacity(shard_len);
-        for _ in 0..shard_len {
-            shards.push(ShardState {
-                shard: roster.get_u32("shard index")?,
-                n: roster.get_u64("shard alive count")?,
-                last_round: roster.get_u32("shard last round")?,
-                partial_digest: roster.get_u64("shard partial digest")?,
-                participation: roster.get_u64("shard participation")?,
-            });
-        }
-        roster.finish("roster section")?;
-
-        let state = RootState {
-            fingerprint,
-            shard_fingerprint,
-            term,
-            phase,
-            round,
-            cccp_round,
-            iters_done,
-            inner_done,
-            admm_iterations,
-            cccp_rounds,
-            converged,
-            w0,
-            history,
-            residuals,
-            shards,
-        };
-        state.validate()?;
-        Ok(state)
-    }
-
-    /// FNV-1a digest of the full encoding — the anti-entropy comparison
-    /// value replicas exchange before deciding whether to ship state.
-    pub fn digest(&self) -> u64 {
-        crate::fnv1a(&self.encode().encode())
-    }
-
-    /// Cross-field consistency: shard entries must be indexed 0..S in
-    /// order (the fixed fold order the bit-parity guarantee rides on).
-    fn validate(&self) -> Result<(), CkptError> {
-        for (i, s) in self.shards.iter().enumerate() {
-            if s.shard as usize != i {
-                return Err(CkptError::Malformed {
-                    detail: format!("shard entry {i} claims index {}", s.shard),
                 });
             }
         }
@@ -1069,39 +708,6 @@ mod tests {
 
     fn vec2(a: f64, b: f64) -> Vector {
         Vector::from(vec![a, b])
-    }
-
-    fn sample_distributed() -> DistributedState {
-        DistributedState {
-            fingerprint: 0x1234_5678_9abc_def0,
-            phase: DistributedPhase::Admm,
-            round: 7,
-            cccp_round: 1,
-            iters_done: 3,
-            inner_done: false,
-            admm_iterations: 9,
-            cccp_rounds: 2,
-            converged: false,
-            w0: vec2(0.5, -0.5),
-            us: vec![vec2(0.1, 0.2), vec2(-0.3, 0.0)],
-            w_ts: vec![vec2(1.0, 2.0), vec2(3.0, 4.0)],
-            v_ts: vec![vec2(0.0, -0.0), vec2(f64::MAX, f64::MIN)],
-            xi_ts: vec![0.25, 1e-300],
-            anchors: vec![vec2(9.0, 8.0), Vector::zeros(2)],
-            log: vec![BroadcastRecord {
-                round: 6,
-                w0: vec2(0.4, -0.4),
-                us: vec![vec2(0.0, 0.1), vec2(0.2, 0.3)],
-            }],
-            alive: vec![true, false],
-            missed: vec![0, 3],
-            evicted: vec![1],
-            participation: vec![ParticipationRecord { round: 6, replied: 1, alive: 2, retries: 4 }],
-            protocol_errors: 2,
-            late_discards: 1,
-            history: vec![10.0, 7.5],
-            residuals: vec![(6, 0.9, 0.8), (7, 0.5, 0.4)],
-        }
     }
 
     #[test]
@@ -1179,66 +785,80 @@ mod tests {
         }
     }
 
-    #[test]
-    fn distributed_state_round_trips() {
-        let state = sample_distributed();
-        let bytes = state.encode().encode();
-        let back = DistributedState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-        assert_eq!(back, state);
-    }
-
-    fn sample_async() -> AsyncState {
-        AsyncState {
-            fingerprint: 0xfeed_face_cafe_beef,
-            phase: DistributedPhase::Admm,
-            epoch: 31,
-            cccp_round: 2,
-            admm_epochs: 28,
-            cccp_rounds: 2,
-            converged: false,
-            stale_discards: 5,
-            late_discards: 3,
-            reassignments: 1,
-            protocol_errors: 0,
-            w0: vec2(0.5, -0.5),
+    fn sample_fleet() -> FleetSection {
+        FleetSection {
             us: vec![vec2(0.1, 0.2), vec2(-0.3, 0.0)],
             w_ts: vec![vec2(1.0, 2.0), vec2(3.0, 4.0)],
             v_ts: vec![vec2(0.0, -0.0), vec2(f64::MAX, f64::MIN)],
             xi_ts: vec![0.25, 1e-300],
+            anchors: vec![vec2(9.0, 8.0), Vector::zeros(2)],
             alive: vec![true, false],
+            missed: vec![0, 3],
             evicted: vec![1],
+            participation: vec![(6, 1, 2, 4)],
+            protocol_errors: 2,
+            late_discards: 1,
+            stale_discards: 5,
+            reassignments: 3,
+            log: vec![(6, vec2(0.4, -0.4), vec![vec2(0.0, 0.1), vec2(0.2, 0.3)])],
+        }
+    }
+
+    fn sample_consensus() -> ConsensusState {
+        ConsensusState {
+            phase: ConsensusPhase::Admm,
+            round: 7,
+            cccp_round: 1,
+            iters_done: 3,
+            admm_iterations: 9,
+            cccp_rounds: 2,
             history: vec![10.0, 7.5],
+            residuals: vec![(6, 0.9, 0.8), (7, 0.5, 0.4)],
+            fleet: Some(sample_fleet()),
+            tree: Some(TreeSection { shard_fingerprint: 0xabcd_ef01_2345_6789, term: 2 }),
+            ..ConsensusState::fresh(0x1234_5678_9abc_def0, 2)
         }
     }
 
     #[test]
-    fn async_state_round_trips_both_phases() {
-        for phase in [DistributedPhase::Admm, DistributedPhase::Refine { rounds_done: 1 }] {
-            let state = AsyncState { phase, ..sample_async() };
+    fn consensus_state_round_trips_every_phase_and_section_set() {
+        let phases = [
+            ConsensusPhase::Admm,
+            ConsensusPhase::Boundary,
+            ConsensusPhase::Refine { rounds_done: 3 },
+        ];
+        for phase in phases {
+            for (fleet, tree) in [(false, false), (true, false), (false, true), (true, true)] {
+                let full = sample_consensus();
+                let state = ConsensusState {
+                    phase,
+                    fleet: full.fleet.filter(|_| fleet),
+                    tree: full.tree.filter(|_| tree),
+                    ..sample_consensus()
+                };
+                let file = state.encode();
+                assert_eq!(file.section_count(), 4 + usize::from(fleet) + usize::from(tree));
+                let bytes = file.encode();
+                let back =
+                    ConsensusState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
+                assert_eq!(back, state);
+            }
+        }
+    }
+
+    #[test]
+    fn cohort_size_disagreement_rejected() {
+        let mut bad_slots = sample_consensus();
+        bad_slots.fleet.as_mut().unwrap().xi_ts.push(0.0);
+        let mut bad_log = sample_consensus();
+        bad_log.fleet.as_mut().unwrap().log[0].2.pop();
+        for state in [bad_slots, bad_log] {
             let bytes = state.encode().encode();
-            let back = AsyncState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-            assert_eq!(back, state);
+            assert!(matches!(
+                ConsensusState::decode(&CheckpointFile::decode(&bytes).unwrap()),
+                Err(CkptError::Malformed { .. })
+            ));
         }
-    }
-
-    #[test]
-    fn async_cohort_size_disagreement_rejected() {
-        let mut state = sample_async();
-        state.xi_ts.push(0.0);
-        let bytes = state.encode().encode();
-        assert!(matches!(
-            AsyncState::decode(&CheckpointFile::decode(&bytes).unwrap()),
-            Err(CkptError::Malformed { .. })
-        ));
-    }
-
-    #[test]
-    fn async_wrong_kind_is_typed() {
-        let file = sample_distributed().encode();
-        assert_eq!(
-            AsyncState::decode(&file).unwrap_err(),
-            CkptError::WrongKind { found: KIND_DISTRIBUTED, expected: KIND_ASYNC }
-        );
     }
 
     #[test]
@@ -1249,86 +869,9 @@ mod tests {
             biases: vec![vec2(0.0, 0.0)],
             bias_aug: None,
         };
-        let file = model.encode();
         assert_eq!(
-            DistributedState::decode(&file).unwrap_err(),
-            CkptError::WrongKind { found: KIND_MODEL, expected: KIND_DISTRIBUTED }
+            ConsensusState::decode(&model.encode()).unwrap_err(),
+            CkptError::WrongKind { found: KIND_MODEL, expected: KIND_CONSENSUS }
         );
-    }
-
-    fn sample_root() -> RootState {
-        RootState {
-            fingerprint: 0xd00d_f00d_0000_0001,
-            shard_fingerprint: 0xabcd_ef01_2345_6789,
-            term: 2,
-            phase: DistributedPhase::Admm,
-            round: 11,
-            cccp_round: 1,
-            iters_done: 4,
-            inner_done: false,
-            admm_iterations: 14,
-            cccp_rounds: 2,
-            converged: false,
-            w0: vec2(0.75, -0.125),
-            history: vec![12.0, 9.5],
-            residuals: vec![(10, 0.7, 0.6), (11, 0.3, 0.2)],
-            shards: vec![
-                ShardState { shard: 0, n: 3, last_round: 11, partial_digest: 77, participation: 3 },
-                ShardState { shard: 1, n: 2, last_round: 11, partial_digest: 88, participation: 2 },
-            ],
-        }
-    }
-
-    #[test]
-    fn root_state_round_trips_both_phases() {
-        for phase in [DistributedPhase::Admm, DistributedPhase::Refine { rounds_done: 3 }] {
-            let state = RootState { phase, ..sample_root() };
-            let bytes = state.encode().encode();
-            let back = RootState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-            assert_eq!(back, state);
-        }
-    }
-
-    #[test]
-    fn root_state_digest_tracks_content() {
-        let a = sample_root();
-        let mut b = sample_root();
-        assert_eq!(a.digest(), b.digest(), "equal state, equal digest");
-        b.round += 1;
-        assert_ne!(a.digest(), b.digest(), "round change must move the digest");
-        let mut c = sample_root();
-        c.shard_fingerprint ^= 1;
-        assert_ne!(a.digest(), c.digest(), "shard-map change must move the digest");
-    }
-
-    #[test]
-    fn root_state_out_of_order_shards_rejected() {
-        let mut state = sample_root();
-        state.shards.swap(0, 1);
-        let bytes = state.encode().encode();
-        assert!(matches!(
-            RootState::decode(&CheckpointFile::decode(&bytes).unwrap()),
-            Err(CkptError::Malformed { .. })
-        ));
-    }
-
-    #[test]
-    fn root_state_wrong_kind_is_typed() {
-        let file = sample_distributed().encode();
-        assert_eq!(
-            RootState::decode(&file).unwrap_err(),
-            CkptError::WrongKind { found: KIND_DISTRIBUTED, expected: KIND_SHARDED }
-        );
-    }
-
-    #[test]
-    fn cohort_size_disagreement_rejected() {
-        let mut state = sample_distributed();
-        state.xi_ts.push(0.0);
-        let bytes = state.encode().encode();
-        assert!(matches!(
-            DistributedState::decode(&CheckpointFile::decode(&bytes).unwrap()),
-            Err(CkptError::Malformed { .. })
-        ));
     }
 }

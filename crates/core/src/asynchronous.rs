@@ -26,36 +26,35 @@
 //!   the Eq. (23) update runs over whatever subset arrived (an empty pass
 //!   applies nothing and is not counted as an ADMM iteration).
 //!
-//! **S = 0 degenerates to the synchronous path bit-for-bit**: the bound
-//! forces every reply fresh (`basis == epoch`), the pass becomes a
-//! barrier, and the fold/residual arithmetic below is line-for-line the
-//! Eq. (23)/(24) code of `DistributedPlos::server_loop` — enforced by the
-//! `async_parity` ci gate and `tests/fault_tolerance.rs`.
+//! The server is the consensus driver of [`crate::consensus`] — the same
+//! schedule, Eq. (23)/(24) arithmetic and stopping tests as
+//! [`crate::DistributedPlos`] — over this module's bounded-staleness gather
+//! strategy. **S = 0 degenerates to the synchronous path bit-for-bit**: the
+//! bound forces every reply fresh (`basis == epoch`) and the pass becomes a
+//! barrier — enforced by the `async_parity` ci gate and
+//! `tests/fault_tolerance.rs`.
 //!
-//! Checkpointing snapshots the consensus state at CCCP and refinement
-//! boundaries ([`plos_ckpt::AsyncState`]); at a boundary the server-held
-//! `w_t` slots equal each device's own anchor, so a `Restore` handshake
-//! re-seats a resumed fleet and the run continues with bit-parity
-//! (fault-free runs).
+//! Checkpointing snapshots the [`plos_ckpt::ConsensusState`] at CCCP and
+//! refinement boundaries; at a boundary the server-held `w_t` slots equal
+//! each device's own anchor, so a `Restore` handshake re-seats a resumed
+//! fleet and the run continues with bit-parity (fault-free runs).
 
-use crate::checkpoint::{self, CheckpointPolicy, CkptSession};
+use crate::checkpoint::{self, CheckpointPolicy};
 use crate::config::{FaultTolerance, PlosConfig};
-use crate::distributed::Fleet;
+use crate::consensus::{self, providers, DeviceOutcome, Driver, Gather, Partial, Reply, Slots};
+use crate::distributed::{Fleet, POLL_SLICE};
 use crate::error::CoreError;
 use crate::local::{LocalSolver, LocalUpdate};
 use crate::model::PersonalizedModel;
-use crate::problem;
 use crate::wire_u32;
-use parking_lot::Mutex;
-use plos_ckpt::{AsyncState, CkptError, DistributedPhase, KIND_ASYNC};
-use plos_linalg::{ExactSum, ExactVecSum, Vector};
+use plos_ckpt::{ConsensusState, FleetSection, KIND_CONSENSUS};
+use plos_linalg::{ExactSum, Vector};
+use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
 use plos_net::{
-    try_star, ClientExit, DeviceMachine, DeviceRuntime, DeviceStep, Endpoint, FaultPlan, Message,
-    TrafficStats, TransportError,
+    DeviceMachine, DeviceRuntime, DeviceStep, FaultPlan, Message, TrafficStats, TransportError,
 };
 use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
-use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
 /// Hard per-pass cap on how long the server waits for the fleet. Generous:
@@ -63,21 +62,11 @@ use std::time::{Duration, Instant};
 /// merely slow.
 const SERVER_WAIT: Duration = Duration::from_secs(60);
 
-/// How long one poll of an outstanding link blocks during a collection
-/// sweep.
-const POLL_SLICE: Duration = Duration::from_millis(2);
-
 /// In barrier collections (init, refinement, `S = 0` passes, restore
 /// handshakes) the assignment is re-sent to silent devices at this cadence
 /// so a dropped frame cannot stall the barrier. Clients answer re-sent
 /// assignments idempotently from their reply cache.
 const RESEND_AFTER: Duration = Duration::from_millis(250);
-
-/// Bound on server passes per CCCP round, as a multiple of
-/// `max_admm_iters`: empty passes (nothing arrived in the window) do not
-/// count as iterations, so a cap on total passes guarantees termination
-/// even if the fleet goes silent.
-const PASS_CAP_FACTOR: usize = 8;
 
 /// Straggler model and staleness policy for the asynchronous runtime.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,12 +161,6 @@ pub struct AsyncDistributedPlos {
     runtime: DeviceRuntime,
 }
 
-struct ClientOutcome {
-    stats: TrafficStats,
-    stale: usize,
-    fresh: usize,
-}
-
 /// The device side of the bounded-staleness protocol as a resumable state
 /// machine: answer epoch-tagged assignments until shutdown. Busy devices
 /// (per the stateless straggler hash) resend their cached solution with its
@@ -205,7 +188,7 @@ struct AsyncDeviceMachine {
 }
 
 impl DeviceMachine for AsyncDeviceMachine {
-    type Output = ClientOutcome;
+    type Output = DeviceOutcome;
 
     // The planned chaos crash must be a genuine panic: the whole point of
     // the regression is that the runtime contains it per-device.
@@ -347,8 +330,8 @@ impl DeviceMachine for AsyncDeviceMachine {
         }
     }
 
-    fn finish(self, stats: TrafficStats) -> ClientOutcome {
-        ClientOutcome { stats, stale: self.stale, fresh: self.fresh }
+    fn finish(self, stats: TrafficStats) -> DeviceOutcome {
+        DeviceOutcome { stats, stale: self.stale, fresh: self.fresh, ..DeviceOutcome::default() }
     }
 }
 
@@ -376,43 +359,24 @@ fn is_busy(seed: u64, t: usize, epoch: u32, availability: f64) -> bool {
 /// mismatch. `poll_window` is excluded — it shapes wall-clock behaviour
 /// only, never the fault-free trajectory.
 fn async_fingerprint(config: &PlosConfig, spec: &AsyncSpec, t_count: usize, dim: usize) -> u64 {
-    let base = checkpoint::run_fingerprint(KIND_ASYNC, t_count, dim, config);
+    let base = checkpoint::run_fingerprint(KIND_CONSENSUS, t_count, dim, config);
     let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01b3);
     mix(mix(mix(base, spec.availability.to_bits()), spec.seed), u64::from(spec.staleness_bound))
-}
-
-/// Shape check on a restored async snapshot (the fingerprint already binds
-/// cohort, config and spec; this guards vector lengths before arithmetic).
-fn validate_async_state(state: &AsyncState, t_count: usize, dim: usize) -> Result<(), CoreError> {
-    let mut ok = state.us.len() == t_count && state.w0.len() == dim;
-    for group in [&state.us, &state.w_ts, &state.v_ts] {
-        ok &= group.len() == t_count && group.iter().all(|v| v.len() == dim);
-    }
-    ok &= state.xi_ts.len() == t_count && state.alive.len() == t_count;
-    if ok {
-        Ok(())
-    } else {
-        Err(CoreError::Ckpt(CkptError::Malformed {
-            detail: format!(
-                "async checkpoint shape does not match this run (cohort {t_count}, dim {dim})"
-            ),
-        }))
-    }
 }
 
 /// One collection sweep over the outstanding assignments.
 ///
 /// Matches arriving `AsyncUpdate`s against `outstanding` by epoch tag,
-/// folds the ones within the staleness bound through `sink`, and counts
-/// the rest (late/stale/protocol discards). In `barrier` mode the sweep
+/// accepts the ones within the staleness bound, and counts the rest
+/// (late/stale/protocol discards). In `barrier` mode the sweep
 /// blocks until the whole live roster is accounted for (re-sending the
 /// assignment to silent devices so dropped frames cannot stall it) and a
 /// [`SERVER_WAIT`] expiry is a transport error; otherwise the sweep
 /// returns once no reply has arrived for `quiet_window`.
 ///
-/// Returns the number of folded updates.
+/// Returns the accepted updates.
 // Allowed: the sweep threads the full pass context (epoch tags, bound,
-// windows, resend closure, fold sink); bundling them into a one-shot
+// windows, resend closure, discard counter); bundling them into a one-shot
 // struct would only move the argument list behind a constructor.
 #[allow(clippy::too_many_arguments)]
 fn collect_replies(
@@ -424,8 +388,7 @@ fn collect_replies(
     barrier: bool,
     resend: &dyn Fn(usize) -> Message,
     stale_discards: &mut u64,
-    sink: &mut dyn FnMut(usize, Vector, Vector, f64),
-) -> Result<usize, CoreError> {
+) -> Result<Vec<Reply>, CoreError> {
     // D2 audit: these clocks gate only the pass/quiescence windows and the
     // barrier re-send cadence — whether a reply folds is decided purely by
     // its epoch/basis tags, never by the wall-clock instant it arrived at.
@@ -435,7 +398,7 @@ fn collect_replies(
     let hard_deadline = started + SERVER_WAIT;
     let mut quiet_deadline = started + quiet_window;
     let mut resend_at = started + RESEND_AFTER;
-    let mut folded = 0usize;
+    let mut accepted = Vec::new();
     loop {
         if fleet.alive_count() == 0 {
             return Err(CoreError::Transport {
@@ -486,19 +449,18 @@ fn collect_replies(
                     let matched =
                         matches!(outstanding.get(t), Some(Some(assigned)) if *assigned == e);
                     if user as usize != t {
-                        fleet.protocol_errors = fleet.protocol_errors.saturating_add(1);
+                        fleet.tally.protocol_errors = fleet.tally.protocol_errors.saturating_add(1);
                     } else if !matched {
                         // A duplicate, or an answer to a superseded
                         // assignment: discard by tag, never merge.
-                        fleet.late_discards = fleet.late_discards.saturating_add(1);
+                        fleet.tally.late_discards = fleet.tally.late_discards.saturating_add(1);
                     } else {
                         if let Some(slot) = outstanding.get_mut(t) {
                             *slot = None;
                         }
                         let staleness = epoch.saturating_sub(basis);
                         if staleness <= staleness_bound {
-                            folded += 1;
-                            sink(t, w_t, v_t, xi_t);
+                            accepted.push((t, w_t, v_t, xi_t));
                         } else {
                             *stale_discards = stale_discards.saturating_add(1);
                             if plos_obs::enabled() {
@@ -516,7 +478,9 @@ fn collect_replies(
                         }
                     }
                 }
-                Ok(_) => fleet.protocol_errors = fleet.protocol_errors.saturating_add(1),
+                Ok(_) => {
+                    fleet.tally.protocol_errors = fleet.tally.protocol_errors.saturating_add(1)
+                }
                 // A corrupted frame surfaced as a codec error; barrier mode
                 // re-sends, S > 0 mode re-assigns once over-stale.
                 Err(TransportError::Timeout | TransportError::Codec(_)) => {}
@@ -524,7 +488,224 @@ fn collect_replies(
             }
         }
     }
-    Ok(folded)
+    Ok(accepted)
+}
+
+/// The bounded-staleness gather strategy over a [`Fleet`]: an ADMM pass
+/// folds whatever arrived within the staleness bound, and the commit
+/// updates only the slots that pass refreshed. Initialization and
+/// refinement stay barriers.
+struct Staleness<'a> {
+    fleet: Fleet<'a>,
+    slots: Slots,
+    dim: usize,
+    bound: u32,
+    /// Quiescence window of an ADMM pass (`S > 0`).
+    poll_window: Duration,
+    /// Epoch of each device's assignment in flight.
+    outstanding: Vec<Option<u32>>,
+    /// Devices whose slot the last ADMM pass refreshed.
+    refreshed: Vec<bool>,
+    folded: usize,
+    stale_discards: u64,
+    reassignments: u64,
+}
+
+impl<'a> Staleness<'a> {
+    fn new(fleet: Fleet<'a>, spec: &AsyncSpec, dim: usize) -> Self {
+        let n = fleet.links.len();
+        Staleness {
+            fleet,
+            slots: Slots::new(n, dim),
+            dim,
+            bound: spec.staleness_bound,
+            poll_window: spec.poll_window,
+            outstanding: vec![None; n],
+            refreshed: vec![false; n],
+            folded: 0,
+            stale_discards: 0,
+            reassignments: 0,
+        }
+    }
+}
+
+impl Gather for Staleness<'_> {
+    fn gather(
+        &mut self,
+        state: &mut ConsensusState,
+        phase: u8,
+        epoch: u32,
+    ) -> Result<Option<Partial>, CoreError> {
+        let (dim, bound) = (self.dim, self.bound);
+        let (w0, us) = (&state.w0, &self.slots.us);
+        // Every u_t is still zero in the initialization epoch.
+        let message = |t: usize| match phase {
+            PHASE_REFINE => Message::Refine { round: epoch, w0: w0.clone() },
+            _ => Message::AsyncBroadcast {
+                epoch,
+                staleness_bound: bound,
+                w0: w0.clone(),
+                u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
+            },
+        };
+        // S = 0 passes, initialization and refinement (always fresh — it
+        // anchors the final model, and keeping it synchronous is what pins
+        // the S > 0 accuracy band to the synchronous protocol's) are
+        // barriers; an S > 0 pass closes on quiescence.
+        let barrier = phase != PHASE_ADMM || bound == 0;
+        if phase != PHASE_ADMM {
+            self.outstanding.fill(None);
+        }
+        // Assign: devices with nothing in flight get this epoch's (w0, u_t);
+        // devices whose outstanding assignment fell more than S epochs
+        // behind are re-assigned.
+        for t in 0..self.outstanding.len() {
+            let assign = match self.outstanding.get(t) {
+                _ if !self.fleet.is_alive(t) => false,
+                Some(None) => true,
+                Some(Some(assigned)) if epoch.saturating_sub(*assigned) > bound => {
+                    self.reassignments = self.reassignments.saturating_add(1);
+                    true
+                }
+                _ => false,
+            };
+            if assign {
+                self.fleet.send_to(t, &message(t));
+                if let Some(slot) = self.outstanding.get_mut(t) {
+                    *slot = Some(epoch);
+                }
+            }
+        }
+        self.fleet.publish_roster();
+        let window = if barrier { SERVER_WAIT } else { self.poll_window };
+        let replies = collect_replies(
+            &mut self.fleet,
+            &mut self.outstanding,
+            epoch,
+            bound,
+            window,
+            barrier,
+            &message,
+            &mut self.stale_discards,
+        )?;
+        self.fleet.publish_roster();
+        let n = self.fleet.alive_count();
+        let live = &self.fleet.alive;
+        Ok(match phase {
+            PHASE_INIT => Some(providers(&replies, n, dim)),
+            PHASE_ADMM => {
+                self.refreshed.fill(false);
+                for (t, ..) in &replies {
+                    if let Some(flag) = self.refreshed.get_mut(*t) {
+                        *flag = true;
+                    }
+                }
+                self.folded = replies.len();
+                self.slots.store(replies);
+                (self.folded > 0).then(|| Partial { n, m: 0, sum: self.slots.admm_sum(live) })
+            }
+            _ => {
+                self.slots.store(replies);
+                Some(Partial { n, m: 0, sum: self.slots.refine_sum(live) })
+            }
+        })
+    }
+
+    fn commit(&mut self, _epoch: u32, w0: &Vector) -> Result<ExactSum, CoreError> {
+        // Dual updates and the primal residual range over the devices whose
+        // blocks were refreshed *this pass*: a frozen straggler slot must not
+        // accumulate dual drift or put a floor under the residual. Under
+        // S = 0 the barrier makes the refreshed set exactly the live roster,
+        // which is the barrier server's commit verbatim.
+        let updated: Vec<bool> =
+            self.fleet.alive.iter().zip(&self.refreshed).map(|(a, r)| *a && *r).collect();
+        Ok(self.slots.u_update(w0, &updated))
+    }
+
+    fn objective(&mut self) -> (usize, ExactSum, ExactSum) {
+        let (obj_v, obj_xi) = self.slots.objective_terms(&self.fleet.alive);
+        (self.fleet.alive_count(), obj_v, obj_xi)
+    }
+
+    fn refine_terms(
+        &mut self,
+        _epoch: u32,
+        w0: &Vector,
+    ) -> Result<(ExactSum, ExactSum), CoreError> {
+        Ok(self.slots.refine_terms(w0, &self.fleet.alive))
+    }
+
+    fn enter_cccp(&mut self, cccp_round: u32, advance: bool) -> Result<(), CoreError> {
+        if advance {
+            self.fleet.send_alive(&|_t| Message::CccpAdvance { cccp_round });
+            self.fleet.publish_roster();
+        }
+        // The linearization changed: every in-flight assignment is void, and
+        // its eventual reply a late discard.
+        self.outstanding.fill(None);
+        Ok(())
+    }
+
+    fn round_event(&self, epoch: u32, primal: f64, dual: f64) {
+        if plos_obs::enabled() {
+            plos_obs::emit(
+                "async_round",
+                &[
+                    ("epoch", epoch.into()),
+                    ("primal_residual", primal.into()),
+                    ("dual_residual", dual.into()),
+                    ("folded", self.folded.into()),
+                    ("alive", self.fleet.alive_count().into()),
+                ],
+            );
+            plos_obs::counter_add("async.admm_rounds", 1);
+        }
+    }
+
+    /// Snapshots happen at CCCP and refinement boundaries only, where the
+    /// server-held `w_t` slots equal each device's own anchor (fault-free),
+    /// so the `Restore` handshake alone re-seats the fleet exactly.
+    fn export(&self, _boundary: bool) -> Option<FleetSection> {
+        Some(FleetSection {
+            stale_discards: self.stale_discards,
+            reassignments: self.reassignments,
+            ..self.fleet.snapshot(&self.slots)
+        })
+    }
+
+    fn restore(&mut self, epoch: u32, section: &FleetSection) -> Result<(), CoreError> {
+        self.fleet.restore(section);
+        self.slots = Slots::restored(section, self.dim);
+        self.stale_discards = section.stale_discards;
+        self.reassignments = section.reassignments;
+        let dim = self.dim;
+        let t_count = wire_u32(self.fleet.alive_count());
+        let restore = |t: usize| Message::Restore {
+            round: epoch,
+            t_count,
+            w_t: section.anchors.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
+        };
+        self.fleet.send_alive(&restore);
+        for (slot, &alive) in self.outstanding.iter_mut().zip(&self.fleet.alive) {
+            *slot = alive.then_some(epoch);
+        }
+        collect_replies(
+            &mut self.fleet,
+            &mut self.outstanding,
+            epoch,
+            self.bound,
+            SERVER_WAIT,
+            true,
+            &restore,
+            &mut self.stale_discards,
+        )?;
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<(), CoreError> {
+        self.fleet.shutdown();
+        Ok(())
+    }
 }
 
 impl AsyncDistributedPlos {
@@ -598,10 +779,6 @@ impl AsyncDistributedPlos {
     /// barrier collection starved. Local solve failures on a device degrade
     /// that device to the consensus update instead of aborting the
     /// protocol.
-    // Allowed: the slot map is created with one entry per device index and
-    // the network runs each device closure exactly once per index, so the
-    // take-once expect cannot fail.
-    #[allow(clippy::expect_used)]
     pub fn fit_with_faults(
         &self,
         dataset: &MultiUserDataset,
@@ -610,107 +787,55 @@ impl AsyncDistributedPlos {
         let _span = plos_obs::Span::enter("async_fit");
         // plos-lint: allow(D2): wall_clock field of the report only
         let started = Instant::now();
-        plan.validate().map_err(|detail| CoreError::Protocol {
-            detail: format!("invalid fault plan: {detail}"),
-        })?;
-        let prepared = problem::prepare(dataset, self.config.bias);
-        let t_count = prepared.users.len();
-        if t_count == 0 {
-            return Err(CoreError::EmptyDataset);
-        }
-        let dim = prepared.dim;
+        let cohort = consensus::prepare(&self.config, dataset, plan)?;
+        let (t_count, dim) = (cohort.t_count, cohort.dim);
 
         let policy = self.ckpt.clone().or_else(CheckpointPolicy::from_env);
         let fingerprint = async_fingerprint(&self.config, &self.spec, t_count, dim);
-        let mut session = policy.as_ref().map(|p| p.session("async"));
-        let resume = match &session {
-            Some(sess) => match sess.load()? {
-                Some(file) => {
-                    let state = AsyncState::decode(&file).map_err(CoreError::Ckpt)?;
-                    checkpoint::check_fingerprint(state.fingerprint, fingerprint)?;
-                    validate_async_state(&state, t_count, dim)?;
-                    plos_obs::emit(
-                        "checkpoint_resume",
-                        &[
-                            ("trainer", "async".to_string().into()),
-                            ("epoch", state.epoch.into()),
-                            ("cccp_round", state.cccp_round.into()),
-                        ],
-                    );
-                    Some(Box::new(state))
-                }
-                None => None,
-            },
-            None => None,
-        };
+        let (session, resume) = consensus::open(policy, "async", fingerprint, t_count, dim)?;
 
-        let slots: Mutex<Vec<Option<LocalSolver>>> = Mutex::new(
-            prepared
-                .users
-                .iter()
-                .enumerate()
-                .map(|(t, u)| {
-                    let mut cfg = self.config.clone();
-                    cfg.seed = cfg.seed.wrapping_add(t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    Some(LocalSolver::new(u.clone(), cfg, t_count))
-                })
-                .collect(),
-        );
-
-        let network =
-            try_star(t_count).map_err(|e| CoreError::Protocol { detail: e.to_string() })?;
         let spec = self.spec;
-        let session_ref = &mut session;
-        let (server_out, exits) = network.run_devices(
+        let (server_out, outcomes, panicked) = cohort.run(
             self.runtime,
-            |server_ends| {
-                self.server_loop(server_ends, dim, t_count, plan, fingerprint, resume, session_ref)
+            |ends| {
+                let fleet = Fleet::new(plan.wrap_links(ends), FaultTolerance::default());
+                let mut server = Staleness::new(fleet, &spec, dim);
+                let driver = Driver::new(&self.config, session, false, fingerprint, dim);
+                let consensus = driver.run(&mut server, resume)?;
+                let model =
+                    consensus.model(&server.slots.w_ts, &server.fleet.alive, self.config.bias);
+                let counters = (server.stale_discards, server.reassignments);
+                Ok::<_, CoreError>((model, consensus, server.fleet.tally, counters))
             },
-            |t| {
-                let solver = slots.lock().get_mut(t).and_then(Option::take);
-                let solver = solver.expect("each device slot taken once");
-                AsyncDeviceMachine {
-                    user: wire_u32(t),
-                    t,
-                    solver,
-                    spec,
-                    last: None,
-                    sent: None,
-                    stale: 0,
-                    fresh: 0,
-                    panic_at: plan.panic_round(t),
-                }
+            |t, solver| AsyncDeviceMachine {
+                user: wire_u32(t),
+                t,
+                solver,
+                spec,
+                last: None,
+                sent: None,
+                stale: 0,
+                fresh: 0,
+                panic_at: plan.panic_round(t),
             },
-        );
-
-        let (model, mut report) = server_out?;
-        let mut traffic = Vec::with_capacity(t_count);
-        let mut stale_replies = Vec::with_capacity(t_count);
-        let mut fresh_replies = Vec::with_capacity(t_count);
-        let mut panicked = Vec::new();
-        for (t, exit) in exits.into_iter().enumerate() {
-            match exit {
-                ClientExit::Finished(out) => {
-                    traffic.push(out.stats);
-                    stale_replies.push(out.stale);
-                    fresh_replies.push(out.fresh);
-                }
-                ClientExit::Panicked(_) => {
-                    traffic.push(TrafficStats::default());
-                    stale_replies.push(0);
-                    fresh_replies.push(0);
-                    panicked.push(t);
-                }
-            }
-        }
-        report.per_user_traffic = traffic;
-        report.stale_replies = stale_replies;
-        report.fresh_replies = fresh_replies;
-        if !panicked.is_empty() {
-            report.protocol_errors = report.protocol_errors.saturating_add(panicked.len() as u64);
-        }
-        report.panicked = panicked;
-        report.wall_clock = started.elapsed();
+        )?;
+        let (model, consensus, tally, (stale_discards, reassignments)) = server_out?;
+        let report = AsyncReport {
+            per_user_traffic: outcomes.iter().map(|o| o.stats).collect(),
+            admm_iterations: consensus.admm_iterations,
+            cccp_rounds: consensus.cccp_rounds,
+            history: consensus.history,
+            converged: consensus.converged,
+            stale_replies: outcomes.iter().map(|o| o.stale).collect(),
+            fresh_replies: outcomes.iter().map(|o| o.fresh).collect(),
+            stale_discards,
+            late_discards: tally.late_discards,
+            reassignments,
+            protocol_errors: tally.protocol_errors.saturating_add(panicked.len() as u64),
+            evicted: tally.evicted,
+            panicked,
+            wall_clock: started.elapsed(),
+        };
         if plos_obs::enabled() {
             plos_obs::emit(
                 "async_summary",
@@ -725,533 +850,6 @@ impl AsyncDistributedPlos {
                 ],
             );
         }
-        Ok((model, report))
-    }
-
-    /// The server thread: initialization (or checkpoint resume), CCCP ×
-    /// bounded-staleness ADMM passes, refinement, shutdown. The Eq. (23)
-    /// fold, Eq. (24) residuals and the objective are line-for-line the
-    /// synchronous server's — only the collection discipline differs.
-    // Allowed: the resume/checkpoint plumbing genuinely needs the run
-    // coordinates threaded through, and splitting the protocol driver would
-    // scatter the epoch/phase invariants across functions.
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    fn server_loop(
-        &self,
-        ends: &[Endpoint],
-        dim: usize,
-        t_count: usize,
-        plan: &FaultPlan,
-        fingerprint: u64,
-        resume: Option<Box<AsyncState>>,
-        session: &mut Option<CkptSession>,
-    ) -> Result<(PersonalizedModel, AsyncReport), CoreError> {
-        let mut fleet = Fleet::new(plan.wrap_links(ends), FaultTolerance::default());
-        let rho = self.config.rho;
-        let bound = self.spec.staleness_bound;
-        // S = 0 is a barrier pass; S > 0 closes on quiescence.
-        let pass_barrier = bound == 0;
-        let quiet_window = if pass_barrier { SERVER_WAIT } else { self.spec.poll_window };
-        let pass_cap = self.config.max_admm_iters.saturating_mul(PASS_CAP_FACTOR);
-
-        let mut outstanding: Vec<Option<u32>> = vec![None; t_count];
-        let mut stale_discards = 0u64;
-        let mut reassignments = 0u64;
-
-        let mut w0;
-        let mut us;
-        let mut w_ts;
-        let mut v_ts;
-        let mut xi_ts;
-        let mut history;
-        let mut admm_iterations;
-        let mut epoch;
-        let mut converged;
-        let mut cccp_rounds;
-        let start_cccp: usize;
-        let refine_start: u32;
-        let mut skip_advance = false;
-
-        if let Some(state) = resume {
-            let st = *state;
-            // Adopt the checkpointed roster, then tell the fresh threads of
-            // already-evicted devices to exit so the end-of-run join cannot
-            // hang on them.
-            for (flag, &stored) in fleet.alive.iter_mut().zip(&st.alive) {
-                *flag = stored;
-            }
-            fleet.evicted =
-                st.evicted.iter().map(|&t| usize::try_from(t).unwrap_or(usize::MAX)).collect();
-            fleet.protocol_errors = st.protocol_errors;
-            fleet.late_discards = st.late_discards;
-            for t in 0..t_count {
-                if !fleet.is_alive(t) {
-                    fleet.shutdown_device(t);
-                }
-            }
-            // Reposition the survivors: at a CCCP/refinement boundary every
-            // device's own anchor equals the server-held w_t slot, so the
-            // Restore handshake re-seats the fleet exactly.
-            let cohort = wire_u32(fleet.alive_count());
-            let restore_round = st.epoch;
-            let restore_anchors = st.w_ts.clone();
-            let restore = move |t: usize| Message::Restore {
-                round: restore_round,
-                t_count: cohort,
-                w_t: restore_anchors.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-            };
-            fleet.send_alive(&restore);
-            for t in 0..t_count {
-                if fleet.is_alive(t) {
-                    if let Some(slot) = outstanding.get_mut(t) {
-                        *slot = Some(restore_round);
-                    }
-                }
-            }
-            collect_replies(
-                &mut fleet,
-                &mut outstanding,
-                restore_round,
-                bound,
-                SERVER_WAIT,
-                true,
-                &restore,
-                &mut stale_discards,
-                &mut |_t, _w, _v, _xi| {},
-            )?;
-
-            w0 = st.w0;
-            us = st.us;
-            w_ts = st.w_ts;
-            v_ts = st.v_ts;
-            xi_ts = st.xi_ts;
-            history = History::from_values(st.history);
-            admm_iterations = st.admm_epochs as usize;
-            epoch = st.epoch;
-            converged = st.converged;
-            cccp_rounds = st.cccp_rounds as usize;
-            stale_discards = st.stale_discards;
-            reassignments = st.reassignments;
-            match st.phase {
-                DistributedPhase::Admm => {
-                    start_cccp = st.cccp_round as usize;
-                    refine_start = 0;
-                    // The handshake already repositioned every device at its
-                    // boundary anchor; sending CccpAdvance again would
-                    // double-linearize.
-                    skip_advance = true;
-                }
-                DistributedPhase::Refine { rounds_done } => {
-                    start_cccp = self.config.max_cccp_rounds;
-                    refine_start = rounds_done;
-                }
-            }
-        } else {
-            // ---- Init epoch 0: average provider hyperplanes (identical to
-            // Algorithm 2). ----
-            let zero = Vector::zeros(dim);
-            let init = |_t: usize| Message::AsyncBroadcast {
-                epoch: 0,
-                staleness_bound: bound,
-                w0: zero.clone(),
-                u_t: zero.clone(),
-            };
-            fleet.send_alive(&init);
-            for t in 0..t_count {
-                if fleet.is_alive(t) {
-                    if let Some(slot) = outstanding.get_mut(t) {
-                        *slot = Some(0);
-                    }
-                }
-            }
-            let mut w_inits = vec![Vector::zeros(dim); t_count];
-            collect_replies(
-                &mut fleet,
-                &mut outstanding,
-                0,
-                bound,
-                SERVER_WAIT,
-                true,
-                &init,
-                &mut stale_discards,
-                &mut |t, w_t, _v_t, _xi_t| {
-                    if let Some(slot) = w_inits.get_mut(t) {
-                        *slot = w_t;
-                    }
-                },
-            )?;
-            fleet.publish_roster();
-
-            // Exact fold, mirroring the synchronous path bit-for-bit (the
-            // S=0 async-parity gate pins the two together).
-            let mut w0_acc = ExactVecSum::zeros(dim);
-            let mut contributors = 0usize;
-            for w_init in &w_inits {
-                if w_init.norm() > 0.0 {
-                    w0_acc.add(w_init);
-                    contributors += 1;
-                }
-            }
-            if contributors > 0 {
-                w0 = w0_acc.value();
-                w0.scale_mut(1.0 / contributors as f64);
-            } else {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
-                w0 = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let n = w0.norm();
-                if n > 0.0 {
-                    w0.scale_mut(1.0 / n);
-                }
-            }
-
-            us = vec![Vector::zeros(dim); t_count];
-            w_ts = vec![Vector::zeros(dim); t_count];
-            v_ts = vec![Vector::zeros(dim); t_count];
-            xi_ts = vec![0.0f64; t_count];
-            history = History::new();
-            admm_iterations = 0usize;
-            epoch = 0u32;
-            converged = false;
-            cccp_rounds = 0usize;
-            start_cccp = 0;
-            refine_start = 0;
-        }
-
-        // ---- CCCP × bounded-staleness ADMM passes ----
-        for cccp_round in start_cccp..self.config.max_cccp_rounds {
-            if converged {
-                break;
-            }
-            cccp_rounds += 1;
-            if cccp_round > 0 && !skip_advance {
-                fleet.send_alive(&|_t| Message::CccpAdvance { cccp_round: wire_u32(cccp_round) });
-                fleet.publish_roster();
-            }
-            skip_advance = false;
-            // The linearization changed: every in-flight assignment is
-            // void, and its eventual reply a late discard.
-            for slot in outstanding.iter_mut() {
-                *slot = None;
-            }
-
-            let mut applied = 0usize;
-            let mut passes = 0usize;
-            while applied < self.config.max_admm_iters && passes < pass_cap {
-                passes += 1;
-                epoch = epoch.saturating_add(1);
-                // Assign: devices with nothing in flight get this epoch's
-                // (w0, u_t); devices whose outstanding assignment fell more
-                // than S epochs behind are re-assigned.
-                for t in 0..t_count {
-                    if !fleet.is_alive(t) {
-                        continue;
-                    }
-                    let assign = match outstanding.get(t) {
-                        Some(None) => true,
-                        Some(Some(assigned)) if epoch.saturating_sub(*assigned) > bound => {
-                            reassignments = reassignments.saturating_add(1);
-                            true
-                        }
-                        _ => false,
-                    };
-                    if assign {
-                        let message = Message::AsyncBroadcast {
-                            epoch,
-                            staleness_bound: bound,
-                            w0: w0.clone(),
-                            u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-                        };
-                        fleet.send_to(t, &message);
-                        if let Some(slot) = outstanding.get_mut(t) {
-                            *slot = Some(epoch);
-                        }
-                    }
-                }
-                fleet.publish_roster();
-
-                let scatter = |t: usize| Message::AsyncBroadcast {
-                    epoch,
-                    staleness_bound: bound,
-                    w0: w0.clone(),
-                    u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-                };
-                let mut refreshed = vec![false; t_count];
-                let folded = collect_replies(
-                    &mut fleet,
-                    &mut outstanding,
-                    epoch,
-                    bound,
-                    quiet_window,
-                    pass_barrier,
-                    &scatter,
-                    &mut stale_discards,
-                    &mut |t, w_t, v_t, xi_t| {
-                        if let (Some(w), Some(v), Some(xi)) =
-                            (w_ts.get_mut(t), v_ts.get_mut(t), xi_ts.get_mut(t))
-                        {
-                            *w = w_t;
-                            *v = v_t;
-                            *xi = xi_t;
-                        }
-                        if let Some(flag) = refreshed.get_mut(t) {
-                            *flag = true;
-                        }
-                    },
-                )?;
-                fleet.publish_roster();
-                if folded == 0 {
-                    // Nothing arrived in the window: the consensus state is
-                    // unchanged, so applying Eq. (23) would only replay the
-                    // previous iterate. Wait for the fleet instead.
-                    continue;
-                }
-                applied += 1;
-                admm_iterations += 1;
-
-                // Eq. (23): closed-form z- and u-updates over the live
-                // cohort; every T-dependent scalar uses the shrunk size.
-                let cohort = fleet.alive_count() as f64;
-                let mut w0_acc = ExactVecSum::zeros(dim);
-                for (t, ((w_t, v_t), u_t)) in w_ts.iter().zip(&v_ts).zip(&us).enumerate() {
-                    if !fleet.is_alive(t) {
-                        continue;
-                    }
-                    w0_acc.add(w_t);
-                    w0_acc.sub(v_t);
-                    w0_acc.add(u_t);
-                }
-                let mut w0_new = w0_acc.value();
-                w0_new.scale_mut(rho / (2.0 + cohort * rho));
-                // Eq. (24): residuals.
-                let sqrt_2t = (2.0 * cohort).sqrt();
-                let sqrt_t = cohort.sqrt();
-                let dual_residual = rho * sqrt_2t * w0_new.distance(&w0);
-                // Dual updates and the primal residual range over the
-                // devices whose blocks were refreshed *this pass*: a
-                // frozen straggler slot must not accumulate dual drift or
-                // put a floor under the residual. Under S = 0 the barrier
-                // makes the refreshed set exactly the live roster, which
-                // is the synchronous loop verbatim.
-                let mut primal_acc = ExactSum::new();
-                for (t, (w_t, v_t)) in w_ts.iter().zip(&v_ts).enumerate() {
-                    if !fleet.is_alive(t) || !refreshed.get(t).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    let mut delta = w_t.clone();
-                    delta -= &w0_new;
-                    delta -= v_t;
-                    primal_acc.add(delta.norm_squared());
-                    if let Some(u_t) = us.get_mut(t) {
-                        *u_t += &delta;
-                    }
-                }
-                let primal_sq = primal_acc.value();
-                w0 = w0_new;
-
-                let primal_residual = primal_sq.sqrt();
-                if plos_obs::enabled() {
-                    plos_obs::emit(
-                        "async_round",
-                        &[
-                            ("epoch", epoch.into()),
-                            ("primal_residual", primal_residual.into()),
-                            ("dual_residual", dual_residual.into()),
-                            ("folded", folded.into()),
-                            ("alive", fleet.alive_count().into()),
-                        ],
-                    );
-                    plos_obs::counter_add("async.admm_rounds", 1);
-                }
-                if dual_residual <= sqrt_2t * self.config.eps_abs
-                    && primal_residual <= sqrt_t * self.config.eps_abs
-                {
-                    break;
-                }
-            }
-
-            // Objective L (Eq. 23, third line), over the live cohort.
-            let kappa = self.config.lambda / fleet.alive_count() as f64;
-            let mut obj_v = ExactSum::new();
-            let mut obj_xi = ExactSum::new();
-            for (t, (v_t, xi_t)) in v_ts.iter().zip(&xi_ts).enumerate() {
-                if !fleet.is_alive(t) {
-                    continue;
-                }
-                obj_v.add(v_t.norm_squared());
-                obj_xi.add(*xi_t);
-            }
-            let objective = w0.norm_squared() + kappa * obj_v.value() + obj_xi.value();
-            history.push(objective);
-            plos_obs::emit(
-                "cccp_round",
-                &[("round", cccp_rounds.into()), ("objective", objective.into())],
-            );
-            if history.converged(self.config.cccp_tol) {
-                converged = true;
-            }
-            // CCCP boundary snapshot: at this point the server-held w_t
-            // slots equal each live device's own anchor (fault-free), which
-            // is what makes the Restore handshake above exact.
-            if let Some(sess) = session.as_mut() {
-                let snapshot = AsyncState {
-                    fingerprint,
-                    phase: DistributedPhase::Admm,
-                    epoch,
-                    cccp_round: wire_u32(cccp_round + 1),
-                    admm_epochs: admm_iterations as u64,
-                    cccp_rounds: wire_u32(cccp_rounds),
-                    converged,
-                    stale_discards,
-                    late_discards: fleet.late_discards,
-                    reassignments,
-                    protocol_errors: fleet.protocol_errors,
-                    w0: w0.clone(),
-                    us: us.clone(),
-                    w_ts: w_ts.clone(),
-                    v_ts: v_ts.clone(),
-                    xi_ts: xi_ts.clone(),
-                    alive: fleet.alive.clone(),
-                    evicted: fleet.evicted.iter().map(|&t| t as u64).collect(),
-                    history: history.values().to_vec(),
-                };
-                sess.save(&snapshot.encode())?;
-            }
-            if converged {
-                break;
-            }
-        }
-
-        // ---- Refinement: always a barrier, always fresh — it anchors the
-        // final model, and keeping it synchronous is what pins the S > 0
-        // accuracy band to the synchronous protocol's. ----
-        for refine_round in refine_start as usize..self.config.refine_rounds {
-            epoch = epoch.saturating_add(1);
-            for slot in outstanding.iter_mut() {
-                *slot = None;
-            }
-            let refine = |_t: usize| Message::Refine { round: epoch, w0: w0.clone() };
-            fleet.send_alive(&refine);
-            for t in 0..t_count {
-                if fleet.is_alive(t) {
-                    if let Some(slot) = outstanding.get_mut(t) {
-                        *slot = Some(epoch);
-                    }
-                }
-            }
-            collect_replies(
-                &mut fleet,
-                &mut outstanding,
-                epoch,
-                bound,
-                SERVER_WAIT,
-                true,
-                &refine,
-                &mut stale_discards,
-                &mut |t, w_t, v_t, xi_t| {
-                    if let (Some(w), Some(v), Some(xi)) =
-                        (w_ts.get_mut(t), v_ts.get_mut(t), xi_ts.get_mut(t))
-                    {
-                        *w = w_t;
-                        *v = v_t;
-                        *xi = xi_t;
-                    }
-                },
-            )?;
-            fleet.publish_roster();
-
-            let cohort = fleet.alive_count() as f64;
-            let mut mean_acc = ExactVecSum::zeros(dim);
-            for (t, w_t) in w_ts.iter().enumerate() {
-                if !fleet.is_alive(t) {
-                    continue;
-                }
-                mean_acc.add(w_t);
-            }
-            let mut mean = mean_acc.value();
-            mean.scale_mut(1.0 / cohort);
-            w0 = mean.scaled(self.config.lambda / (1.0 + self.config.lambda));
-            // xi_ts now carry true local losses, so this is the true
-            // objective in the problem-(3) scale.
-            let kappa = self.config.lambda / cohort;
-            let mut dist_acc = ExactSum::new();
-            let mut xi_acc = ExactSum::new();
-            for (t, (w_t, xi_t)) in w_ts.iter().zip(&xi_ts).enumerate() {
-                if !fleet.is_alive(t) {
-                    continue;
-                }
-                dist_acc.add(w_t.distance_squared(&w0));
-                xi_acc.add(*xi_t);
-            }
-            let objective = w0.norm_squared() + kappa * dist_acc.value() + xi_acc.value();
-            history.push(objective);
-            plos_obs::emit(
-                "refine_round",
-                &[("round", (refine_round + 1).into()), ("objective", objective.into())],
-            );
-            if let Some(sess) = session.as_mut() {
-                let snapshot = AsyncState {
-                    fingerprint,
-                    phase: DistributedPhase::Refine { rounds_done: wire_u32(refine_round + 1) },
-                    epoch,
-                    cccp_round: wire_u32(self.config.max_cccp_rounds),
-                    admm_epochs: admm_iterations as u64,
-                    cccp_rounds: wire_u32(cccp_rounds),
-                    converged,
-                    stale_discards,
-                    late_discards: fleet.late_discards,
-                    reassignments,
-                    protocol_errors: fleet.protocol_errors,
-                    w0: w0.clone(),
-                    us: us.clone(),
-                    // Refinement anchors each device at its own last w_t,
-                    // so that is what a resumed server must hand back.
-                    w_ts: w_ts.clone(),
-                    v_ts: v_ts.clone(),
-                    xi_ts: xi_ts.clone(),
-                    alive: fleet.alive.clone(),
-                    evicted: fleet.evicted.iter().map(|&t| t as u64).collect(),
-                    history: history.values().to_vec(),
-                };
-                sess.save(&snapshot.encode())?;
-            }
-        }
-
-        fleet.shutdown();
-        if let Some(sess) = &*session {
-            sess.clear()?;
-        }
-
-        // Personalized hyperplanes are exactly the devices' final w_t. A
-        // device evicted before it ever reported one falls back to the
-        // global model (zero bias).
-        let biases: Vec<Vector> =
-            w_ts.iter()
-                .enumerate()
-                .map(|(t, w_t)| {
-                    if fleet.is_alive(t) || w_t.norm() > 0.0 {
-                        w_t - &w0
-                    } else {
-                        Vector::zeros(dim)
-                    }
-                })
-                .collect();
-        let model = PersonalizedModel::new(w0, biases, self.config.bias);
-        let report = AsyncReport {
-            per_user_traffic: Vec::new(), // filled by fit()
-            admm_iterations,
-            cccp_rounds,
-            history,
-            converged,
-            stale_replies: Vec::new(), // filled by fit()
-            fresh_replies: Vec::new(), // filled by fit()
-            stale_discards,
-            late_discards: fleet.late_discards,
-            reassignments,
-            protocol_errors: fleet.protocol_errors,
-            evicted: fleet.evicted.clone(),
-            panicked: Vec::new(),       // filled by fit()
-            wall_clock: Duration::ZERO, // filled by fit()
-        };
         Ok((model, report))
     }
 }
@@ -1453,6 +1051,47 @@ mod tests {
             matches!(resumed, Err(CoreError::Ckpt(_))),
             "expected a checkpoint context error, got {resumed:?}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshots_never_cross_between_the_flat_and_async_servers() {
+        let data = cohort();
+        let config = PlosConfig::fast();
+        // S = 0 follows the flat server's trajectory bit for bit, yet the two
+        // servers' snapshots still must not be interchangeable.
+        let spec = AsyncSpec { staleness_bound: 0, ..AsyncSpec::default() };
+        let dir = std::env::temp_dir().join(format!("plos-async-cross-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let flat = || crate::DistributedPlos::try_new(config.clone()).unwrap();
+        let asynchronous = || AsyncDistributedPlos::try_new(config.clone(), spec).unwrap();
+        let killed =
+            flat().with_checkpointing(CheckpointPolicy::new(&dir).abort_after(1)).fit(&data);
+        assert!(matches!(killed, Err(CoreError::Interrupted { .. })), "{killed:?}");
+        let killed = asynchronous()
+            .with_checkpointing(CheckpointPolicy::new(&dir).abort_after(1))
+            .fit(&data);
+        assert!(matches!(killed, Err(CoreError::Interrupted { .. })), "{killed:?}");
+
+        // Offer each server the other's snapshot under its own file name.
+        let (flat_path, async_path) = (dir.join("distributed.ckpt"), dir.join("async.ckpt"));
+        let flat_bytes = std::fs::read(&flat_path).unwrap();
+        let async_bytes = std::fs::read(&async_path).unwrap();
+        std::fs::write(&flat_path, &async_bytes).unwrap();
+        std::fs::write(&async_path, &flat_bytes).unwrap();
+        let resumed = asynchronous().with_checkpointing(CheckpointPolicy::new(&dir)).fit(&data);
+        assert!(
+            matches!(resumed, Err(CoreError::Ckpt(_))),
+            "async took a flat snapshot: {resumed:?}"
+        );
+        let resumed = flat().with_checkpointing(CheckpointPolicy::new(&dir)).fit(&data);
+        assert!(
+            matches!(resumed, Err(CoreError::Ckpt(_))),
+            "flat took an async snapshot: {resumed:?}"
+        );
+        // Neither refused snapshot was resumed from, overwritten or cleared.
+        assert_eq!(std::fs::read(&async_path).unwrap(), flat_bytes);
+        assert_eq!(std::fs::read(&flat_path).unwrap(), async_bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

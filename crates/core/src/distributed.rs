@@ -2,7 +2,9 @@
 //!
 //! One server thread (the caller) and `T` device threads communicate only
 //! through [`plos_net`] messages; raw samples never leave the device
-//! closures. Per CCCP round the server drives the ADMM loop:
+//! closures. The server is the consensus driver of [`crate::consensus`]
+//! over this module's barrier gather strategy; per CCCP round it runs the
+//! ADMM loop:
 //!
 //! * **scatter** `Broadcast { w0, u_t }` to every device,
 //! * devices solve the local QP of Eq. (22) ([`LocalSolver`]) and **gather**
@@ -36,27 +38,25 @@
 //! pass-through, so [`DistributedPlos::fit`] is bit-identical to the
 //! fault-free synchronous protocol.
 
-use crate::checkpoint::{self, CheckpointPolicy, CkptSession};
+use crate::checkpoint::{self, CheckpointPolicy};
 use crate::config::{FaultTolerance, PlosConfig};
+use crate::consensus::{
+    self, providers, Consensus, DeviceOutcome, Driver, Gather, Partial, Reply, Slots,
+};
 use crate::error::CoreError;
 use crate::local::LocalSolver;
 use crate::model::PersonalizedModel;
-use crate::problem;
 use crate::sharded::Topology;
 use crate::wire_u32;
-use parking_lot::Mutex;
-use plos_ckpt::{
-    BroadcastRecord, CkptError, DistributedPhase, DistributedState, ParticipationRecord,
-    KIND_DISTRIBUTED,
-};
-use plos_linalg::{ExactSum, ExactVecSum, Vector};
+use plos_ckpt::{ConsensusState, FleetSection, KIND_CONSENSUS};
+use plos_linalg::{ExactSum, Vector};
+use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
 use plos_net::{
-    try_star, ClientExit, DeviceMachine, DeviceRuntime, DeviceStep, Endpoint, FaultPlan,
-    FaultyEndpoint, Message, TrafficStats, TransportError,
+    DeviceMachine, DeviceRuntime, DeviceStep, FaultPlan, FaultyEndpoint, Message, TrafficStats,
+    TransportError,
 };
 use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
-use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
 #[cfg(doc)]
@@ -180,12 +180,6 @@ impl DistributedReport {
     }
 }
 
-/// What each device hands back when it shuts down.
-pub(crate) struct ClientOutcome {
-    pub(crate) stats: TrafficStats,
-    pub(crate) compute: Duration,
-}
-
 /// The device side of the synchronous protocol as a resumable state
 /// machine: answer broadcasts with local solves until shutdown. Both
 /// runners drive it — [`plos_net::drive_blocking`] on a dedicated thread,
@@ -194,16 +188,27 @@ pub(crate) struct ClientOutcome {
 /// corrupted frames never reach it; the server's retry layer re-broadcasts
 /// anything that mattered.
 pub(crate) struct SyncDeviceMachine {
-    pub(crate) user: u32,
-    pub(crate) solver: LocalSolver,
-    pub(crate) compute: Duration,
+    user: u32,
+    solver: LocalSolver,
+    compute: Duration,
     /// Chaos injection: panic on the first broadcast at or after this round
     /// ([`FaultPlan::panic_round`]), modelling an app crash mid-ADMM.
-    pub(crate) panic_at: Option<u32>,
+    panic_at: Option<u32>,
+}
+
+impl SyncDeviceMachine {
+    pub(crate) fn new(t: usize, solver: LocalSolver, plan: &FaultPlan) -> Self {
+        SyncDeviceMachine {
+            user: wire_u32(t),
+            solver,
+            compute: Duration::ZERO,
+            panic_at: plan.panic_round(t),
+        }
+    }
 }
 
 impl DeviceMachine for SyncDeviceMachine {
-    type Output = ClientOutcome;
+    type Output = DeviceOutcome;
 
     // The planned chaos crash must be a genuine panic: the whole point of
     // the regression is that the runtime contains it per-device.
@@ -310,26 +315,35 @@ impl DeviceMachine for SyncDeviceMachine {
         }
     }
 
-    fn finish(self, stats: TrafficStats) -> ClientOutcome {
-        ClientOutcome { stats, compute: self.compute }
+    fn finish(self, stats: TrafficStats) -> DeviceOutcome {
+        DeviceOutcome { stats, compute: self.compute, ..DeviceOutcome::default() }
     }
+}
+
+/// What a fleet counted over a run: evictions, attendance and discarded
+/// frames.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tally {
+    /// Evicted devices (global ids), in eviction order.
+    pub(crate) evicted: Vec<usize>,
+    /// Attendance of every recorded gather round.
+    pub(crate) participation: Vec<RoundParticipation>,
+    pub(crate) protocol_errors: u64,
+    pub(crate) late_discards: u64,
 }
 
 /// Server-side view of the device roster: the fault-wrapped links plus the
 /// liveness bookkeeping that drives quorum gathers, retries and eviction.
-/// Shared with the asynchronous server (`crate::asynchronous`), which uses
-/// the roster/link machinery but replaces the quorum gather with its own
-/// bounded-staleness collection loop.
+/// Both fleet strategies run over it: the barrier gather below, and the
+/// bounded-staleness server (`crate::asynchronous`), which replaces the
+/// quorum gather with its own collection loop.
 pub(crate) struct Fleet<'a> {
     pub(crate) links: Vec<FaultyEndpoint<'a>>,
     pub(crate) alive: Vec<bool>,
     /// Consecutive rounds each device has missed.
     missed: Vec<u32>,
     ft: FaultTolerance,
-    pub(crate) evicted: Vec<usize>,
-    pub(crate) participation: Vec<RoundParticipation>,
-    pub(crate) protocol_errors: u64,
-    pub(crate) late_discards: u64,
+    pub(crate) tally: Tally,
     /// Set when an eviction changed the cohort size and the survivors have
     /// not been told yet.
     roster_dirty: bool,
@@ -361,10 +375,7 @@ impl<'a> Fleet<'a> {
             alive: vec![true; n],
             missed: vec![0; n],
             ft,
-            evicted: Vec::new(),
-            participation: Vec::new(),
-            protocol_errors: 0,
-            late_discards: 0,
+            tally: Tally::default(),
             roster_dirty: false,
             ids,
         }
@@ -389,7 +400,7 @@ impl<'a> Fleet<'a> {
         };
         if newly_evicted {
             let global = self.ids.get(t).copied().unwrap_or(t);
-            self.evicted.push(global);
+            self.tally.evicted.push(global);
             self.roster_dirty = true;
             plos_obs::emit(
                 "eviction",
@@ -445,64 +456,71 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Best-effort shutdown of one device regardless of roster state. Used
-    /// on resume: a device evicted before the checkpoint still has a fresh
-    /// thread waiting in this process, and it must be told to exit.
-    pub(crate) fn shutdown_device(&mut self, t: usize) {
-        if let Some(link) = self.links.get_mut(t) {
-            let _ = link.send(&Message::Shutdown);
+    /// The roster and slots in snapshot form, anchored at the slots; a
+    /// strategy adds its own counters, anchors and replay log.
+    pub(crate) fn snapshot(&self, slots: &Slots) -> FleetSection {
+        let tally = &self.tally;
+        FleetSection {
+            us: slots.us.clone(),
+            w_ts: slots.w_ts.clone(),
+            v_ts: slots.v_ts.clone(),
+            xi_ts: slots.xi_ts.clone(),
+            anchors: slots.w_ts.clone(),
+            alive: self.alive.clone(),
+            missed: self.missed.clone(),
+            evicted: tally.evicted.iter().map(|&t| t as u64).collect(),
+            participation: tally
+                .participation
+                .iter()
+                .map(|p| (p.round, p.replied as u64, p.alive as u64, u64::from(p.retries)))
+                .collect(),
+            protocol_errors: tally.protocol_errors,
+            late_discards: tally.late_discards,
+            ..FleetSection::default()
         }
     }
 
-    /// Adopts the roster a checkpoint recorded: liveness flags, strike
-    /// counts, eviction order and the fault-tolerance counters, so the
-    /// resumed run's report continues the interrupted one's.
-    fn restore_roster(&mut self, state: &DistributedState) {
-        for (flag, &stored) in self.alive.iter_mut().zip(&state.alive) {
+    /// Adopts the roster a snapshot recorded — liveness flags, strike
+    /// counts and the tally, so the resumed run's report continues the
+    /// interrupted one's — and tells the fresh threads of devices the
+    /// interrupted run already evicted to exit, or the join at the end of
+    /// the run would hang on them.
+    pub(crate) fn restore(&mut self, section: &FleetSection) {
+        for (flag, &stored) in self.alive.iter_mut().zip(&section.alive) {
             *flag = stored;
         }
-        for (strikes, &stored) in self.missed.iter_mut().zip(&state.missed) {
+        for (strikes, &stored) in self.missed.iter_mut().zip(&section.missed) {
             *strikes = stored;
         }
-        self.evicted = state.evicted.iter().map(|&t| t as usize).collect();
-        self.participation = state
-            .participation
-            .iter()
-            .map(|p| RoundParticipation {
-                round: p.round,
-                replied: p.replied as usize,
-                alive: p.alive as usize,
-                retries: wire_u32(p.retries),
-            })
-            .collect();
-        self.protocol_errors = state.protocol_errors;
-        self.late_discards = state.late_discards;
-        self.roster_dirty = false;
-    }
-
-    /// Snapshot of the roster in checkpoint form.
-    fn export_roster(&self) -> (Vec<bool>, Vec<u32>, Vec<u64>, Vec<ParticipationRecord>) {
-        (
-            self.alive.clone(),
-            self.missed.clone(),
-            self.evicted.iter().map(|&t| t as u64).collect(),
-            self.participation
+        self.tally = Tally {
+            evicted: section.evicted.iter().map(|&t| t as usize).collect(),
+            participation: section
+                .participation
                 .iter()
-                .map(|p| ParticipationRecord {
-                    round: p.round,
-                    replied: p.replied as u64,
-                    alive: p.alive as u64,
-                    retries: u64::from(p.retries),
+                .map(|&(round, replied, alive, retries)| RoundParticipation {
+                    round,
+                    replied: replied as usize,
+                    alive: alive as usize,
+                    retries: wire_u32(retries),
                 })
                 .collect(),
-        )
+            protocol_errors: section.protocol_errors,
+            late_discards: section.late_discards,
+        };
+        self.roster_dirty = false;
+        for (link, &alive) in self.links.iter_mut().zip(&self.alive) {
+            if !alive {
+                let _ = link.send(&Message::Shutdown);
+            }
+        }
     }
 
-    /// One quorum gather: collects `ClientUpdate`s for `round` into `sink`
-    /// under the retry policy. The round closes when the whole live roster
-    /// replied, or the quorum is met after the initial window, or the round
-    /// deadline expires. Devices that stay silent accumulate a strike and
-    /// are evicted after `evict_after` consecutive misses.
+    /// One quorum gather: collects the `ClientUpdate`s for `round` under the
+    /// retry policy and returns the accepted ones. The round closes when the
+    /// whole live roster replied, or the quorum is met after the initial
+    /// window, or the round deadline expires. Devices that stay silent
+    /// accumulate a strike and are evicted after `evict_after` consecutive
+    /// misses.
     ///
     /// `record = false` marks a replay gather during checkpoint resume: it
     /// collects replies under the same retry machinery but leaves the
@@ -520,11 +538,10 @@ impl<'a> Fleet<'a> {
         round: u32,
         record: bool,
         rebroadcast: &dyn Fn(usize) -> Message,
-        sink: &mut dyn FnMut(usize, Vector, Vector, f64),
-    ) -> Result<(), CoreError> {
+    ) -> Result<Vec<Reply>, CoreError> {
         let t_count = self.links.len();
         let mut replied = vec![false; t_count];
-        let mut replies = 0usize;
+        let mut replies = Vec::new();
         // D2 audit: these clocks gate only the retry/deadline machinery —
         // replies are matched by round tag, late ones discarded, so which
         // wall-clock instant a reply arrived at never reaches model state.
@@ -552,7 +569,7 @@ impl<'a> Fleet<'a> {
             let now = Instant::now();
             if outstanding.is_empty()
                 || now >= deadline
-                || (replies >= required && now >= first_window)
+                || (replies.len() >= required && now >= first_window)
             {
                 break;
             }
@@ -587,21 +604,23 @@ impl<'a> Fleet<'a> {
                         if r != round || replied.get(t).copied().unwrap_or(false) {
                             // A late reply to a closed round, or a duplicate:
                             // discard by tag, never merge.
-                            self.late_discards = self.late_discards.saturating_add(1);
+                            self.tally.late_discards = self.tally.late_discards.saturating_add(1);
                         } else if user as usize != self.ids.get(t).copied().unwrap_or(t) {
                             // An update attributed to the wrong device used
                             // to be a hard assert; now it is a counted,
                             // recoverable protocol error.
-                            self.protocol_errors = self.protocol_errors.saturating_add(1);
+                            self.tally.protocol_errors =
+                                self.tally.protocol_errors.saturating_add(1);
                         } else {
                             if let Some(slot) = replied.get_mut(t) {
                                 *slot = true;
                             }
-                            replies += 1;
-                            sink(t, w_t, v_t, xi_t);
+                            replies.push((t, w_t, v_t, xi_t));
                         }
                     }
-                    Ok(_) => self.protocol_errors = self.protocol_errors.saturating_add(1),
+                    Ok(_) => {
+                        self.tally.protocol_errors = self.tally.protocol_errors.saturating_add(1)
+                    }
                     // A corrupted frame surfaced as a codec error; the retry
                     // layer re-broadcasts, the device recomputes.
                     Err(TransportError::Timeout | TransportError::Codec(_)) => {}
@@ -612,9 +631,10 @@ impl<'a> Fleet<'a> {
 
         let alive = self.alive_count();
         if record {
-            self.participation.push(RoundParticipation { round, replied: replies, alive, retries });
+            let replied = replies.len();
+            self.tally.participation.push(RoundParticipation { round, replied, alive, retries });
         }
-        if replies == 0 {
+        if replies.is_empty() {
             return Err(CoreError::QuorumLost {
                 round,
                 alive,
@@ -622,7 +642,7 @@ impl<'a> Fleet<'a> {
             });
         }
         if !record {
-            return Ok(());
+            return Ok(replies);
         }
         // Strike accounting: a reply clears the count, a miss adds one, and
         // `evict_after` consecutive misses remove the device for good.
@@ -644,34 +664,243 @@ impl<'a> Fleet<'a> {
         for t in to_evict {
             self.evict(t);
         }
+        Ok(replies)
+    }
+}
+
+/// The barrier/quorum gather strategy over a [`Fleet`]: every round
+/// scatters to the live roster and closes under the retry policy (whole
+/// roster, quorum, or deadline); a straggler's slot keeps its previous
+/// `(w_t, v_t, ξ_t)` and the commit updates every live slot. The flat star
+/// drives its whole cohort with it, and each regional aggregator of the
+/// tree (`crate::sharded`) drives its shard with it.
+pub(crate) struct Barrier<'a> {
+    pub(crate) fleet: Fleet<'a>,
+    pub(crate) slots: Slots,
+    dim: usize,
+    /// The flat star publishes cohort changes itself; a regional forwards
+    /// the root's instead.
+    owns_roster: bool,
+    /// Resume support under a checkpoint policy: each device's CCCP anchor
+    /// and the current CCCP round's broadcasts, replayed on resume.
+    checkpointed: bool,
+    anchors: Vec<Vector>,
+    log: Vec<(u32, Vector, Vec<Vector>)>,
+    /// Time spent folding partial sums and applying commits.
+    pub(crate) compute: Duration,
+}
+
+impl<'a> Barrier<'a> {
+    pub(crate) fn new(fleet: Fleet<'a>, dim: usize, owns_roster: bool, checkpointed: bool) -> Self {
+        let n = fleet.links.len();
+        Barrier {
+            fleet,
+            slots: Slots::new(n, dim),
+            dim,
+            owns_roster,
+            checkpointed,
+            // CCCP round 0 anchors: devices linearize off the incoming w0
+            // while their own w_t is still zero, and `LocalSolver::restore`
+            // with a zero anchor reproduces exactly that state.
+            anchors: vec![Vector::zeros(dim); n],
+            log: Vec::new(),
+            compute: Duration::ZERO,
+        }
+    }
+
+    /// One round of `phase` against `w0`: scatter to the live roster (the
+    /// same closure serves the retry re-broadcasts), gather, and sum the
+    /// live slots.
+    pub(crate) fn collect(
+        &mut self,
+        phase: u8,
+        round: u32,
+        w0: &Vector,
+    ) -> Result<Partial, CoreError> {
+        if ![PHASE_INIT, PHASE_ADMM, PHASE_REFINE].contains(&phase) {
+            return Err(CoreError::Protocol {
+                detail: format!("unknown shard phase {phase} in round {round}"),
+            });
+        }
+        let dim = self.dim;
+        let us = &self.slots.us;
+        // Every u_t is still zero in the initialization round.
+        let message = |t: usize| match phase {
+            PHASE_REFINE => Message::Refine { round, w0: w0.clone() },
+            _ => Message::Broadcast {
+                round,
+                w0: w0.clone(),
+                u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
+            },
+        };
+        if phase == PHASE_ADMM && self.checkpointed {
+            self.log.push((round, w0.clone(), us.clone()));
+        }
+        self.fleet.send_alive(&message);
+        let replies = self.fleet.gather(round, true, &message)?;
+        if self.owns_roster {
+            self.fleet.publish_roster();
+        }
+        // plos-lint: allow(D2): server compute-time metering only
+        let t0 = Instant::now();
+        let n = self.fleet.alive_count();
+        let partial = match phase {
+            PHASE_INIT => providers(&replies, n, dim),
+            PHASE_ADMM => {
+                self.slots.store(replies);
+                Partial { n, m: 0, sum: self.slots.admm_sum(&self.fleet.alive) }
+            }
+            _ => {
+                self.slots.store(replies);
+                Partial { n, m: 0, sum: self.slots.refine_sum(&self.fleet.alive) }
+            }
+        };
+        self.compute += t0.elapsed();
+        Ok(partial)
+    }
+}
+
+impl Gather for Barrier<'_> {
+    fn gather(
+        &mut self,
+        state: &mut ConsensusState,
+        phase: u8,
+        round: u32,
+    ) -> Result<Option<Partial>, CoreError> {
+        self.collect(phase, round, &state.w0).map(Some)
+    }
+
+    fn commit(&mut self, _round: u32, w0: &Vector) -> Result<ExactSum, CoreError> {
+        // plos-lint: allow(D2): server compute-time metering only
+        let t0 = Instant::now();
+        let primal = self.slots.u_update(w0, &self.fleet.alive);
+        self.compute += t0.elapsed();
+        Ok(primal)
+    }
+
+    fn objective(&mut self) -> (usize, ExactSum, ExactSum) {
+        let (obj_v, obj_xi) = self.slots.objective_terms(&self.fleet.alive);
+        (self.fleet.alive_count(), obj_v, obj_xi)
+    }
+
+    fn refine_terms(
+        &mut self,
+        _round: u32,
+        w0: &Vector,
+    ) -> Result<(ExactSum, ExactSum), CoreError> {
+        Ok(self.slots.refine_terms(w0, &self.fleet.alive))
+    }
+
+    fn enter_cccp(&mut self, cccp_round: u32, advance: bool) -> Result<(), CoreError> {
+        if advance {
+            self.fleet.send_alive(&|_t| Message::CccpAdvance { cccp_round });
+            if self.owns_roster {
+                self.fleet.publish_roster();
+            }
+            if self.checkpointed {
+                // New linearization: devices re-anchor at their own w_t.
+                self.anchors.clone_from(&self.slots.w_ts);
+                self.log.clear();
+            }
+        }
+        Ok(())
+    }
+
+    fn round_event(&self, round: u32, primal: f64, dual: f64) {
+        if plos_obs::enabled() {
+            let part = self.fleet.tally.participation.last().copied();
+            plos_obs::emit(
+                "admm_round",
+                &[
+                    ("round", round.into()),
+                    ("primal_residual", primal.into()),
+                    ("dual_residual", dual.into()),
+                    ("replied", part.map_or(0, |p| p.replied).into()),
+                    ("alive", part.map_or(0, |p| p.alive).into()),
+                    ("retries", part.map_or(0, |p| p.retries).into()),
+                ],
+            );
+            plos_obs::counter_add("distributed.admm_rounds", 1);
+        }
+    }
+
+    fn export(&self, boundary: bool) -> Option<FleetSection> {
+        let mut section = self.fleet.snapshot(&self.slots);
+        if !boundary {
+            section.anchors.clone_from(&self.anchors);
+            section.log.clone_from(&self.log);
+        }
+        Some(section)
+    }
+
+    fn restore(&mut self, round: u32, section: &FleetSection) -> Result<(), CoreError> {
+        self.fleet.restore(section);
+        self.slots = Slots::restored(section, self.dim);
+        self.anchors.clone_from(&section.anchors);
+        self.log.clone_from(&section.log);
+        // Reposition the survivors: each adopts its CCCP anchor and the
+        // checkpointed cohort size, then acks (unrecorded — the
+        // uninterrupted run never had these rounds).
+        let dim = self.dim;
+        let t_count = wire_u32(self.fleet.alive_count());
+        let anchors = &section.anchors;
+        let restore = |t: usize| Message::Restore {
+            round,
+            t_count,
+            w_t: anchors.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
+        };
+        self.fleet.send_alive(&restore);
+        self.fleet.gather(round, false, &restore)?;
+        // Replay the interrupted CCCP round's broadcasts so each device
+        // rebuilds its working set bit for bit. Replies are discarded: the
+        // checkpointed server state is authoritative.
+        for (round, w0, us) in &section.log {
+            let scatter = |t: usize| Message::Broadcast {
+                round: *round,
+                w0: w0.clone(),
+                u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
+            };
+            self.fleet.send_alive(&scatter);
+            self.fleet.gather(*round, false, &scatter)?;
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<(), CoreError> {
+        self.fleet.shutdown();
         Ok(())
     }
 }
 
-/// Shape checks a decoded distributed checkpoint against this run: the
-/// section digests already guarantee byte integrity and the fingerprint ties
-/// it to the cohort/config, so this guards the residual structural
-/// degrees of freedom (vector lengths) before any arithmetic touches them.
-fn validate_distributed_state(
-    state: &DistributedState,
-    t_count: usize,
-    dim: usize,
-) -> Result<(), CoreError> {
-    let mut ok = state.us.len() == t_count && state.w0.len() == dim;
-    for group in [&state.us, &state.w_ts, &state.v_ts, &state.anchors] {
-        ok &= group.iter().all(|v| v.len() == dim);
-    }
-    for rec in &state.log {
-        ok &= rec.w0.len() == dim && rec.us.iter().all(|v| v.len() == dim);
-    }
-    if ok {
-        Ok(())
-    } else {
-        Err(CoreError::Ckpt(CkptError::Malformed {
-            detail: format!(
-                "checkpoint shape does not match this run (cohort {t_count}, dim {dim})"
-            ),
-        }))
+/// The report of a flat or sharded run: the driver's outcome, the merged
+/// fleet tally and every device's outcome.
+pub(crate) fn report(
+    consensus: Consensus,
+    tally: Tally,
+    server_compute: Duration,
+    outcomes: &[DeviceOutcome],
+    panicked: Vec<usize>,
+    started: Instant,
+) -> DistributedReport {
+    let degraded = !tally.evicted.is_empty()
+        || tally.participation.iter().any(|p| p.replied < p.alive)
+        || !panicked.is_empty();
+    DistributedReport {
+        per_user_traffic: outcomes.iter().map(|o| o.stats).collect(),
+        admm_iterations: consensus.admm_iterations,
+        cccp_rounds: consensus.cccp_rounds,
+        history: consensus.history,
+        converged: consensus.converged,
+        per_user_compute: outcomes.iter().map(|o| o.compute).collect(),
+        server_compute: consensus.compute + server_compute,
+        wall_clock: started.elapsed(),
+        degraded,
+        evicted: tally.evicted,
+        participation: tally.participation,
+        protocol_errors: tally.protocol_errors.saturating_add(panicked.len() as u64),
+        late_discards: tally.late_discards,
+        residuals: consensus.residuals,
+        panicked,
     }
 }
 
@@ -699,8 +928,12 @@ impl DistributedPlos {
     /// bit-parity (fault-free runs). Only server-held quantities are written —
     /// device-local training data never reaches the checkpoint.
     ///
-    /// Without an explicit policy the `PLOS_CKPT_DIR` environment variable is
-    /// consulted (see [`crate::checkpoint::CKPT_DIR_ENV`]).
+    /// Checkpointing is a flat-star feature: combined with
+    /// [`Topology::Sharded`] the fit fails with [`CoreError::InvalidConfig`]
+    /// (the tree survives root failures through its replicated root
+    /// instead). Without an explicit policy the `PLOS_CKPT_DIR` environment
+    /// variable is consulted (see [`crate::checkpoint::CKPT_DIR_ENV`]); it
+    /// applies to the flat and asynchronous servers only.
     #[must_use]
     pub fn with_checkpointing(mut self, policy: CheckpointPolicy) -> Self {
         self.ckpt = Some(policy);
@@ -773,10 +1006,6 @@ impl DistributedPlos {
     /// [`CoreError::QuorumLost`] when a gather round ended with zero usable
     /// replies. Local solve failures on a device degrade that device to the
     /// consensus update instead of aborting the protocol.
-    // Allowed: the slot map is created with one entry per device index and
-    // the network runs each device closure exactly once per index, so the
-    // take-once expect cannot fail.
-    #[allow(clippy::expect_used)]
     pub fn fit_with_faults(
         &self,
         dataset: &MultiUserDataset,
@@ -788,109 +1017,31 @@ impl DistributedPlos {
         let _span = plos_obs::Span::enter("distributed_fit");
         // plos-lint: allow(D2): wall_clock field of the report only
         let started = Instant::now();
-        plan.validate().map_err(|detail| CoreError::Protocol {
-            detail: format!("invalid fault plan: {detail}"),
-        })?;
-        let prepared = problem::prepare(dataset, self.config.bias);
-        let t_count = prepared.users.len();
-        if t_count == 0 {
-            return Err(CoreError::EmptyDataset);
-        }
-        let dim = prepared.dim;
+        let cohort = consensus::prepare(&self.config, dataset, plan)?;
+        let (t_count, dim) = (cohort.t_count, cohort.dim);
 
         // Checkpointing: explicit policy first, PLOS_CKPT_DIR fallback. The
         // snapshot is server-side state only; a structural fingerprint ties
         // it to this cohort shape and configuration.
         let policy = self.ckpt.clone().or_else(CheckpointPolicy::from_env);
-        let fingerprint = checkpoint::run_fingerprint(KIND_DISTRIBUTED, t_count, dim, &self.config);
-        let mut session = policy.as_ref().map(|p| p.session("distributed"));
-        let resume = match &session {
-            Some(sess) => match sess.load()? {
-                Some(file) => {
-                    let state = DistributedState::decode(&file).map_err(CoreError::Ckpt)?;
-                    checkpoint::check_fingerprint(state.fingerprint, fingerprint)?;
-                    validate_distributed_state(&state, t_count, dim)?;
-                    plos_obs::emit(
-                        "checkpoint_resume",
-                        &[
-                            ("trainer", "distributed".to_string().into()),
-                            ("round", state.round.into()),
-                            ("cccp_round", state.cccp_round.into()),
-                            ("admm_iterations", state.admm_iterations.into()),
-                        ],
-                    );
-                    Some(Box::new(state))
-                }
-                None => None,
-            },
-            None => None,
-        };
+        let fingerprint = checkpoint::run_fingerprint(KIND_CONSENSUS, t_count, dim, &self.config);
+        let (session, resume) = consensus::open(policy, "distributed", fingerprint, t_count, dim)?;
+        let checkpointed = session.is_some();
 
-        // Hand each device thread its own data through a take-once slot map
-        // (the closure is shared across threads).
-        let slots: Mutex<Vec<Option<LocalSolver>>> = Mutex::new(
-            prepared
-                .users
-                .iter()
-                .enumerate()
-                .map(|(t, u)| {
-                    // Salt each device's seed so refinement restarts differ
-                    // across users.
-                    let mut cfg = self.config.clone();
-                    cfg.seed = cfg.seed.wrapping_add(t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    Some(LocalSolver::new(u.clone(), cfg, t_count))
-                })
-                .collect(),
-        );
-
-        let network =
-            try_star(t_count).map_err(|e| CoreError::Protocol { detail: e.to_string() })?;
-        let session_ref = &mut session;
-        let (server_out, exits) = network.run_devices(
+        let (server_out, outcomes, panicked) = cohort.run(
             self.runtime,
-            |server_ends| {
-                self.server_loop(server_ends, dim, t_count, plan, fingerprint, resume, session_ref)
+            |ends| {
+                let fleet = Fleet::new(plan.wrap_links(ends), self.fault_tolerance.clone());
+                let mut star = Barrier::new(fleet, dim, true, checkpointed);
+                let driver = Driver::new(&self.config, session, true, fingerprint, dim);
+                let consensus = driver.run(&mut star, resume)?;
+                let model = consensus.model(&star.slots.w_ts, &star.fleet.alive, self.config.bias);
+                Ok::<_, CoreError>((model, consensus, star.fleet.tally, star.compute))
             },
-            |t| {
-                let solver = slots.lock().get_mut(t).and_then(Option::take);
-                let solver = solver.expect("each device slot is taken exactly once");
-                SyncDeviceMachine {
-                    user: wire_u32(t),
-                    solver,
-                    compute: Duration::ZERO,
-                    panic_at: plan.panic_round(t),
-                }
-            },
-        );
-
-        let (model, mut report) = server_out?;
-        let mut traffic = Vec::with_capacity(t_count);
-        let mut computes = Vec::with_capacity(t_count);
-        let mut panicked = Vec::new();
-        for (t, exit) in exits.into_iter().enumerate() {
-            match exit {
-                ClientExit::Finished(out) => {
-                    traffic.push(out.stats);
-                    computes.push(out.compute);
-                }
-                // A crashed device left no outcome: its slots stay at their
-                // defaults and the crash is a counted protocol error, not a
-                // process abort — the server already evicted the dead link.
-                ClientExit::Panicked(_) => {
-                    traffic.push(TrafficStats::default());
-                    computes.push(Duration::ZERO);
-                    panicked.push(t);
-                }
-            }
-        }
-        report.per_user_traffic = traffic;
-        report.per_user_compute = computes;
-        if !panicked.is_empty() {
-            report.protocol_errors = report.protocol_errors.saturating_add(panicked.len() as u64);
-            report.degraded = true;
-        }
-        report.panicked = panicked;
-        report.wall_clock = started.elapsed();
+            |t, solver| SyncDeviceMachine::new(t, solver, plan),
+        )?;
+        let (model, consensus, tally, compute) = server_out?;
+        let report = report(consensus, tally, compute, &outcomes, panicked, started);
         if plos_obs::enabled() {
             // One summary event unifying the client-side traffic counters
             // with the fault-tolerance counters of this run.
@@ -914,481 +1065,6 @@ impl DistributedPlos {
                 ],
             );
         }
-        Ok((model, report))
-    }
-
-    /// The server thread: initialization (or checkpoint resume), CCCP × ADMM
-    /// driving, shutdown. Every gather is a quorum round under the retry
-    /// policy; every `T`-dependent scalar of Eq. (23)/(24) tracks the live
-    /// cohort size. When `session` is set the consensus state is snapshotted
-    /// after every ADMM iteration and refinement round.
-    // Allowed: the resume/checkpoint plumbing genuinely needs the run
-    // coordinates threaded through, and splitting the protocol driver would
-    // scatter the round/phase invariants across functions.
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    fn server_loop(
-        &self,
-        ends: &[Endpoint],
-        dim: usize,
-        t_count: usize,
-        plan: &FaultPlan,
-        fingerprint: u64,
-        resume: Option<Box<DistributedState>>,
-        session: &mut Option<CkptSession>,
-    ) -> Result<(PersonalizedModel, DistributedReport), CoreError> {
-        let mut fleet = Fleet::new(plan.wrap_links(ends), self.fault_tolerance.clone());
-        let mut server_compute = Duration::ZERO;
-        let rho = self.config.rho;
-
-        // Consensus state plus loop re-entry coordinates: either a fresh
-        // initialization round, or everything restored from the snapshot.
-        let mut w0;
-        let mut us;
-        let mut w_ts;
-        let mut v_ts;
-        let mut xi_ts;
-        let mut anchors;
-        let mut log: Vec<BroadcastRecord>;
-        let mut history;
-        let mut admm_iterations;
-        let mut round;
-        let mut converged;
-        let mut cccp_rounds;
-        let mut residuals: Vec<AdmmResiduals>;
-        let start_cccp: usize;
-        let resumed_iters: usize;
-        let mut resumed_inner_done = false;
-        let mut resumed_mid_cccp = false;
-        let refine_start: u32;
-
-        if let Some(state) = resume {
-            let st = *state;
-            fleet.restore_roster(&st);
-            // A fresh thread exists for every device, including ones the
-            // interrupted run already evicted; those must be told to exit or
-            // the join at the end of the run would hang on them.
-            for t in 0..t_count {
-                if !fleet.is_alive(t) {
-                    fleet.shutdown_device(t);
-                }
-            }
-            // Reposition the survivors: each adopts its CCCP anchor and the
-            // checkpointed cohort size, then acks (unrecorded — the
-            // uninterrupted run never had these rounds).
-            let cohort = wire_u32(fleet.alive_count());
-            let restore_round = st.round;
-            let restore_anchors = st.anchors.clone();
-            let restore = move |t: usize| Message::Restore {
-                round: restore_round,
-                t_count: cohort,
-                w_t: restore_anchors.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-            };
-            fleet.send_alive(&restore);
-            fleet.gather(restore_round, false, &restore, &mut |_t, _w, _v, _xi| {})?;
-            // Replay the interrupted CCCP round's broadcasts so each device
-            // rebuilds its working set bit for bit. Replies are discarded:
-            // the checkpointed server state is authoritative.
-            for rec in &st.log {
-                let rec_round = rec.round;
-                let rec_w0 = rec.w0.clone();
-                let rec_us = rec.us.clone();
-                let scatter = move |t: usize| Message::Broadcast {
-                    round: rec_round,
-                    w0: rec_w0.clone(),
-                    u_t: rec_us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-                };
-                fleet.send_alive(&scatter);
-                fleet.gather(rec_round, false, &scatter, &mut |_t, _w, _v, _xi| {})?;
-            }
-
-            w0 = st.w0;
-            us = st.us;
-            w_ts = st.w_ts;
-            v_ts = st.v_ts;
-            xi_ts = st.xi_ts;
-            anchors = st.anchors;
-            log = st.log;
-            history = History::from_values(st.history);
-            admm_iterations = st.admm_iterations as usize;
-            round = st.round;
-            converged = st.converged;
-            cccp_rounds = st.cccp_rounds as usize;
-            residuals = st
-                .residuals
-                .iter()
-                .map(|&(r, primal, dual)| AdmmResiduals { round: r, primal, dual })
-                .collect();
-            match st.phase {
-                DistributedPhase::Admm => {
-                    start_cccp = st.cccp_round as usize;
-                    resumed_iters = st.iters_done as usize;
-                    resumed_inner_done = st.inner_done;
-                    resumed_mid_cccp = true;
-                    refine_start = 0;
-                }
-                DistributedPhase::Refine { rounds_done } => {
-                    // CCCP finished before the snapshot; skip straight back
-                    // into refinement.
-                    start_cccp = self.config.max_cccp_rounds;
-                    resumed_iters = 0;
-                    refine_start = rounds_done;
-                }
-            }
-        } else {
-            // ---- Initialization round: average provider hyperplanes. ----
-            let zero = Vector::zeros(dim);
-            let init =
-                |_t: usize| Message::Broadcast { round: 0, w0: zero.clone(), u_t: zero.clone() };
-            fleet.send_alive(&init);
-            let mut w_inits = vec![Vector::zeros(dim); t_count];
-            fleet.gather(0, true, &init, &mut |t, w_t, _v_t, _xi_t| {
-                if let Some(slot) = w_inits.get_mut(t) {
-                    *slot = w_t;
-                }
-            })?;
-            fleet.publish_roster();
-
-            // plos-lint: allow(D2): server compute-time metering only
-            let t0 = Instant::now();
-            // Exact (order-independent) fold so the sharded tree path can
-            // reproduce these bits from per-shard partial sums.
-            let mut w0_acc = ExactVecSum::zeros(dim);
-            let mut contributors = 0usize;
-            for w_init in &w_inits {
-                if w_init.norm() > 0.0 {
-                    w0_acc.add(w_init);
-                    contributors += 1;
-                }
-            }
-            if contributors > 0 {
-                w0 = w0_acc.value();
-                w0.scale_mut(1.0 / contributors as f64);
-            } else {
-                // No provider anywhere: deterministic random init, mirroring
-                // the centralized fallback.
-                let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
-                w0 = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let n = w0.norm();
-                if n > 0.0 {
-                    w0.scale_mut(1.0 / n);
-                }
-            }
-            server_compute += t0.elapsed();
-
-            us = vec![Vector::zeros(dim); t_count];
-            w_ts = vec![Vector::zeros(dim); t_count];
-            v_ts = vec![Vector::zeros(dim); t_count];
-            xi_ts = vec![0.0f64; t_count];
-            // CCCP round 0 anchors: devices linearize off the incoming w0
-            // while their own w_t is still zero, and `LocalSolver::restore`
-            // with a zero anchor reproduces exactly that state.
-            anchors = vec![Vector::zeros(dim); t_count];
-            log = Vec::new();
-            history = History::new();
-            admm_iterations = 0usize;
-            round = 0u32;
-            converged = false;
-            cccp_rounds = 0usize;
-            residuals = Vec::new();
-            start_cccp = 0;
-            resumed_iters = 0;
-            refine_start = 0;
-        }
-
-        // ---- CCCP × ADMM ----
-        for cccp_round in start_cccp..self.config.max_cccp_rounds {
-            let resumed_round = resumed_mid_cccp && cccp_round == start_cccp;
-            if !resumed_round {
-                cccp_rounds += 1;
-                if cccp_round > 0 {
-                    fleet.send_alive(&|_t| Message::CccpAdvance {
-                        cccp_round: wire_u32(cccp_round),
-                    });
-                    fleet.publish_roster();
-                    // New linearization: devices re-anchor at their own w_t.
-                    // Record the anchors and start a fresh replay log.
-                    anchors = w_ts.clone();
-                    log.clear();
-                }
-            }
-            let iter_start = if resumed_round { resumed_iters } else { 0 };
-            let inner_done = resumed_round && resumed_inner_done;
-            for iter in iter_start..self.config.max_admm_iters {
-                if inner_done {
-                    // The snapshot was taken after the inner loop finished;
-                    // only the objective push below remains for this round.
-                    break;
-                }
-                round += 1;
-                admm_iterations += 1;
-                // Scatter; the same closure serves the retry re-broadcasts.
-                // The replay log records what went out so a resumed server
-                // can rebuild device state.
-                log.push(BroadcastRecord { round, w0: w0.clone(), us: us.clone() });
-                let scatter = |t: usize| Message::Broadcast {
-                    round,
-                    w0: w0.clone(),
-                    u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-                };
-                fleet.send_alive(&scatter);
-                // Quorum gather; a straggler's slot keeps its previous
-                // (w_t, v_t, ξ_t) — the carry-forward state.
-                fleet.gather(round, true, &scatter, &mut |t, w_t, v_t, xi_t| {
-                    if let (Some(w), Some(v), Some(xi)) =
-                        (w_ts.get_mut(t), v_ts.get_mut(t), xi_ts.get_mut(t))
-                    {
-                        *w = w_t;
-                        *v = v_t;
-                        *xi = xi_t;
-                    }
-                })?;
-                fleet.publish_roster();
-
-                // Eq. (23): closed-form z- and u-updates over the live
-                // cohort; every T-dependent scalar uses the shrunk size.
-                // plos-lint: allow(D2): server compute-time metering only
-                let t0 = Instant::now();
-                let cohort = fleet.alive_count() as f64;
-                // Exact fold: any grouping of these addends (flat loop or
-                // per-shard partials merged at a root) yields the same bits.
-                let mut w0_acc = ExactVecSum::zeros(dim);
-                for (t, ((w_t, v_t), u_t)) in w_ts.iter().zip(&v_ts).zip(&us).enumerate() {
-                    if !fleet.is_alive(t) {
-                        continue;
-                    }
-                    w0_acc.add(w_t);
-                    w0_acc.sub(v_t);
-                    w0_acc.add(u_t);
-                }
-                let mut w0_new = w0_acc.value();
-                w0_new.scale_mut(rho / (2.0 + cohort * rho));
-                // Eq. (24): residuals.
-                let sqrt_2t = (2.0 * cohort).sqrt();
-                let sqrt_t = cohort.sqrt();
-                let dual_residual = rho * sqrt_2t * w0_new.distance(&w0);
-                let mut primal_acc = ExactSum::new();
-                for (t, (w_t, v_t)) in w_ts.iter().zip(&v_ts).enumerate() {
-                    if !fleet.is_alive(t) {
-                        continue;
-                    }
-                    let mut delta = w_t.clone();
-                    delta -= &w0_new;
-                    delta -= v_t;
-                    primal_acc.add(delta.norm_squared());
-                    if let Some(u_t) = us.get_mut(t) {
-                        *u_t += &delta;
-                    }
-                }
-                let primal_sq = primal_acc.value();
-                w0 = w0_new;
-                server_compute += t0.elapsed();
-
-                let primal_residual = primal_sq.sqrt();
-                residuals.push(AdmmResiduals {
-                    round,
-                    primal: primal_residual,
-                    dual: dual_residual,
-                });
-                if plos_obs::enabled() {
-                    let part = fleet.participation.last().copied();
-                    plos_obs::emit(
-                        "admm_round",
-                        &[
-                            ("round", round.into()),
-                            ("primal_residual", primal_residual.into()),
-                            ("dual_residual", dual_residual.into()),
-                            ("replied", part.map_or(0, |p| p.replied).into()),
-                            ("alive", part.map_or(0, |p| p.alive).into()),
-                            ("retries", part.map_or(0, |p| p.retries).into()),
-                        ],
-                    );
-                    plos_obs::counter_add("distributed.admm_rounds", 1);
-                }
-
-                let residuals_met = dual_residual <= sqrt_2t * self.config.eps_abs
-                    && primal_residual <= sqrt_t * self.config.eps_abs;
-                if let Some(sess) = session.as_mut() {
-                    let (alive, missed, evicted, participation) = fleet.export_roster();
-                    let snapshot = DistributedState {
-                        fingerprint,
-                        phase: DistributedPhase::Admm,
-                        round,
-                        cccp_round: wire_u32(cccp_round),
-                        iters_done: wire_u32(iter + 1),
-                        inner_done: residuals_met || iter + 1 == self.config.max_admm_iters,
-                        admm_iterations: admm_iterations as u64,
-                        cccp_rounds: wire_u32(cccp_rounds),
-                        converged,
-                        w0: w0.clone(),
-                        us: us.clone(),
-                        w_ts: w_ts.clone(),
-                        v_ts: v_ts.clone(),
-                        xi_ts: xi_ts.clone(),
-                        anchors: anchors.clone(),
-                        log: log.clone(),
-                        alive,
-                        missed,
-                        evicted,
-                        participation,
-                        protocol_errors: fleet.protocol_errors,
-                        late_discards: fleet.late_discards,
-                        history: history.values().to_vec(),
-                        residuals: residuals.iter().map(|r| (r.round, r.primal, r.dual)).collect(),
-                    };
-                    sess.save(&snapshot.encode())?;
-                }
-                if residuals_met {
-                    break;
-                }
-            }
-
-            // Objective L (Eq. 23, third line), over the live cohort.
-            let kappa = self.config.lambda / fleet.alive_count() as f64;
-            let mut obj_v = ExactSum::new();
-            let mut obj_xi = ExactSum::new();
-            for (t, (v_t, xi_t)) in v_ts.iter().zip(&xi_ts).enumerate() {
-                if !fleet.is_alive(t) {
-                    continue;
-                }
-                obj_v.add(v_t.norm_squared());
-                obj_xi.add(*xi_t);
-            }
-            let objective = w0.norm_squared() + kappa * obj_v.value() + obj_xi.value();
-            history.push(objective);
-            plos_obs::emit(
-                "cccp_round",
-                &[("round", cccp_rounds.into()), ("objective", objective.into())],
-            );
-            if history.converged(self.config.cccp_tol) {
-                converged = true;
-                break;
-            }
-        }
-
-        // ---- Refinement: multi-start per-device re-solve + closed-form w0
-        // block updates (same messages, still only model parameters). ----
-        for refine_round in refine_start as usize..self.config.refine_rounds {
-            round += 1;
-            let refine = |_t: usize| Message::Refine { round, w0: w0.clone() };
-            fleet.send_alive(&refine);
-            fleet.gather(round, true, &refine, &mut |t, w_t, v_t, xi_t| {
-                if let (Some(w), Some(v), Some(xi)) =
-                    (w_ts.get_mut(t), v_ts.get_mut(t), xi_ts.get_mut(t))
-                {
-                    *w = w_t;
-                    *v = v_t;
-                    *xi = xi_t;
-                }
-            })?;
-            fleet.publish_roster();
-
-            // plos-lint: allow(D2): server compute-time metering only
-            let t0 = Instant::now();
-            let cohort = fleet.alive_count() as f64;
-            let mut mean_acc = ExactVecSum::zeros(dim);
-            for (t, w_t) in w_ts.iter().enumerate() {
-                if !fleet.is_alive(t) {
-                    continue;
-                }
-                mean_acc.add(w_t);
-            }
-            let mut mean = mean_acc.value();
-            mean.scale_mut(1.0 / cohort);
-            w0 = mean.scaled(self.config.lambda / (1.0 + self.config.lambda));
-            server_compute += t0.elapsed();
-            // xi_ts now carry true local losses, so this is the true
-            // objective in the problem-(3) scale.
-            let kappa = self.config.lambda / cohort;
-            let mut dist_acc = ExactSum::new();
-            let mut xi_acc = ExactSum::new();
-            for (t, (w_t, xi_t)) in w_ts.iter().zip(&xi_ts).enumerate() {
-                if !fleet.is_alive(t) {
-                    continue;
-                }
-                dist_acc.add(w_t.distance_squared(&w0));
-                xi_acc.add(*xi_t);
-            }
-            let objective = w0.norm_squared() + kappa * dist_acc.value() + xi_acc.value();
-            history.push(objective);
-            plos_obs::emit(
-                "refine_round",
-                &[("round", (refine_round + 1).into()), ("objective", objective.into())],
-            );
-            if let Some(sess) = session.as_mut() {
-                let (alive, missed, evicted, participation) = fleet.export_roster();
-                let snapshot = DistributedState {
-                    fingerprint,
-                    phase: DistributedPhase::Refine { rounds_done: wire_u32(refine_round + 1) },
-                    round,
-                    cccp_round: wire_u32(cccp_rounds.saturating_sub(1)),
-                    iters_done: 0,
-                    inner_done: true,
-                    admm_iterations: admm_iterations as u64,
-                    cccp_rounds: wire_u32(cccp_rounds),
-                    converged,
-                    w0: w0.clone(),
-                    us: us.clone(),
-                    // Refinement anchors each device at its own last w_t, so
-                    // that is what a resumed server must hand back.
-                    w_ts: w_ts.clone(),
-                    v_ts: v_ts.clone(),
-                    xi_ts: xi_ts.clone(),
-                    anchors: w_ts.clone(),
-                    log: Vec::new(),
-                    alive,
-                    missed,
-                    evicted,
-                    participation,
-                    protocol_errors: fleet.protocol_errors,
-                    late_discards: fleet.late_discards,
-                    history: history.values().to_vec(),
-                    residuals: residuals.iter().map(|r| (r.round, r.primal, r.dual)).collect(),
-                };
-                sess.save(&snapshot.encode())?;
-            }
-        }
-
-        fleet.shutdown();
-        // The run completed: drop the snapshot so the next run starts fresh
-        // instead of resuming a finished trajectory.
-        if let Some(sess) = &*session {
-            sess.clear()?;
-        }
-
-        // Personalized hyperplanes are exactly the devices' final w_t. A
-        // device evicted before it ever reported one falls back to the
-        // global model (zero bias).
-        let biases: Vec<Vector> =
-            w_ts.iter()
-                .enumerate()
-                .map(|(t, w_t)| {
-                    if fleet.is_alive(t) || w_t.norm() > 0.0 {
-                        w_t - &w0
-                    } else {
-                        Vector::zeros(dim)
-                    }
-                })
-                .collect();
-        let degraded =
-            !fleet.evicted.is_empty() || fleet.participation.iter().any(|p| p.replied < p.alive);
-        let model = PersonalizedModel::new(w0, biases, self.config.bias);
-        let report = DistributedReport {
-            per_user_traffic: Vec::new(), // filled by fit()
-            admm_iterations,
-            cccp_rounds,
-            history,
-            converged,
-            per_user_compute: Vec::new(), // filled by fit()
-            server_compute,
-            wall_clock: Duration::ZERO, // filled by fit()
-            degraded,
-            evicted: fleet.evicted.clone(),
-            participation: fleet.participation.clone(),
-            protocol_errors: fleet.protocol_errors,
-            late_discards: fleet.late_discards,
-            residuals,
-            panicked: Vec::new(), // filled by fit()
-        };
         Ok((model, report))
     }
 }

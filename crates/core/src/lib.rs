@@ -52,6 +52,7 @@ pub mod baselines;
 pub mod centralized;
 pub mod checkpoint;
 pub mod config;
+pub(crate) mod consensus;
 pub mod distributed;
 pub mod dual;
 pub mod error;

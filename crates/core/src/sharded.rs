@@ -3,11 +3,12 @@
 //!
 //! The flat star of [`crate::distributed`] gathers every device at one
 //! server. This module partitions the fleet into shards via a
-//! [`ShardMap`]; each shard is owned by a **regional aggregator** that
-//! runs the same gather/retry/quorum machinery ([`Fleet`]) over its
+//! [`ShardMap`]; each shard is owned by a **regional aggregator** whose
+//! request loop drives the flat star's barrier gather strategy over its
 //! devices and pushes one `PartialSum` frame per round up to the root.
-//! The root folds the partials **in fixed shard order** and commits the
-//! consensus update back down the tree.
+//! The root is the consensus driver of [`crate::consensus`] over a
+//! tree-root strategy: it folds the partials **in fixed shard order** and
+//! commits the consensus update back down the tree.
 //!
 //! # Bit-parity with the flat path
 //!
@@ -22,40 +23,33 @@
 //! # Replicated root
 //!
 //! The root runs `R` replicas (deterministic state slots). A seeded
-//! election picks the leader; after every aggregation round the leader
-//! anti-entropy-syncs its encoded [`RootState`] checkpoint to the other
-//! replicas by digest comparison. A [`FaultPlan::with_root_kill`] kills
-//! the leader at the mid-round seam — partials gathered, fold not yet
-//! committed. The next elected replica adopts the synced checkpoint,
-//! re-issues the round, and the regionals replay their cached partials
-//! (idempotent re-reply), so the failed-over run commits bit-identical
-//! state. When every replica is dead the run fails with the typed
-//! [`CoreError::RootQuorumLost`].
+//! election picks the leader; at the start of every aggregation round the
+//! leader anti-entropy-syncs its encoded [`ConsensusState`] (bound to the
+//! shard map and term by its tree section) to the other replicas by digest
+//! comparison. A [`FaultPlan::with_root_kill`] kills the leader at the
+//! mid-round seam — partials gathered, fold not yet committed. The next
+//! elected replica adopts the synced state, re-issues the round, and the
+//! regionals replay their cached partials (idempotent re-reply), so the
+//! failed-over run commits bit-identical state. When every replica is dead
+//! the run fails with the typed [`CoreError::RootQuorumLost`].
 
 use crate::checkpoint;
-use crate::config::{FaultTolerance, PlosConfig};
+use crate::config::FaultTolerance;
+use crate::consensus::{self, Driver, Gather, Partial};
 use crate::distributed::{
-    DistributedPlos, DistributedReport, Fleet, RoundParticipation, SyncDeviceMachine, POLL_SLICE,
+    report, Barrier, DistributedPlos, DistributedReport, Fleet, RoundParticipation,
+    SyncDeviceMachine, Tally, POLL_SLICE,
 };
 use crate::error::CoreError;
-use crate::local::LocalSolver;
 use crate::model::PersonalizedModel;
-use crate::problem;
 use crate::wire_u32;
-use crate::AdmmResiduals;
-use parking_lot::Mutex;
-use plos_ckpt::{
-    fnv1a, CheckpointFile, CkptError, DistributedPhase, RootState, ShardState, KIND_SHARDED,
-};
+use plos_ckpt::{fnv1a, CheckpointFile, CkptError, ConsensusState, TreeSection, KIND_CONSENSUS};
 use plos_linalg::{ExactSum, ExactVecSum, Vector};
 use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
 use plos_net::{
-    run_tree, ClientExit, Endpoint, FaultPlan, FaultyEndpoint, Message, ShardMap, TrafficStats,
-    TransportError,
+    run_tree, ClientExit, Endpoint, FaultPlan, FaultyEndpoint, Message, ShardMap, TransportError,
 };
-use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -129,41 +123,13 @@ struct RegionFinal {
     w_ts: Vec<Vector>,
     /// Liveness at shutdown, in local slot order.
     alive: Vec<bool>,
-    /// Evicted devices (global ids), in eviction order.
-    evicted: Vec<usize>,
-    /// Per-gather-round attendance of this shard.
-    participation: Vec<RoundParticipation>,
-    protocol_errors: u64,
-    late_discards: u64,
+    tally: Tally,
     /// Regional fold time (part of the run's server-side compute).
     compute: Duration,
 }
 
-/// What the root driver returns when the tree shuts down cleanly.
-struct RootFinal {
-    w0: Vector,
-    history: History,
-    admm_iterations: usize,
-    cccp_rounds: usize,
-    converged: bool,
-    residuals: Vec<AdmmResiduals>,
-    server_compute: Duration,
-    protocol_errors: u64,
-    late_discards: u64,
-}
-
-/// One decoded `PartialSum` frame, plus the digest recorded per shard in
-/// the root checkpoint.
-struct PartialFrame {
-    n: u32,
-    m: u32,
-    participation: u32,
-    sum_w: ExactVecSum,
-    digest: u64,
-}
-
 /// One root replica: a deterministic state slot holding the last
-/// anti-entropy-synced checkpoint encoding.
+/// anti-entropy-synced state encoding.
 struct Replica {
     alive: bool,
     state: Option<Vec<u8>>,
@@ -178,105 +144,10 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Mutable root-side consensus state — everything a failed-over leader
-/// adopts from the synced checkpoint.
-struct RootVars {
-    w0: Vector,
-    history: History,
-    residuals: Vec<AdmmResiduals>,
-    admm_iterations: usize,
-    cccp_rounds: usize,
-    converged: bool,
-    round: u32,
-    cccp_round: u32,
-    iters_done: u32,
-    inner_done: bool,
-    phase: DistributedPhase,
-    shards: Vec<ShardState>,
-}
-
-impl RootVars {
-    fn new(dim: usize, num_shards: usize) -> Self {
-        RootVars {
-            w0: Vector::zeros(dim),
-            history: History::new(),
-            residuals: Vec::new(),
-            admm_iterations: 0,
-            cccp_rounds: 0,
-            converged: false,
-            round: 0,
-            cccp_round: 0,
-            iters_done: 0,
-            inner_done: false,
-            phase: DistributedPhase::Admm,
-            shards: (0..num_shards)
-                .map(|s| ShardState {
-                    shard: wire_u32(s),
-                    n: 0,
-                    last_round: 0,
-                    partial_digest: 0,
-                    participation: 0,
-                })
-                .collect(),
-        }
-    }
-
-    /// Start-of-round snapshot: this is both the anti-entropy payload and
-    /// the checkpoint a failed-over leader resumes from.
-    fn snapshot(&self, fingerprint: u64, shard_fingerprint: u64, term: u32) -> RootState {
-        RootState {
-            fingerprint,
-            shard_fingerprint,
-            term,
-            phase: self.phase,
-            round: self.round,
-            cccp_round: self.cccp_round,
-            iters_done: self.iters_done,
-            inner_done: self.inner_done,
-            admm_iterations: self.admm_iterations as u64,
-            cccp_rounds: wire_u32(self.cccp_rounds),
-            converged: self.converged,
-            w0: self.w0.clone(),
-            history: self.history.values().to_vec(),
-            residuals: self.residuals.iter().map(|r| (r.round, r.primal, r.dual)).collect(),
-            shards: self.shards.clone(),
-        }
-    }
-
-    /// Adopts a decoded replica checkpoint after failover. The checkpoint
-    /// was synced at the start of the very round being replayed, so its
-    /// coordinates must match the in-flight round exactly.
-    fn adopt(&mut self, st: RootState) -> Result<(), CoreError> {
-        if st.round != self.round {
-            return Err(CoreError::Ckpt(CkptError::Malformed {
-                detail: format!(
-                    "replica checkpoint is for round {} but round {} is in flight",
-                    st.round, self.round
-                ),
-            }));
-        }
-        self.w0 = st.w0;
-        self.history = History::from_values(st.history);
-        self.residuals = st
-            .residuals
-            .iter()
-            .map(|&(r, primal, dual)| AdmmResiduals { round: r, primal, dual })
-            .collect();
-        self.admm_iterations = st.admm_iterations as usize;
-        self.cccp_rounds = st.cccp_rounds as usize;
-        self.converged = st.converged;
-        self.cccp_round = st.cccp_round;
-        self.iters_done = st.iters_done;
-        self.inner_done = st.inner_done;
-        self.phase = st.phase;
-        self.shards = st.shards;
-        Ok(())
-    }
-}
-
-/// The root driver: leader/replica bookkeeping plus the fault-wrapped
-/// links down to the regional aggregators.
-struct RootDriver<'a> {
+/// The tree-root gather strategy: leader/replica bookkeeping plus the
+/// fault-wrapped links down to the regional aggregators, which answer each
+/// round with exact partial sums and apply the u-updates on commit.
+struct Root<'a> {
     links: Vec<FaultyEndpoint<'a>>,
     plan: &'a FaultPlan,
     seed: u64,
@@ -285,14 +156,16 @@ struct RootDriver<'a> {
     replicas: Vec<Replica>,
     leader: usize,
     term: u32,
-    kills_used: BTreeMap<u32, usize>,
     /// Cohort size the devices currently believe (for `RosterUpdate`s).
     announced: usize,
-    protocol_errors: u64,
-    late_discards: u64,
+    /// Live cohort of the last gathered round.
+    cohort: usize,
+    /// Cohort, Σ‖v_t‖² and Σξ_t of the last committed ADMM round.
+    objective: (usize, ExactSum, ExactSum),
+    tally: Tally,
 }
 
-impl<'a> RootDriver<'a> {
+impl<'a> Root<'a> {
     fn new(
         uplinks: &'a [Endpoint],
         plan: &'a FaultPlan,
@@ -311,7 +184,7 @@ impl<'a> RootDriver<'a> {
             .collect();
         let replicas: Vec<Replica> =
             (0..replicas).map(|_| Replica { alive: true, state: None, digest: 0 }).collect();
-        let mut driver = RootDriver {
+        let mut root = Root {
             links,
             plan,
             seed,
@@ -320,13 +193,13 @@ impl<'a> RootDriver<'a> {
             replicas,
             leader: 0,
             term: 0,
-            kills_used: BTreeMap::new(),
             announced: t_count,
-            protocol_errors: 0,
-            late_discards: 0,
+            cohort: t_count,
+            objective: (t_count, ExactSum::new(), ExactSum::new()),
+            tally: Tally::default(),
         };
-        driver.leader = driver.elect().unwrap_or(0);
-        driver
+        root.leader = root.elect().unwrap_or(0);
+        root
     }
 
     /// Seeded deterministic election: the live replica with the highest
@@ -392,14 +265,15 @@ impl<'a> RootDriver<'a> {
                     if matches {
                         return Ok(msg);
                     }
+                    let tally = &mut self.tally;
                     match msg {
                         Message::PartialSum { round: r, .. }
                         | Message::ShardResidual { round: r, .. }
                             if r != round =>
                         {
-                            self.late_discards = self.late_discards.saturating_add(1);
+                            tally.late_discards = tally.late_discards.saturating_add(1);
                         }
-                        _ => self.protocol_errors = self.protocol_errors.saturating_add(1),
+                        _ => tally.protocol_errors = tally.protocol_errors.saturating_add(1),
                     }
                 }
                 Err(TransportError::Timeout | TransportError::Codec(_)) => {
@@ -412,9 +286,7 @@ impl<'a> RootDriver<'a> {
                     }
                     if now >= resend_at {
                         resend_at = now + TREE_RESEND;
-                        if let Some(link) = self.links.get_mut(s) {
-                            let _ = link.send(request);
-                        }
+                        let _ = link.send(request);
                     }
                 }
                 Err(TransportError::Disconnected) => {
@@ -426,48 +298,60 @@ impl<'a> RootDriver<'a> {
         }
     }
 
-    /// Collects one `PartialSum` per shard, in fixed shard order.
+    /// Collects one `PartialSum` per shard and merges them in fixed shard
+    /// order — the exact accumulator makes the grouping irrelevant.
     fn collect_partials(
         &mut self,
         round: u32,
         phase: u8,
         w0: &Vector,
-    ) -> Result<Vec<PartialFrame>, CoreError> {
-        let mut frames = Vec::with_capacity(self.links.len());
+    ) -> Result<Partial, CoreError> {
+        let mut merged = Partial { n: 0, m: 0, sum: ExactVecSum::zeros(w0.len()) };
         for s in 0..self.links.len() {
             let request = Message::ShardBroadcast { round, phase, w0: w0.clone() };
-            let msg = self.collect_one(s, round, &request, false)?;
-            let digest = fnv1a(&msg.encode());
-            if let Message::PartialSum { n, m, participation, sum_w, .. } = msg {
-                frames.push(PartialFrame { n, m, participation, sum_w, digest });
+            if let Message::PartialSum { n, m, sum_w, .. } =
+                self.collect_one(s, round, &request, false)?
+            {
+                merged.n += n as usize;
+                merged.m += m as usize;
+                merged.sum.merge(&sum_w).map_err(|e| CoreError::Protocol {
+                    detail: format!("shard partial has wrong shape: {e}"),
+                })?;
             }
         }
-        Ok(frames)
+        Ok(merged)
     }
 
-    /// Collects one `ShardResidual` per shard, in fixed shard order.
-    fn collect_residuals(
+    /// Commits `w0` for `phase` down the tree and merges the shards'
+    /// residual/objective partials in fixed shard order, then tells every
+    /// shard (and through them every device) a shrunk cohort size.
+    fn commit_phase(
         &mut self,
         round: u32,
         phase: u8,
         w0: &Vector,
-    ) -> Result<Vec<(ExactSum, ExactSum, ExactSum)>, CoreError> {
-        let mut out = Vec::with_capacity(self.links.len());
+    ) -> Result<[ExactSum; 3], CoreError> {
+        self.send_all(&|_s| Message::ShardCommit { round, phase, w0: w0.clone() })?;
+        let mut merged = [ExactSum::new(), ExactSum::new(), ExactSum::new()];
         for s in 0..self.links.len() {
             let request = Message::ShardCommit { round, phase, w0: w0.clone() };
-            let msg = self.collect_one(s, round, &request, true)?;
-            if let Message::ShardResidual { a, b, c, .. } = msg {
-                out.push((*a, *b, *c));
+            if let Message::ShardResidual { a, b, c, .. } =
+                self.collect_one(s, round, &request, true)?
+            {
+                for (acc, part) in merged.iter_mut().zip([a, b, c]) {
+                    acc.merge(&part);
+                }
             }
         }
-        Ok(out)
+        self.publish_cohort()?;
+        Ok(merged)
     }
 
-    /// Anti-entropy: ships the leader's start-of-round checkpoint to every
-    /// live replica whose digest disagrees.
-    fn sync_replicas(&mut self, vars: &RootVars) {
-        let state = vars.snapshot(self.fingerprint, self.shard_fingerprint, self.term);
-        let bytes = state.encode().encode();
+    /// Anti-entropy: ships the leader's start-of-round state to every live
+    /// replica whose digest disagrees.
+    fn sync_replicas(&mut self, state: &ConsensusState) {
+        let tree = TreeSection { shard_fingerprint: self.shard_fingerprint, term: self.term };
+        let bytes = ConsensusState { tree: Some(tree), ..state.clone() }.encode().encode();
         let digest = fnv1a(&bytes);
         let mut synced = 0usize;
         let mut live = 0usize;
@@ -483,7 +367,7 @@ impl<'a> RootDriver<'a> {
             plos_obs::emit(
                 "anti_entropy",
                 &[
-                    ("round", vars.round.into()),
+                    ("round", state.round.into()),
                     ("synced", synced.into()),
                     ("replicas", live.into()),
                 ],
@@ -491,111 +375,139 @@ impl<'a> RootDriver<'a> {
         }
     }
 
-    /// The mid-round seam: executes every leader kill the plan scheduled
-    /// for `round`, failing over (and adopting the synced checkpoint) per
-    /// kill, then re-issues the round so the regionals replay their cached
-    /// partials. Returns the final partial set to fold.
-    fn seam(
-        &mut self,
-        vars: &mut RootVars,
-        round: u32,
-        phase: u8,
-        mut partials: Vec<PartialFrame>,
-    ) -> Result<Vec<PartialFrame>, CoreError> {
-        let planned = self.plan.root_kills_at(round);
-        while self.kills_used.get(&round).copied().unwrap_or(0) < planned {
-            *self.kills_used.entry(round).or_insert(0) += 1;
-            let dead = self.leader;
-            if let Some(slot) = self.replicas.get_mut(dead) {
-                slot.alive = false;
-            }
-            self.term += 1;
-            let Some(next) = self.elect() else {
-                return Err(CoreError::RootQuorumLost { round, replicas: self.replicas.len() });
-            };
-            self.leader = next;
-            plos_obs::emit(
-                "failover",
-                &[
-                    ("round", round.into()),
-                    ("term", self.term.into()),
-                    ("from", dead.into()),
-                    ("to", next.into()),
-                ],
-            );
-            plos_obs::counter_add("sharded.failovers", 1);
-            if let Some(bytes) = self.replicas.get(next).and_then(|r| r.state.clone()) {
-                let file = CheckpointFile::decode(&bytes).map_err(CoreError::Ckpt)?;
-                let st = RootState::decode(&file).map_err(CoreError::Ckpt)?;
-                checkpoint::check_fingerprint(st.fingerprint, self.fingerprint)?;
-                if st.shard_fingerprint != self.shard_fingerprint {
-                    return Err(CoreError::Ckpt(CkptError::Malformed {
-                        detail: "replica checkpoint binds a different shard map".to_string(),
-                    }));
-                }
-                vars.adopt(st)?;
-            }
-            // The new leader resumes the in-flight round from the adopted
-            // checkpoint: re-issue and re-collect (idempotent replay).
-            partials = self.collect_partials(round, phase, &vars.w0.clone())?;
+    /// Kills the leader at the mid-round seam and fails over: the next
+    /// elected replica adopts the state synced at the start of this very
+    /// round.
+    fn failover(&mut self, state: &mut ConsensusState, round: u32) -> Result<(), CoreError> {
+        let dead = self.leader;
+        if let Some(slot) = self.replicas.get_mut(dead) {
+            slot.alive = false;
         }
-        Ok(partials)
-    }
-
-    /// One full gather: start-of-round anti-entropy, request, collect,
-    /// then the kill seam. Also updates the per-shard checkpoint stats.
-    fn gather_round(
-        &mut self,
-        vars: &mut RootVars,
-        round: u32,
-        phase: u8,
-    ) -> Result<(Vec<PartialFrame>, usize), CoreError> {
-        self.sync_replicas(vars);
-        let w0 = vars.w0.clone();
-        self.send_all(&|_s| Message::ShardBroadcast { round, phase, w0: w0.clone() })?;
-        let partials = self.collect_partials(round, phase, &w0)?;
-        let partials = self.seam(vars, round, phase, partials)?;
-        let mut cohort = 0usize;
-        for (s, p) in partials.iter().enumerate() {
-            cohort += p.n as usize;
-            if let Some(stat) = vars.shards.get_mut(s) {
-                stat.n = u64::from(p.n);
-                stat.last_round = round;
-                stat.partial_digest = p.digest;
-                stat.participation = stat.participation.saturating_add(u64::from(p.participation));
-            }
-        }
+        self.term += 1;
+        let Some(next) = self.elect() else {
+            return Err(CoreError::RootQuorumLost { round, replicas: self.replicas.len() });
+        };
+        self.leader = next;
         plos_obs::emit(
-            "shard_round",
+            "failover",
             &[
                 ("round", round.into()),
-                ("phase", u64::from(phase).into()),
-                ("shards", partials.len().into()),
-                ("cohort", cohort.into()),
-                ("leader", self.leader.into()),
                 ("term", self.term.into()),
+                ("from", dead.into()),
+                ("to", next.into()),
             ],
         );
-        Ok((partials, cohort))
+        plos_obs::counter_add("sharded.failovers", 1);
+        if let Some(bytes) = self.replicas.get(next).and_then(|r| r.state.as_deref()) {
+            let st = ConsensusState::decode(&CheckpointFile::decode(bytes)?)?;
+            checkpoint::check_fingerprint(st.fingerprint, self.fingerprint)?;
+            let malformed = |detail: String| CoreError::Ckpt(CkptError::Malformed { detail });
+            if st.tree.map(|t| t.shard_fingerprint) != Some(self.shard_fingerprint) {
+                return Err(malformed("replica state binds a different shard map".to_string()));
+            }
+            if st.round != state.round {
+                return Err(malformed(format!(
+                    "replica state is for round {} but round {} is in flight",
+                    st.round, state.round
+                )));
+            }
+            *state = ConsensusState { tree: None, ..st };
+        }
+        Ok(())
     }
 
     /// Tells every shard (and through them, every device) the shrunk
     /// cohort size, mirroring the flat path's `RosterUpdate` publication.
-    fn publish_cohort(&mut self, cohort: usize) -> Result<(), CoreError> {
-        if cohort != self.announced {
-            self.announced = cohort;
-            let t_count = wire_u32(cohort);
+    fn publish_cohort(&mut self) -> Result<(), CoreError> {
+        if self.cohort != self.announced {
+            self.announced = self.cohort;
+            let t_count = wire_u32(self.cohort);
             self.send_all(&move |_s| Message::RosterUpdate { t_count })?;
         }
         Ok(())
     }
 }
 
-/// The regional aggregator: owns one shard's devices behind the shared
-/// [`Fleet`] machinery, answers the root's request frames with exact
-/// partial sums, and replays its cached reply when a failed-over leader
-/// re-issues a round.
-#[allow(clippy::too_many_lines)]
+impl Gather for Root<'_> {
+    /// One full gather: start-of-round anti-entropy, request, collect, then
+    /// the kill seam — every leader kill the plan scheduled for `round`
+    /// fails over, and the new leader re-issues the round so the regionals
+    /// replay their cached partials.
+    fn gather(
+        &mut self,
+        state: &mut ConsensusState,
+        phase: u8,
+        round: u32,
+    ) -> Result<Option<Partial>, CoreError> {
+        self.sync_replicas(state);
+        let w0 = state.w0.clone();
+        self.send_all(&|_s| Message::ShardBroadcast { round, phase, w0: w0.clone() })?;
+        let mut partial = self.collect_partials(round, phase, &w0)?;
+        for _ in 0..self.plan.root_kills_at(round) {
+            self.failover(state, round)?;
+            partial = self.collect_partials(round, phase, &state.w0)?;
+        }
+        self.cohort = partial.n;
+        plos_obs::emit(
+            "shard_round",
+            &[
+                ("round", round.into()),
+                ("phase", u64::from(phase).into()),
+                ("shards", self.links.len().into()),
+                ("cohort", partial.n.into()),
+                ("leader", self.leader.into()),
+                ("term", self.term.into()),
+            ],
+        );
+        if phase == PHASE_INIT {
+            self.objective.0 = partial.n.max(1);
+            self.publish_cohort()?;
+        }
+        Ok(Some(partial))
+    }
+
+    fn commit(&mut self, round: u32, w0: &Vector) -> Result<ExactSum, CoreError> {
+        let [primal, obj_v, obj_xi] = self.commit_phase(round, PHASE_ADMM, w0)?;
+        self.objective = (self.cohort, obj_v, obj_xi);
+        Ok(primal)
+    }
+
+    fn objective(&mut self) -> (usize, ExactSum, ExactSum) {
+        self.objective.clone()
+    }
+
+    fn refine_terms(&mut self, round: u32, w0: &Vector) -> Result<(ExactSum, ExactSum), CoreError> {
+        let [dist, obj_xi, _] = self.commit_phase(round, PHASE_REFINE, w0)?;
+        Ok((dist, obj_xi))
+    }
+
+    fn enter_cccp(&mut self, cccp_round: u32, advance: bool) -> Result<(), CoreError> {
+        if advance {
+            self.send_all(&move |_s| Message::CccpAdvance { cccp_round })?;
+        }
+        Ok(())
+    }
+
+    fn round_event(&self, round: u32, primal: f64, dual: f64) {
+        plos_obs::emit(
+            "admm_round",
+            &[
+                ("round", round.into()),
+                ("primal_residual", primal.into()),
+                ("dual_residual", dual.into()),
+                ("cohort", self.cohort.into()),
+            ],
+        );
+    }
+
+    fn finish(&mut self) -> Result<(), CoreError> {
+        self.send_all(&|_s| Message::Shutdown)
+    }
+}
+
+/// The regional aggregator: a request loop over the barrier gather of its
+/// shard. It answers the root's request frames with exact partial sums and
+/// replays its cached reply when a failed-over leader re-issues a round.
 fn region_loop(
     uplink: &Endpoint,
     shard: usize,
@@ -613,15 +525,9 @@ fn region_loop(
         .zip(ends.iter())
         .map(|(&t, end)| FaultyEndpoint::new(end, plan.link_faults(t)))
         .collect();
-    let mut fleet = Fleet::with_ids(links, ft, devices.clone());
-    let n = devices.len();
-    let mut w_ts = vec![Vector::zeros(dim); n];
-    let mut v_ts = vec![Vector::zeros(dim); n];
-    let mut xi_ts = vec![0.0f64; n];
-    let mut us = vec![Vector::zeros(dim); n];
-    let mut compute = Duration::ZERO;
-    // Idempotent replay caches: a failed-over leader re-issues the round
-    // it was killed in, and the cached reply must be byte-identical.
+    let mut region = Barrier::new(Fleet::with_ids(links, ft, devices.clone()), dim, false, false);
+    // Idempotent replay caches: a failed-over leader re-issues the round it
+    // was killed in, and the cached reply must be byte-identical.
     let mut last_partial: Option<(u32, Message)> = None;
     let mut last_residual: Option<(u32, Message)> = None;
     // plos-lint: allow(D2): root-silence deadline plumbing only
@@ -636,7 +542,7 @@ fn region_loop(
             }
             Err(TransportError::Timeout | TransportError::Codec(_)) => {
                 if heard.elapsed() > TREE_DEADLINE {
-                    fleet.shutdown();
+                    region.fleet.shutdown();
                     return Err(CoreError::Transport {
                         detail: format!("root went silent on shard {shard}"),
                     });
@@ -647,436 +553,92 @@ fn region_loop(
             // report what this shard has — the root's error is authoritative.
             Err(TransportError::Disconnected) => break,
         };
-        match msg {
+        let (cache, round, reply) = match msg {
             Message::ShardBroadcast { round, phase, w0 } => {
-                if let Some((r, reply)) = &last_partial {
-                    if *r == round {
-                        // Failover replay: re-reply without touching devices.
-                        let _ = uplink.send(reply);
-                        continue;
-                    }
+                if replay(&last_partial, round, uplink) {
+                    continue;
                 }
-                let reply = if n == 0 {
-                    // An empty shard contributes the exact zero partial.
-                    Message::PartialSum {
-                        shard: shard_id,
-                        round,
-                        n: 0,
-                        m: 0,
-                        participation: 0,
-                        sum_w: ExactVecSum::zeros(dim),
-                        sum_u: ExactVecSum::zeros(0),
-                    }
+                // An empty shard contributes the exact zero partial.
+                let p = if devices.is_empty() {
+                    Partial { n: 0, m: 0, sum: ExactVecSum::zeros(dim) }
                 } else {
-                    match phase {
-                        PHASE_INIT => {
-                            let zero = Vector::zeros(dim);
-                            let init = |_t: usize| Message::Broadcast {
-                                round,
-                                w0: w0.clone(),
-                                u_t: zero.clone(),
-                            };
-                            fleet.send_alive(&init);
-                            let mut w_inits = vec![Vector::zeros(dim); n];
-                            fleet.gather(round, true, &init, &mut |t, w_t, _v_t, _xi_t| {
-                                if let Some(slot) = w_inits.get_mut(t) {
-                                    *slot = w_t;
-                                }
-                            })?;
-                            // plos-lint: allow(D2): regional compute-time metering only
-                            let t0 = Instant::now();
-                            let mut sum_w = ExactVecSum::zeros(dim);
-                            let mut m = 0u32;
-                            for w_init in &w_inits {
-                                if w_init.norm() > 0.0 {
-                                    sum_w.add(w_init);
-                                    m += 1;
-                                }
-                            }
-                            compute += t0.elapsed();
-                            partial_reply(shard_id, round, &fleet, m, sum_w)
-                        }
-                        PHASE_ADMM => {
-                            let scatter = |t: usize| Message::Broadcast {
-                                round,
-                                w0: w0.clone(),
-                                u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-                            };
-                            fleet.send_alive(&scatter);
-                            fleet.gather(round, true, &scatter, &mut |t, w_t, v_t, xi_t| {
-                                if let (Some(w), Some(v), Some(xi)) =
-                                    (w_ts.get_mut(t), v_ts.get_mut(t), xi_ts.get_mut(t))
-                                {
-                                    *w = w_t;
-                                    *v = v_t;
-                                    *xi = xi_t;
-                                }
-                            })?;
-                            // plos-lint: allow(D2): regional compute-time metering only
-                            let t0 = Instant::now();
-                            let mut sum_w = ExactVecSum::zeros(dim);
-                            for (t, ((w_t, v_t), u_t)) in
-                                w_ts.iter().zip(&v_ts).zip(&us).enumerate()
-                            {
-                                if !fleet.is_alive(t) {
-                                    continue;
-                                }
-                                sum_w.add(w_t);
-                                sum_w.sub(v_t);
-                                sum_w.add(u_t);
-                            }
-                            compute += t0.elapsed();
-                            partial_reply(shard_id, round, &fleet, 0, sum_w)
-                        }
-                        PHASE_REFINE => {
-                            let refine = |_t: usize| Message::Refine { round, w0: w0.clone() };
-                            fleet.send_alive(&refine);
-                            fleet.gather(round, true, &refine, &mut |t, w_t, v_t, xi_t| {
-                                if let (Some(w), Some(v), Some(xi)) =
-                                    (w_ts.get_mut(t), v_ts.get_mut(t), xi_ts.get_mut(t))
-                                {
-                                    *w = w_t;
-                                    *v = v_t;
-                                    *xi = xi_t;
-                                }
-                            })?;
-                            // plos-lint: allow(D2): regional compute-time metering only
-                            let t0 = Instant::now();
-                            let mut sum_w = ExactVecSum::zeros(dim);
-                            for (t, w_t) in w_ts.iter().enumerate() {
-                                if fleet.is_alive(t) {
-                                    sum_w.add(w_t);
-                                }
-                            }
-                            compute += t0.elapsed();
-                            partial_reply(shard_id, round, &fleet, 0, sum_w)
-                        }
-                        other => {
-                            return Err(CoreError::Protocol {
-                                detail: format!("unknown shard phase {other} in round {round}"),
-                            })
-                        }
-                    }
+                    region.collect(phase, round, &w0)?
                 };
-                last_partial = Some((round, reply.clone()));
-                if uplink.send(&reply).is_err() {
-                    break;
-                }
+                let sum_w = p.sum;
+                let (n, m) = (wire_u32(p.n), wire_u32(p.m));
+                (
+                    &mut last_partial,
+                    round,
+                    Message::PartialSum { shard: shard_id, round, n, m, sum_w },
+                )
             }
             Message::ShardCommit { round, phase, w0 } => {
-                if let Some((r, reply)) = &last_residual {
-                    if *r == round {
-                        let _ = uplink.send(reply);
-                        continue;
-                    }
+                if replay(&last_residual, round, uplink) {
+                    continue;
                 }
-                // plos-lint: allow(D2): regional compute-time metering only
-                let t0 = Instant::now();
-                let mut a = ExactSum::new();
-                let mut b = ExactSum::new();
-                let mut c = ExactSum::new();
-                if phase == PHASE_ADMM {
+                let (a, b, c) = if phase == PHASE_ADMM {
                     // Eq. (23)/(24) partials: u-updates plus the primal
                     // residual term, then the objective's v/ξ terms.
-                    for (t, (w_t, v_t)) in w_ts.iter().zip(&v_ts).enumerate() {
-                        if !fleet.is_alive(t) {
-                            continue;
-                        }
-                        let mut delta = w_t.clone();
-                        delta -= &w0;
-                        delta -= v_t;
-                        a.add(delta.norm_squared());
-                        if let Some(u_t) = us.get_mut(t) {
-                            *u_t += &delta;
-                        }
-                    }
-                    for (t, (v_t, xi_t)) in v_ts.iter().zip(&xi_ts).enumerate() {
-                        if !fleet.is_alive(t) {
-                            continue;
-                        }
-                        b.add(v_t.norm_squared());
-                        c.add(*xi_t);
-                    }
+                    let primal = region.commit(round, &w0)?;
+                    let (_, obj_v, obj_xi) = region.objective();
+                    (primal, obj_v, obj_xi)
                 } else {
                     // Refinement: distance-to-consensus and loss partials.
-                    for (t, (w_t, xi_t)) in w_ts.iter().zip(&xi_ts).enumerate() {
-                        if !fleet.is_alive(t) {
-                            continue;
-                        }
-                        a.add(w_t.distance_squared(&w0));
-                        b.add(*xi_t);
-                    }
-                }
-                compute += t0.elapsed();
-                let reply = Message::ShardResidual {
-                    shard: shard_id,
-                    round,
-                    a: Box::new(a),
-                    b: Box::new(b),
-                    c: Box::new(c),
+                    let (dist, obj_xi) = region.refine_terms(round, &w0)?;
+                    (dist, obj_xi, ExactSum::new())
                 };
-                last_residual = Some((round, reply.clone()));
-                if uplink.send(&reply).is_err() {
-                    break;
-                }
+                let (a, b, c) = (Box::new(a), Box::new(b), Box::new(c));
+                (
+                    &mut last_residual,
+                    round,
+                    Message::ShardResidual { shard: shard_id, round, a, b, c },
+                )
             }
             Message::CccpAdvance { cccp_round } => {
-                fleet.send_alive(&move |_t| Message::CccpAdvance { cccp_round });
+                region.enter_cccp(cccp_round, true)?;
+                continue;
             }
             Message::RosterUpdate { t_count } => {
-                fleet.send_alive(&move |_t| Message::RosterUpdate { t_count });
+                region.fleet.send_alive(&move |_t| Message::RosterUpdate { t_count });
+                continue;
             }
             Message::Shutdown => break,
             _ => {
-                fleet.protocol_errors = fleet.protocol_errors.saturating_add(1);
+                let tally = &mut region.fleet.tally;
+                tally.protocol_errors = tally.protocol_errors.saturating_add(1);
+                continue;
             }
-        }
-    }
-
-    fleet.shutdown();
-    Ok(RegionFinal {
-        devices,
-        w_ts,
-        alive: fleet.alive.clone(),
-        evicted: fleet.evicted.clone(),
-        participation: fleet.participation.clone(),
-        protocol_errors: fleet.protocol_errors,
-        late_discards: fleet.late_discards,
-        compute,
-    })
-}
-
-/// Builds this round's `PartialSum` from a shard's post-gather state.
-fn partial_reply(shard: u32, round: u32, fleet: &Fleet<'_>, m: u32, sum_w: ExactVecSum) -> Message {
-    let participation = fleet.participation.last().map_or(0, |p| wire_u32(p.replied));
-    Message::PartialSum {
-        shard,
-        round,
-        n: wire_u32(fleet.alive_count()),
-        m,
-        participation,
-        sum_w,
-        sum_u: ExactVecSum::zeros(0),
-    }
-}
-
-/// The root protocol driver: mirrors the flat `server_loop` schedule
-/// exactly — initialization fold, CCCP × ADMM with Eq. (23)/(24) updates,
-/// refinement — but over per-shard partial sums merged in shard order.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn root_loop(
-    config: &PlosConfig,
-    uplinks: &[Endpoint],
-    plan: &FaultPlan,
-    num_shards: usize,
-    replicas: usize,
-    dim: usize,
-    t_count: usize,
-    fingerprint: u64,
-    shard_fingerprint: u64,
-) -> Result<RootFinal, CoreError> {
-    let mut driver = RootDriver::new(
-        uplinks,
-        plan,
-        config.seed,
-        t_count,
-        replicas,
-        fingerprint,
-        shard_fingerprint,
-    );
-    let mut vars = RootVars::new(dim, num_shards);
-    let mut server_compute = Duration::ZERO;
-    let rho = config.rho;
-
-    // ---- Initialization round: average provider hyperplanes. ----
-    let (partials, cohort) = driver.gather_round(&mut vars, 0, PHASE_INIT)?;
-    // plos-lint: allow(D2): server compute-time metering only
-    let t0 = Instant::now();
-    let mut w0_acc = ExactVecSum::zeros(dim);
-    let mut contributors = 0u32;
-    for p in &partials {
-        w0_acc.merge(&p.sum_w).map_err(|e| CoreError::Protocol {
-            detail: format!("shard partial has wrong shape: {e}"),
-        })?;
-        contributors += p.m;
-    }
-    if contributors > 0 {
-        vars.w0 = w0_acc.value();
-        vars.w0.scale_mut(1.0 / f64::from(contributors));
-    } else {
-        // No provider anywhere: deterministic random init, bit-identical
-        // to the flat path's fallback.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-        vars.w0 = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let norm = vars.w0.norm();
-        if norm > 0.0 {
-            vars.w0.scale_mut(1.0 / norm);
-        }
-    }
-    server_compute += t0.elapsed();
-    driver.publish_cohort(cohort)?;
-
-    // ---- CCCP × ADMM ----
-    for cccp_round in 0..config.max_cccp_rounds {
-        vars.cccp_rounds += 1;
-        vars.cccp_round = wire_u32(cccp_round);
-        if cccp_round > 0 {
-            let advance = wire_u32(cccp_round);
-            driver.send_all(&move |_s| Message::CccpAdvance { cccp_round: advance })?;
-        }
-        let mut obj_v = ExactSum::new();
-        let mut obj_xi = ExactSum::new();
-        let mut last_cohort = cohort.max(1);
-        for iter in 0..config.max_admm_iters {
-            vars.round += 1;
-            vars.admm_iterations += 1;
-            vars.iters_done = wire_u32(iter);
-            vars.inner_done = false;
-            vars.phase = DistributedPhase::Admm;
-            let round = vars.round;
-            let (partials, cohort) = driver.gather_round(&mut vars, round, PHASE_ADMM)?;
-            last_cohort = cohort;
-
-            // Eq. (23): fold the per-shard partials in fixed shard order —
-            // the exact accumulator makes the grouping irrelevant.
-            // plos-lint: allow(D2): server compute-time metering only
-            let t0 = Instant::now();
-            let cohort_f = cohort as f64;
-            let mut w0_acc = ExactVecSum::zeros(dim);
-            for p in &partials {
-                w0_acc.merge(&p.sum_w).map_err(|e| CoreError::Protocol {
-                    detail: format!("shard partial has wrong shape: {e}"),
-                })?;
-            }
-            let mut w0_new = w0_acc.value();
-            w0_new.scale_mut(rho / (2.0 + cohort_f * rho));
-            // Eq. (24): residuals.
-            let sqrt_2t = (2.0 * cohort_f).sqrt();
-            let sqrt_t = cohort_f.sqrt();
-            let dual_residual = rho * sqrt_2t * w0_new.distance(&vars.w0);
-            server_compute += t0.elapsed();
-
-            // Commit down the tree; the regionals run the u-updates and
-            // answer with the primal/objective partials.
-            driver.send_all(&|_s| Message::ShardCommit {
-                round,
-                phase: PHASE_ADMM,
-                w0: w0_new.clone(),
-            })?;
-            let residual_frames = driver.collect_residuals(round, PHASE_ADMM, &w0_new)?;
-            // plos-lint: allow(D2): server compute-time metering only
-            let t1 = Instant::now();
-            let mut primal_acc = ExactSum::new();
-            obj_v = ExactSum::new();
-            obj_xi = ExactSum::new();
-            for (a, b, c) in &residual_frames {
-                primal_acc.merge(a);
-                obj_v.merge(b);
-                obj_xi.merge(c);
-            }
-            let primal_sq = primal_acc.value();
-            vars.w0 = w0_new;
-            server_compute += t1.elapsed();
-
-            let primal_residual = primal_sq.sqrt();
-            vars.residuals.push(AdmmResiduals {
-                round,
-                primal: primal_residual,
-                dual: dual_residual,
-            });
-            plos_obs::emit(
-                "admm_round",
-                &[
-                    ("round", round.into()),
-                    ("primal_residual", primal_residual.into()),
-                    ("dual_residual", dual_residual.into()),
-                    ("cohort", cohort.into()),
-                ],
-            );
-            driver.publish_cohort(cohort)?;
-
-            let residuals_met = dual_residual <= sqrt_2t * config.eps_abs
-                && primal_residual <= sqrt_t * config.eps_abs;
-            if residuals_met {
-                break;
-            }
-        }
-
-        // Objective L (Eq. 23, third line), over the live cohort.
-        let kappa = config.lambda / last_cohort as f64;
-        let objective = vars.w0.norm_squared() + kappa * obj_v.value() + obj_xi.value();
-        vars.history.push(objective);
-        plos_obs::emit(
-            "cccp_round",
-            &[("round", vars.cccp_rounds.into()), ("objective", objective.into())],
-        );
-        if vars.history.converged(config.cccp_tol) {
-            vars.converged = true;
+        };
+        *cache = Some((round, reply.clone()));
+        if uplink.send(&reply).is_err() {
             break;
         }
     }
 
-    // ---- Refinement ----
-    for refine_round in 0..config.refine_rounds {
-        vars.round += 1;
-        vars.phase = DistributedPhase::Refine { rounds_done: wire_u32(refine_round) };
-        vars.inner_done = true;
-        let round = vars.round;
-        let (partials, cohort) = driver.gather_round(&mut vars, round, PHASE_REFINE)?;
-
-        // plos-lint: allow(D2): server compute-time metering only
-        let t0 = Instant::now();
-        let cohort_f = cohort as f64;
-        let mut mean_acc = ExactVecSum::zeros(dim);
-        for p in &partials {
-            mean_acc.merge(&p.sum_w).map_err(|e| CoreError::Protocol {
-                detail: format!("shard partial has wrong shape: {e}"),
-            })?;
-        }
-        let mut mean = mean_acc.value();
-        mean.scale_mut(1.0 / cohort_f);
-        vars.w0 = mean.scaled(config.lambda / (1.0 + config.lambda));
-        server_compute += t0.elapsed();
-
-        driver.send_all(&|_s| Message::ShardCommit {
-            round,
-            phase: PHASE_REFINE,
-            w0: vars.w0.clone(),
-        })?;
-        let residual_frames = driver.collect_residuals(round, PHASE_REFINE, &vars.w0)?;
-        let kappa = config.lambda / cohort_f;
-        let mut dist_acc = ExactSum::new();
-        let mut xi_acc = ExactSum::new();
-        for (a, b, _c) in &residual_frames {
-            dist_acc.merge(a);
-            xi_acc.merge(b);
-        }
-        let objective = vars.w0.norm_squared() + kappa * dist_acc.value() + xi_acc.value();
-        vars.history.push(objective);
-        plos_obs::emit(
-            "refine_round",
-            &[("round", (refine_round + 1).into()), ("objective", objective.into())],
-        );
-        driver.publish_cohort(cohort)?;
-    }
-
-    driver.send_all(&|_s| Message::Shutdown)?;
-    Ok(RootFinal {
-        w0: vars.w0,
-        history: vars.history,
-        admm_iterations: vars.admm_iterations,
-        cccp_rounds: vars.cccp_rounds,
-        converged: vars.converged,
-        residuals: vars.residuals,
-        server_compute,
-        protocol_errors: driver.protocol_errors,
-        late_discards: driver.late_discards,
+    region.fleet.shutdown();
+    Ok(RegionFinal {
+        devices,
+        w_ts: region.slots.w_ts,
+        alive: region.fleet.alive,
+        tally: region.fleet.tally,
+        compute: region.compute,
     })
+}
+
+/// Re-sends a cached reply when the root re-issues its round (failover
+/// replay), without touching the devices.
+fn replay(cache: &Option<(u32, Message)>, round: u32, uplink: &Endpoint) -> bool {
+    match cache {
+        Some((r, reply)) if *r == round => {
+            let _ = uplink.send(reply);
+            true
+        }
+        _ => false,
+    }
 }
 
 /// Trains over the two-level sharded tree. Entry point used by
 /// [`DistributedPlos::fit_with_faults`] when [`Topology::Sharded`] is set.
-#[allow(clippy::too_many_lines, clippy::expect_used)]
 pub(crate) fn fit_sharded(
     trainer: &DistributedPlos,
     dataset: &MultiUserDataset,
@@ -1086,20 +648,20 @@ pub(crate) fn fit_sharded(
     let _span = plos_obs::Span::enter("sharded_fit");
     // plos-lint: allow(D2): wall_clock field of the report only
     let started = Instant::now();
-    plan.validate().map_err(|detail| CoreError::Protocol {
-        detail: format!("invalid fault plan: {detail}"),
-    })?;
+    if trainer.ckpt.is_some() {
+        return Err(CoreError::InvalidConfig {
+            detail: "checkpointing is not supported on the sharded topology; \
+                     its replicated root survives root failures instead"
+                .to_string(),
+        });
+    }
     if spec.replicas == 0 || spec.replicas > MAX_ROOT_REPLICAS {
         return Err(CoreError::InvalidConfig {
             detail: format!("root replicas must be 1..={MAX_ROOT_REPLICAS}, got {}", spec.replicas),
         });
     }
-    let prepared = problem::prepare(dataset, trainer.config.bias);
-    let t_count = prepared.users.len();
-    if t_count == 0 {
-        return Err(CoreError::EmptyDataset);
-    }
-    let dim = prepared.dim;
+    let cohort = consensus::prepare(&trainer.config, dataset, plan)?;
+    let (t_count, dim) = (cohort.t_count, cohort.dim);
     let map = match &spec.assignment {
         Some(assignment) => ShardMap::from_assignment(assignment.clone(), spec.shards),
         None => ShardMap::contiguous(t_count, spec.shards),
@@ -1110,29 +672,12 @@ pub(crate) fn fit_sharded(
             detail: format!("shard map covers {} devices but the dataset has {t_count}", map.len()),
         });
     }
-    let fingerprint = checkpoint::run_fingerprint(KIND_SHARDED, t_count, dim, &trainer.config);
+    let fingerprint = checkpoint::run_fingerprint(KIND_CONSENSUS, t_count, dim, &trainer.config);
     let shard_fingerprint = map.fingerprint();
 
-    let slots: Mutex<Vec<Option<LocalSolver>>> = Mutex::new(
-        prepared
-            .users
-            .iter()
-            .enumerate()
-            .map(|(t, u)| {
-                // Same per-device seed salt as the flat path — the devices
-                // cannot tell which topology is driving them.
-                let mut cfg = trainer.config.clone();
-                cfg.seed = cfg.seed.wrapping_add(t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                Some(LocalSolver::new(u.clone(), cfg, t_count))
-            })
-            .collect(),
-    );
-
-    let network =
-        plos_net::try_star(t_count).map_err(|e| CoreError::Protocol { detail: e.to_string() })?;
     let num_shards = map.num_shards();
     let map_ref = &map;
-    let (server_out, exits) = network.run_devices(
+    let (server_out, outcomes, panicked) = cohort.run(
         trainer.runtime,
         |server_ends| {
             // Move each shard's device endpoints out of the star and into
@@ -1152,57 +697,44 @@ pub(crate) fn fit_sharded(
                 })
                 .collect();
             run_tree(regions, |uplinks| {
-                root_loop(
-                    &trainer.config,
+                let seed = trainer.config.seed;
+                let replicas = spec.replicas;
+                let mut root = Root::new(
                     uplinks,
                     plan,
-                    num_shards,
-                    spec.replicas,
-                    dim,
+                    seed,
                     t_count,
+                    replicas,
                     fingerprint,
                     shard_fingerprint,
-                )
+                );
+                let driver = Driver::new(&trainer.config, None, false, fingerprint, dim);
+                Ok::<_, CoreError>((driver.run(&mut root, None)?, root.tally))
             })
         },
-        |t| {
-            let solver = slots.lock().get_mut(t).and_then(Option::take);
-            let solver = solver.expect("each device slot is taken exactly once");
-            SyncDeviceMachine {
-                user: wire_u32(t),
-                solver,
-                compute: Duration::ZERO,
-                panic_at: plan.panic_round(t),
-            }
-        },
-    );
+        |t, solver| SyncDeviceMachine::new(t, solver, plan),
+    )?;
 
     let (root_out, region_exits) = server_out;
     // A typed regional failure (quorum lost in a shard, device transport
     // collapse) explains the run better than the root's secondary
     // disconnect error, so surface it first.
-    let mut regions: Vec<Option<RegionFinal>> = Vec::with_capacity(num_shards);
+    let mut regions: Vec<RegionFinal> = Vec::with_capacity(num_shards);
     let mut region_error: Option<CoreError> = None;
     for (s, exit) in region_exits.into_iter().enumerate() {
-        match exit {
-            ClientExit::Finished(Ok(fin)) => regions.push(Some(fin)),
-            ClientExit::Finished(Err(err)) => {
-                if region_error.is_none() {
-                    region_error = Some(err);
-                }
-                regions.push(None);
+        let err = match exit {
+            ClientExit::Finished(Ok(fin)) => {
+                regions.push(fin);
+                continue;
             }
+            ClientExit::Finished(Err(err)) => err,
             ClientExit::Panicked(msg) => {
-                if region_error.is_none() {
-                    region_error = Some(CoreError::Protocol {
-                        detail: format!("regional aggregator {s} panicked: {msg}"),
-                    });
-                }
-                regions.push(None);
+                CoreError::Protocol { detail: format!("regional aggregator {s} panicked: {msg}") }
             }
-        }
+        };
+        region_error.get_or_insert(err);
     }
-    let root = match root_out {
+    let (consensus, mut tally) = match root_out {
         Ok(root) => root,
         Err(err) => {
             return Err(match (&err, region_error) {
@@ -1220,20 +752,17 @@ pub(crate) fn fit_sharded(
     // Reassemble the global per-device view from the per-shard finals.
     let mut w_ts = vec![Vector::zeros(dim); t_count];
     let mut alive = vec![false; t_count];
-    let mut evicted = Vec::new();
     let mut by_round: BTreeMap<u32, RoundParticipation> = BTreeMap::new();
-    let mut protocol_errors = root.protocol_errors;
-    let mut late_discards = root.late_discards;
-    let mut server_compute = root.server_compute;
-    for fin in regions.into_iter().flatten() {
+    let mut server_compute = Duration::ZERO;
+    for fin in regions {
         for (local, &t) in fin.devices.iter().enumerate() {
             if let (Some(w_slot), Some(a_slot)) = (w_ts.get_mut(t), alive.get_mut(t)) {
                 *w_slot = fin.w_ts.get(local).cloned().unwrap_or_else(|| Vector::zeros(dim));
                 *a_slot = fin.alive.get(local).copied().unwrap_or(false);
             }
         }
-        evicted.extend(fin.evicted);
-        for p in fin.participation {
+        tally.evicted.extend(fin.tally.evicted);
+        for p in fin.tally.participation {
             let entry = by_round.entry(p.round).or_insert(RoundParticipation {
                 round: p.round,
                 replied: 0,
@@ -1244,64 +773,43 @@ pub(crate) fn fit_sharded(
             entry.alive += p.alive;
             entry.retries = entry.retries.saturating_add(p.retries);
         }
-        protocol_errors = protocol_errors.saturating_add(fin.protocol_errors);
-        late_discards = late_discards.saturating_add(fin.late_discards);
+        tally.protocol_errors = tally.protocol_errors.saturating_add(fin.tally.protocol_errors);
+        tally.late_discards = tally.late_discards.saturating_add(fin.tally.late_discards);
         server_compute += fin.compute;
     }
-    let participation: Vec<RoundParticipation> = by_round.into_values().collect();
-
-    let w0 = root.w0;
-    let biases: Vec<Vector> = w_ts
-        .iter()
-        .enumerate()
-        .map(|(t, w_t)| {
-            if alive.get(t).copied().unwrap_or(false) || w_t.norm() > 0.0 {
-                w_t - &w0
-            } else {
-                Vector::zeros(dim)
-            }
-        })
-        .collect();
-    let degraded = !evicted.is_empty() || participation.iter().any(|p| p.replied < p.alive);
-    let model = PersonalizedModel::new(w0, biases, trainer.config.bias);
-
-    let mut traffic = Vec::with_capacity(t_count);
-    let mut computes = Vec::with_capacity(t_count);
-    let mut panicked = Vec::new();
-    for (t, exit) in exits.into_iter().enumerate() {
-        match exit {
-            ClientExit::Finished(out) => {
-                traffic.push(out.stats);
-                computes.push(out.compute);
-            }
-            ClientExit::Panicked(_) => {
-                traffic.push(TrafficStats::default());
-                computes.push(Duration::ZERO);
-                panicked.push(t);
-            }
-        }
-    }
-    let mut report = DistributedReport {
-        per_user_traffic: traffic,
-        admm_iterations: root.admm_iterations,
-        cccp_rounds: root.cccp_rounds,
-        history: root.history,
-        converged: root.converged,
-        per_user_compute: computes,
-        server_compute,
-        wall_clock: started.elapsed(),
-        degraded,
-        evicted,
-        participation,
-        protocol_errors,
-        late_discards,
-        residuals: root.residuals,
-        panicked: Vec::new(),
-    };
-    if !report.panicked.is_empty() || !panicked.is_empty() {
-        report.protocol_errors = report.protocol_errors.saturating_add(panicked.len() as u64);
-        report.degraded = report.degraded || !panicked.is_empty();
-    }
-    report.panicked = panicked;
+    tally.participation = by_round.into_values().collect();
+    let model = consensus.model(&w_ts, &alive, trainer.config.bias);
+    let report = report(consensus, tally, server_compute, &outcomes, panicked, started);
     Ok((model, report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::CheckpointPolicy;
+    use crate::config::PlosConfig;
+    use plos_sensing::dataset::LabelMask;
+    use plos_sensing::synthetic::{generate_synthetic, SyntheticSpec};
+
+    #[test]
+    fn explicit_checkpointing_on_the_tree_is_rejected_before_training() {
+        let spec =
+            SyntheticSpec { num_users: 4, points_per_class: 10, max_rotation: 0.4, flip_prob: 0.0 };
+        let data = generate_synthetic(&spec, 3).mask_labels(&LabelMask::providers(2, 0.2), 1);
+        let dir = std::env::temp_dir().join(format!("plos-sharded-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = DistributedPlos::try_new(PlosConfig::fast())
+            .unwrap()
+            .with_checkpointing(CheckpointPolicy::new(&dir))
+            .with_topology(Topology::Sharded(ShardSpec::new(2)))
+            .fit(&data)
+            .unwrap_err();
+        assert!(
+            matches!(&err, CoreError::InvalidConfig { detail } if detail.contains("sharded")),
+            "got {err:?}"
+        );
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "no snapshot may be written");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -130,17 +130,12 @@ pub enum Message {
         round: u32,
         /// Devices alive in the shard this round.
         n: u32,
-        /// Devices that actually contributed to the sums (`m ≤ n`; differs
-        /// from `n` only in the init round's qualification filter).
+        /// Devices that contributed a hyperplane (init round only; `0`
+        /// otherwise).
         m: u32,
-        /// Devices that replied before the shard's quorum deadline.
-        participation: u32,
         /// Σ over the shard of the phase's primary vector summand
         /// (`w_t − v_t + u_t` in ADMM, `w_init` in init, `w_t` in refine).
         sum_w: ExactVecSum,
-        /// Σ over the shard of the scaled duals `u_t` (zero-dimension when
-        /// the phase has no dual component).
-        sum_u: ExactVecSum,
     },
     /// Root → regional aggregator: the folded global state for `round` is
     /// committed; distribute `w0` to your devices and report residuals.
@@ -249,15 +244,13 @@ impl Message {
                 buf.put_u8(*phase);
                 codec::put_vector(&mut buf, w0);
             }
-            Message::PartialSum { shard, round, n, m, participation, sum_w, sum_u } => {
+            Message::PartialSum { shard, round, n, m, sum_w } => {
                 buf.put_u8(TAG_PARTIAL_SUM);
                 buf.put_u32_le(*shard);
                 buf.put_u32_le(*round);
                 buf.put_u32_le(*n);
                 buf.put_u32_le(*m);
-                buf.put_u32_le(*participation);
                 codec::put_exact_vec_sum(&mut buf, sum_w);
-                codec::put_exact_vec_sum(&mut buf, sum_u);
             }
             Message::ShardCommit { round, phase, w0 } => {
                 buf.put_u8(TAG_SHARD_COMMIT);
@@ -340,9 +333,7 @@ impl Message {
                 round: codec::get_u32(&mut bytes)?,
                 n: codec::get_u32(&mut bytes)?,
                 m: codec::get_u32(&mut bytes)?,
-                participation: codec::get_u32(&mut bytes)?,
                 sum_w: codec::get_exact_vec_sum(&mut bytes)?,
-                sum_u: codec::get_exact_vec_sum(&mut bytes)?,
             }),
             TAG_SHARD_COMMIT => Ok(Message::ShardCommit {
                 round: codec::get_u32(&mut bytes)?,
@@ -383,9 +374,7 @@ impl Message {
             Message::ShardBroadcast { w0, .. } | Message::ShardCommit { w0, .. } => {
                 4 + 1 + codec::vector_wire_len(w0)
             }
-            Message::PartialSum { sum_w, sum_u, .. } => {
-                5 * 4 + codec::exact_vec_sum_wire_len(sum_w) + codec::exact_vec_sum_wire_len(sum_u)
-            }
+            Message::PartialSum { sum_w, .. } => 4 * 4 + codec::exact_vec_sum_wire_len(sum_w),
             Message::ShardResidual { a, b, c, .. } => {
                 4 + 4
                     + codec::exact_sum_wire_len(a)
@@ -574,19 +563,15 @@ mod tests {
             round: 9,
             n: 12,
             m: 11,
-            participation: 10,
             sum_w: sample_vec_sum(3),
-            sum_u: sample_vec_sum(3),
         });
-        // Phases with no dual component send a zero-dimension sum_u.
+        // An empty shard of a zero-dimension model sends the empty sum.
         round_trip(Message::PartialSum {
             shard: 0,
             round: 0,
             n: 0,
             m: 0,
-            participation: 0,
             sum_w: ExactVecSum::zeros(0),
-            sum_u: ExactVecSum::zeros(0),
         });
     }
 
@@ -595,15 +580,7 @@ mod tests {
         // The whole point of shipping limbs instead of folded f64s: the
         // decoded accumulator renders the same bits as the original.
         let sum = sample_vec_sum(5);
-        let m = Message::PartialSum {
-            shard: 2,
-            round: 1,
-            n: 5,
-            m: 5,
-            participation: 5,
-            sum_w: sum.clone(),
-            sum_u: ExactVecSum::zeros(5),
-        };
+        let m = Message::PartialSum { shard: 2, round: 1, n: 5, m: 5, sum_w: sum.clone() };
         let decoded = Message::decode(m.encode()).unwrap();
         let Message::PartialSum { sum_w, .. } = decoded else {
             panic!("wrong variant");
@@ -615,15 +592,7 @@ mod tests {
 
     #[test]
     fn shard_message_truncation_rejected() {
-        let m = Message::PartialSum {
-            shard: 1,
-            round: 2,
-            n: 3,
-            m: 3,
-            participation: 3,
-            sum_w: sample_vec_sum(2),
-            sum_u: sample_vec_sum(2),
-        };
+        let m = Message::PartialSum { shard: 1, round: 2, n: 3, m: 3, sum_w: sample_vec_sum(2) };
         let full = m.encode();
         for cut in 1..full.len() {
             let sliced = full.slice(0..cut);

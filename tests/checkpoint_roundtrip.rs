@@ -20,8 +20,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
 
 use plos::ckpt::{
-    BroadcastRecord, CentralizedPhase, CentralizedState, CheckpointFile, CkptError,
-    DistributedPhase, DistributedState, DualEntry, DualState, ModelState, ParticipationRecord,
+    fnv1a, CentralizedPhase, CentralizedState, CheckpointFile, CkptError, ConsensusPhase,
+    ConsensusState, DualEntry, DualState, FleetSection, ModelState, TreeSection, FORMAT_VERSION,
 };
 use plos::linalg::Vector;
 use proptest::prelude::*;
@@ -108,31 +108,39 @@ fn centralized_state(rng: &mut StdRng) -> CentralizedState {
     }
 }
 
-/// The full distributed server mirror, with every cohort-sized group kept
+/// The consensus-driver state, with the fleet and tree extension sections
+/// present or absent as asked, and every cohort-sized group kept
 /// consistent (the decoder validates that and would reject a mismatch).
-fn distributed_state(rng: &mut StdRng) -> DistributedState {
+fn consensus_state(rng: &mut StdRng, fleet: bool, tree: bool) -> ConsensusState {
     let (t_count, dim) = shape(rng);
-    let log = (0..rng.gen_range(0..3))
-        .map(|_| BroadcastRecord {
-            round: rng.gen_range(0..64),
-            w0: rvec(rng, dim),
-            us: rvecs(rng, t_count, dim),
-        })
-        .collect();
-    let participation = (0..rng.gen_range(0..4))
-        .map(|_| ParticipationRecord {
-            round: rng.gen_range(0..64),
-            replied: rng.gen_range(0..8),
-            alive: rng.gen_range(0..8),
-            retries: rng.gen_range(0..4),
-        })
-        .collect();
-    DistributedState {
+    let fleet = fleet.then(|| FleetSection {
+        us: rvecs(rng, t_count, dim),
+        w_ts: rvecs(rng, t_count, dim),
+        v_ts: rvecs(rng, t_count, dim),
+        xi_ts: (0..t_count).map(|_| finite_f64(rng)).collect(),
+        anchors: rvecs(rng, t_count, dim),
+        alive: (0..t_count).map(|_| rng.gen_bool(0.8)).collect(),
+        missed: (0..t_count).map(|_| rng.gen_range(0..4)).collect(),
+        evicted: (0..rng.gen_range(0..3)).map(|_| rng.gen_range(0..8)).collect(),
+        participation: (0..rng.gen_range(0..4))
+            .map(|_| (rng.gen_range(0..64), rng.gen_range(0..8), rng.gen_range(0..8), rng.gen()))
+            .collect(),
+        protocol_errors: rng.gen_range(0..4),
+        late_discards: rng.gen_range(0..4),
+        stale_discards: rng.gen(),
+        reassignments: rng.gen(),
+        log: (0..rng.gen_range(0..3))
+            .map(|_| (rng.gen_range(0..64), rvec(rng, dim), rvecs(rng, t_count, dim)))
+            .collect(),
+    });
+    let tree =
+        tree.then(|| TreeSection { shard_fingerprint: rng.gen(), term: rng.gen_range(0..8) });
+    ConsensusState {
         fingerprint: rng.gen(),
-        phase: if rng.gen_bool(0.5) {
-            DistributedPhase::Admm
-        } else {
-            DistributedPhase::Refine { rounds_done: rng.gen_range(0..4) }
+        phase: match rng.gen_range(0..3) {
+            0 => ConsensusPhase::Admm,
+            1 => ConsensusPhase::Boundary,
+            _ => ConsensusPhase::Refine { rounds_done: rng.gen_range(0..4) },
         },
         round: rng.gen_range(0..64),
         cccp_round: rng.gen_range(0..8),
@@ -142,24 +150,18 @@ fn distributed_state(rng: &mut StdRng) -> DistributedState {
         cccp_rounds: rng.gen_range(0..8),
         converged: rng.gen_bool(0.5),
         w0: rvec(rng, dim),
-        us: rvecs(rng, t_count, dim),
-        w_ts: rvecs(rng, t_count, dim),
-        v_ts: rvecs(rng, t_count, dim),
-        xi_ts: (0..t_count).map(|_| finite_f64(rng)).collect(),
-        anchors: rvecs(rng, t_count, dim),
-        log,
-        alive: (0..t_count).map(|_| rng.gen_bool(0.8)).collect(),
-        missed: (0..t_count).map(|_| rng.gen_range(0..4)).collect(),
-        evicted: (0..rng.gen_range(0..3)).map(|_| rng.gen_range(0..8)).collect(),
-        participation,
-        protocol_errors: rng.gen_range(0..4),
-        late_discards: rng.gen_range(0..4),
         history: (0..rng.gen_range(0..4)).map(|_| finite_f64(rng)).collect(),
         residuals: (0..rng.gen_range(0..4))
             .map(|_| (rng.gen_range(0..64), finite_f64(rng), finite_f64(rng)))
             .collect(),
+        fleet,
+        tree,
     }
 }
+
+/// Every combination of the consensus state's extension sections.
+const SECTION_SETS: [(bool, bool); 4] =
+    [(false, false), (true, false), (false, true), (true, true)];
 
 /// Bit-pattern view of a vector; `PartialEq` on `f64` would call `-0.0`
 /// and `0.0` equal, which is not the parity the format promises.
@@ -167,16 +169,20 @@ fn bits(v: &Vector) -> Vec<u64> {
     v.iter().map(|c| c.to_bits()).collect()
 }
 
-/// One encoding of each mirror kind, used by the corruption properties so
-/// every section layout in the format gets truncated and bit-flipped.
+/// One encoding of each mirror kind — the consensus state once per
+/// extension-section set — used by the corruption properties so every
+/// section layout in the format gets truncated and bit-flipped.
 fn sample_encodings(seed: u64) -> Vec<Vec<u8>> {
     let mut rng = StdRng::seed_from_u64(seed);
-    vec![
+    let mut encodings = vec![
         model_state(&mut rng).encode().encode(),
         dual_state(&mut rng).encode().encode(),
         centralized_state(&mut rng).encode().encode(),
-        distributed_state(&mut rng).encode().encode(),
-    ]
+    ];
+    for (fleet, tree) in SECTION_SETS {
+        encodings.push(consensus_state(&mut rng, fleet, tree).encode().encode());
+    }
+    encodings
 }
 
 /// Runs the full decode chain — framing plus every typed decoder the
@@ -188,7 +194,7 @@ fn decode_any(bytes: &[u8]) -> Result<(), CkptError> {
         ModelState::decode(&file).map(drop),
         DualState::decode(&file).map(drop),
         CentralizedState::decode(&file).map(drop),
-        DistributedState::decode(&file).map(drop),
+        ConsensusState::decode(&file).map(drop),
     ] {
         match result {
             Ok(()) => return Ok(()),
@@ -239,19 +245,22 @@ proptest! {
     }
 
     #[test]
-    fn distributed_state_roundtrips_bit_exactly(seed in 0u64..1_000_000) {
-        let state = distributed_state(&mut StdRng::seed_from_u64(seed));
-        let bytes = state.encode().encode();
-        let back =
-            DistributedState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-        prop_assert_eq!(&back, &state);
-        prop_assert_eq!(back.encode().encode(), bytes);
+    fn consensus_state_roundtrips_bit_exactly(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (fleet, tree) in SECTION_SETS {
+            let state = consensus_state(&mut rng, fleet, tree);
+            let bytes = state.encode().encode();
+            let back =
+                ConsensusState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
+            prop_assert_eq!(&back, &state);
+            prop_assert_eq!(back.encode().encode(), bytes);
+        }
     }
 
     #[test]
     fn truncation_is_always_a_typed_error(
         seed in 0u64..1000,
-        which in 0usize..4,
+        which in 0usize..7,
         cut in 0.0..1.0f64,
     ) {
         let bytes = &sample_encodings(seed)[which];
@@ -264,7 +273,7 @@ proptest! {
     #[test]
     fn single_bit_flips_are_always_typed_errors(
         seed in 0u64..1000,
-        which in 0usize..4,
+        which in 0usize..7,
         pos in 0.0..1.0f64,
         bit in 0u8..8,
     ) {
@@ -293,5 +302,22 @@ fn every_truncation_point_of_every_kind_is_rejected() {
         }
         // And the untouched file decodes, so the sweep tests what it claims.
         assert!(decode_any(&bytes).is_ok());
+    }
+}
+
+#[test]
+fn version_one_files_get_a_typed_rejection() {
+    // A well-formed file of the retired version 1 — trailer digest and all —
+    // must be refused by version, never half-decoded.
+    for mut bytes in sample_encodings(7) {
+        assert_eq!(FORMAT_VERSION, 2);
+        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
+        let body = bytes.len() - 8;
+        let trailer = fnv1a(&bytes[..body]).to_le_bytes();
+        bytes[body..].copy_from_slice(&trailer);
+        assert_eq!(
+            CheckpointFile::decode(&bytes).unwrap_err(),
+            CkptError::UnsupportedVersion { found: 1, min: 2, max: 2 }
+        );
     }
 }
