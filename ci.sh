@@ -48,6 +48,14 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
+# `cargo test -q` at the root runs only the facade package; the unit tests
+# of the first-party crates (the QP solver, the device runner, the trainers,
+# the lint fixture corpus, ...) need their own -p flags. The vendored shims
+# are left out.
+echo "==> cargo test -q -p <first-party crates> (crate unit tests)"
+cargo test -q -p plos-bench -p plos-ckpt -p plos-core -p plos-exec -p plos-linalg \
+    -p plos-lint -p plos-ml -p plos-net -p plos-obs -p plos-opt -p plos-sensing -p xtask
+
 # The parity suite proves the fork-join pool leaves training output
 # bit-identical; run it pinned to one thread and at default parallelism.
 echo "==> PLOS_THREADS=1 cargo test -q --test parallel_parity"
@@ -111,21 +119,22 @@ echo "==> async parity (S=0 vs synchronous, bit-identical models)"
 cargo build -q --release -p plos-bench --bin async_parity
 PLOS_FAULT_SEED=2024 ./target/release/async_parity
 
-# Mux parity: the virtual-device scheduler must be a pure runtime
-# substitution — the same cohorts trained thread-per-device and multiplexed
-# (K devices per pool worker, across pool sizes) must print bit-identical
-# model digests for sync ADMM, async S=0, and async S=4 under seeded
-# delays (DESIGN.md §14). The binary self-checks and exits non-zero.
-echo "==> mux parity (thread-per-device vs multiplexed, bit-identical models)"
+# Mux parity: how the virtual-device scheduler packs devices onto workers
+# must never reach the model — the same cohorts trained under the default
+# runtime (K = 1) and at K devices per pool worker, across pool sizes, must
+# print bit-identical model digests for sync ADMM, async S=0, and async S=4
+# under seeded delays (DESIGN.md §14). The binary self-checks and exits
+# non-zero.
+echo "==> mux parity (default runtime vs K devices per worker, bit-identical models)"
 cargo build -q --release -p plos-bench --bin mux_parity
 PLOS_FAULT_SEED=2024 ./target/release/mux_parity
 
 # Shard parity: the hierarchical aggregation tree must be a pure topology
 # substitution — flat star vs sharded tree at shards ∈ {1,2,4,8}, over
-# both runtimes, with an empty-shard assignment, under seeded delays, and
-# across root-leader failovers (the replicated root's digest gate) — all
-# bit-identical to the flat reference (DESIGN.md §15). The binary
-# self-checks and exits non-zero.
+# two multiplexing factors, with an empty-shard assignment, under seeded
+# delays, and across root-leader failovers (the replicated root's digest
+# gate) — all bit-identical to the flat reference (DESIGN.md §15). The
+# binary self-checks and exits non-zero.
 echo "==> shard parity (flat star vs sharded tree + root failover)"
 cargo build -q --release -p plos-bench --bin shard_parity
 PLOS_FAULT_SEED=2024 ./target/release/shard_parity
@@ -138,10 +147,10 @@ echo "==> benchmark ledger (build + unit tests)"
 cargo build -q --release --manifest-path ledger/Cargo.toml
 cargo test -q --manifest-path ledger/Cargo.toml
 
-# Scale smoke: one 1000-user distributed point through the mux runner —
-# past the thread-per-device wall, with OS thread count bounded by the
-# pool — must train end to end. Writes BENCH_scale_quick.json, never the
-# full-sweep record.
+# Scale smoke: one 1000-user distributed point through the mux runner,
+# with the OS thread count bounded by the pool instead of the fleet, must
+# train end to end. Writes BENCH_scale_quick.json, never the full-sweep
+# record.
 echo "==> scale smoke (scale_suite --quick, 1000-user mux point)"
 cargo build -q --release -p plos-bench --bin scale_suite
 ./target/release/scale_suite --quick > "$trace_tmp/scale_quick.txt"

@@ -14,12 +14,14 @@
 #![allow(clippy::expect_used, clippy::indexing_slicing)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use plos_linalg::{kernels, Matrix, Vector};
-use plos_opt::{GroupedQp, IncrementalQp, QpSolverOptions};
+use plos_linalg::{kernels, Matrix};
+use plos_opt::{IncrementalQp, QpSolverOptions};
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-fn random_qp(n: usize, groups: usize, seed: u64) -> GroupedQp {
+/// A random PSD QP with variable `i` in group `i % groups`, appended to a
+/// fresh solver one variable at a time.
+fn random_qp(n: usize, groups: usize, seed: u64) -> IncrementalQp {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     // PSD Q = AᵀA + ridge.
     let mut a = Matrix::zeros(n, n);
@@ -30,19 +32,26 @@ fn random_qp(n: usize, groups: usize, seed: u64) -> GroupedQp {
     }
     let mut q = a.transpose().matmul(&a).expect("square");
     q.add_diagonal(0.5);
-    let b: Vector = (0..n).map(|_| rng.gen_range(-0.5..1.5)).collect();
-    let members: Vec<(Vec<usize>, f64)> =
-        (0..groups).map(|g| ((g..n).step_by(groups).collect(), 1.0)).collect();
-    GroupedQp::new(q, b, members).expect("valid construction")
+    let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-0.5..1.5)).collect();
+    let mut qp = IncrementalQp::new(vec![1.0; groups]).expect("valid caps");
+    for (i, &b_i) in b.iter().enumerate() {
+        let row: Vec<f64> = (0..=i).map(|j| q[(i, j)]).collect();
+        qp.append(Some(i % groups), b_i, &row).expect("valid row");
+    }
+    qp
 }
 
 fn bench_qp(c: &mut Criterion) {
     let mut group = c.benchmark_group("grouped_qp_solve");
     for &n in &[10usize, 40, 120] {
-        let qp = random_qp(n, (n / 10).max(1), 7);
+        let mut qp = random_qp(n, (n / 10).max(1), 7);
+        let cold = vec![0.0; n];
         let opts = QpSolverOptions::default();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, _| {
-            bencher.iter(|| black_box(qp.solve(&opts)));
+            bencher.iter(|| {
+                qp.set_warm(&cold).expect("valid start");
+                black_box(qp.solve(&opts))
+            });
         });
     }
     group.finish();
@@ -72,9 +81,9 @@ fn q_entry(c: &Cohort, i: usize, j: usize) -> f64 {
 /// Append one constraint per round and re-solve warm — the cutting-plane
 /// access pattern. `incremental` keeps `Q` and `γ` alive across rounds;
 /// `rebuild` recomputes every `Q` entry from the stored vectors and
-/// constructs a fresh `GroupedQp` each round, carrying the warm start by
-/// hand. Same sequence of iterates either way; only the maintenance cost
-/// differs.
+/// appends them to a fresh `IncrementalQp` each round, carrying the warm
+/// start by hand. Same sequence of iterates either way; only the
+/// maintenance cost differs.
 fn bench_growth(c: &mut Criterion) {
     let mut group = c.benchmark_group("cutting_plane_growth");
     let opts = QpSolverOptions::default();
@@ -95,22 +104,15 @@ fn bench_growth(c: &mut Criterion) {
             bencher.iter(|| {
                 let mut warm: Vec<f64> = Vec::new();
                 for i in 0..rounds {
-                    let n = i + 1;
-                    let mut q = Matrix::zeros(n, n);
-                    for r in 0..n {
-                        for col in 0..n {
-                            q[(r, col)] = q_entry(&data, r, col);
-                        }
+                    let mut qp = IncrementalQp::new(vec![1.0; data.groups]).expect("valid caps");
+                    for r in 0..=i {
+                        let row: Vec<f64> = (0..=r).map(|col| q_entry(&data, r, col)).collect();
+                        qp.append(Some(r % data.groups), data.b[r], &row).expect("valid row");
                     }
-                    let b: Vector = data.b[..n].iter().copied().collect();
-                    let members: Vec<(Vec<usize>, f64)> = (0..data.groups)
-                        .map(|g| ((g..n).step_by(data.groups).collect(), 1.0))
-                        .collect();
-                    let qp = GroupedQp::new(q, b, members).expect("valid construction");
                     warm.push(0.0);
-                    let sol =
-                        qp.solve_warm(Vector::from(warm.clone()), &opts).expect("solve succeeds");
-                    warm = sol.gamma.as_slice().to_vec();
+                    qp.set_warm(&warm).expect("valid warm start");
+                    black_box(qp.solve(&opts));
+                    warm = qp.gamma().to_vec();
                 }
                 warm.last().copied()
             });

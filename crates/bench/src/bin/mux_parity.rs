@@ -1,10 +1,10 @@
-//! Mux-parity gate: the virtual-device scheduler must be a pure runtime
-//! substitution — bit-identical models to the thread-per-device path at any
+//! Mux-parity gate: the virtual-device scheduler's packing must never reach
+//! the model — bit-identical models to the default runtime (K = 1) at any
 //! multiplexing factor K and any pool size.
 //!
 //! Trains one seeded cohort under three protocol regimes and compares
 //! bit-exact model digests (FNV-1a over every coefficient's IEEE-754 bit
-//! pattern) between the threaded reference and the mux runner:
+//! pattern) between the default-runtime reference and each K:
 //!
 //! 1. the synchronous `DistributedPlos`, fault-free, at K ∈ {1, 4, 16};
 //! 2. the asynchronous server under staleness bound `S = 0` (the barrier
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let verdict = if got == reference { "ok" } else { "MISMATCH" };
         println!("{label:<28} {got:016x}  {verdict}");
         if got != reference {
-            eprintln!("FAIL: {label} diverged from the threaded reference {reference:016x}");
+            eprintln!("FAIL: {label} diverged from the default reference {reference:016x}");
             failed = true;
         }
     };
@@ -66,8 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             DistributedPlos::try_new(config.clone())?.with_runtime(runtime).fit(&data)?;
         Ok(digest(&model))
     };
-    let sync_ref = sync(DeviceRuntime::Threaded)?;
-    println!("{:<28} {sync_ref:016x}  reference", "sync threaded");
+    let sync_ref = sync(DeviceRuntime::default())?;
+    println!("{:<28} {sync_ref:016x}  reference", "sync default");
     for k in K_SWEEP {
         let got = sync(DeviceRuntime::Multiplexed { devices_per_worker: k })?;
         check(format!("sync mux K={k}"), sync_ref, got);
@@ -91,8 +91,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok(digest(&model))
     };
     let none = FaultPlan::none();
-    let s0_ref = async_fit(s0_spec, DeviceRuntime::Threaded, &none)?;
-    check("async S=0 threaded vs sync".to_string(), sync_ref, s0_ref);
+    let s0_ref = async_fit(s0_spec, DeviceRuntime::default(), &none)?;
+    check("async S=0 default vs sync".to_string(), sync_ref, s0_ref);
     for k in K_SWEEP {
         let got = async_fit(s0_spec, DeviceRuntime::Multiplexed { devices_per_worker: k }, &none)?;
         check(format!("async S=0 mux K={k}"), s0_ref, got);
@@ -108,8 +108,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 5,
     };
     let plan = FaultPlan::seeded(fault_seed()).with_delay(0.5, Duration::from_millis(4));
-    let s4_ref = async_fit(s4_spec, DeviceRuntime::Threaded, &plan)?;
-    println!("{:<28} {s4_ref:016x}  reference", "async S=4 threaded");
+    let s4_ref = async_fit(s4_spec, DeviceRuntime::default(), &plan)?;
+    println!("{:<28} {s4_ref:016x}  reference", "async S=4 default");
     for k in K_SWEEP {
         let got = async_fit(s4_spec, DeviceRuntime::Multiplexed { devices_per_worker: k }, &plan)?;
         check(format!("async S=4 mux K={k}"), s4_ref, got);

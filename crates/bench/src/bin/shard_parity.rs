@@ -1,13 +1,13 @@
 //! Shard-parity gate: the hierarchical aggregation tree must be a pure
 //! topology substitution — bit-identical models to the flat star at any
-//! shard count, any runtime, and across root failovers.
+//! shard count, any multiplexing factor, and across root failovers.
 //!
-//! Trains one seeded cohort flat (threaded) for the reference digest, then
-//! compares bit-exact model digests (FNV-1a over every coefficient's
-//! IEEE-754 bit pattern) against:
+//! Trains one seeded cohort flat (default runtime) for the reference
+//! digest, then compares bit-exact model digests (FNV-1a over every
+//! coefficient's IEEE-754 bit pattern) against:
 //!
-//! 1. the sharded tree at shards ∈ {1, 2, 4, 8}, threaded devices;
-//! 2. the sharded tree at 4 shards under the mux runtime (K = 4);
+//! 1. the sharded tree at shards ∈ {1, 2, 4, 8}, default runtime;
+//! 2. the sharded tree at 4 shards with K = 4 devices per worker;
 //! 3. an unbalanced custom assignment with an *empty* shard — the merge
 //!    identity case;
 //! 4. the same tree under a seeded zero-effect delay plan (arrival order
@@ -71,12 +71,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let none = FaultPlan::none();
 
     // ---- flat reference ----
-    let reference = fit(Topology::Flat, DeviceRuntime::Threaded, &none)?;
-    println!("{:<32} {reference:016x}  reference", "flat threaded");
+    let reference = fit(Topology::Flat, DeviceRuntime::default(), &none)?;
+    println!("{:<32} {reference:016x}  reference", "flat default");
 
-    // ---- 1. shard-count sweep, threaded ----
+    // ---- 1. shard-count sweep, default runtime ----
     for shards in SHARD_SWEEP {
-        let got = fit(Topology::Sharded(ShardSpec::new(shards)), DeviceRuntime::Threaded, &none)?;
+        let got = fit(Topology::Sharded(ShardSpec::new(shards)), DeviceRuntime::default(), &none)?;
         check(format!("sharded {shards} shards"), reference, got);
     }
 
@@ -87,19 +87,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- 3. unbalanced assignment with an empty shard ----
     let spec = ShardSpec::new(3).with_assignment(vec![2, 1, 2, 2, 2, 2]);
-    let got = fit(Topology::Sharded(spec), DeviceRuntime::Threaded, &none)?;
+    let got = fit(Topology::Sharded(spec), DeviceRuntime::default(), &none)?;
     check("sharded empty+singleton".to_string(), reference, got);
 
     // ---- 4. zero-effect delay plan over the tree ----
     let delays = FaultPlan::seeded(fault_seed()).with_delay(0.5, Duration::from_millis(4));
-    let got = fit(Topology::Sharded(ShardSpec::new(4)), DeviceRuntime::Threaded, &delays)?;
+    let got = fit(Topology::Sharded(ShardSpec::new(4)), DeviceRuntime::default(), &delays)?;
     check("sharded 4 shards delays".to_string(), reference, got);
 
     // ---- 5. root failover: leader killed mid-round, then twice ----
     let one_kill = FaultPlan::seeded(fault_seed()).with_root_kill(2);
     let got = fit(
         Topology::Sharded(ShardSpec::new(3).with_replicas(3)),
-        DeviceRuntime::Threaded,
+        DeviceRuntime::default(),
         &one_kill,
     )?;
     check("failover kill@2 (3 replicas)".to_string(), reference, got);
@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let two_kills = FaultPlan::seeded(fault_seed()).with_root_kill(1).with_root_kill(3);
     let got = fit(
         Topology::Sharded(ShardSpec::new(2).with_replicas(3)),
-        DeviceRuntime::Threaded,
+        DeviceRuntime::default(),
         &two_kills,
     )?;
     check("failover kill@1+3 (3 replicas)".to_string(), reference, got);

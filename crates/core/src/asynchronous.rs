@@ -167,9 +167,8 @@ pub struct AsyncDistributedPlos {
 /// original basis epoch; an `S = 0` assignment forces a fresh solve, which
 /// is what makes the bound degenerate to the synchronous protocol. Replies
 /// are cached per assignment epoch so duplicated or re-sent assignments are
-/// answered idempotently. Both runners drive it —
-/// [`plos_net::drive_blocking`] on a dedicated thread, or the
-/// [`plos_net::MuxNetwork`] sweep with K siblings per worker.
+/// answered idempotently. The [`plos_net::MuxNetwork`] sweep drives it
+/// alongside its siblings on a pool worker.
 struct AsyncDeviceMachine {
     user: u32,
     t: usize,
@@ -743,9 +742,10 @@ impl AsyncDistributedPlos {
         self
     }
 
-    /// Selects the device runtime: one OS thread per device (the default),
-    /// or [`DeviceRuntime::Multiplexed`] to drive K virtual devices per
-    /// pool worker. Both runtimes produce bit-identical models.
+    /// Selects how many virtual devices each pool worker multiplexes
+    /// ([`DeviceRuntime::Multiplexed`]). The default, K = 1, spreads the
+    /// fleet over `min(T, pool)` workers. Every K produces bit-identical
+    /// models.
     #[must_use]
     pub fn with_runtime(mut self, runtime: DeviceRuntime) -> Self {
         self.runtime = runtime;
@@ -1116,7 +1116,7 @@ mod tests {
     }
 
     #[test]
-    fn mux_runtime_matches_threaded_bit_for_bit() {
+    fn devices_per_worker_sweep_matches_default_bit_for_bit() {
         let data = cohort();
         let config = PlosConfig::fast();
         // Both protocol regimes: the S=0 barrier and a bounded-staleness
@@ -1124,7 +1124,7 @@ mod tests {
         // clock_independence.rs recipe — a quiescence window generous
         // enough that every pass closes by full roster accounting, which is
         // what makes the S > 0 trajectory timing-independent and therefore
-        // comparable across runners at all.
+        // comparable across K at all.
         for spec in [
             AsyncSpec { staleness_bound: 0, ..AsyncSpec::default() },
             AsyncSpec {
@@ -1160,7 +1160,7 @@ mod tests {
         let data = cohort();
         let plan = FaultPlan::seeded(11).with_device_panic(4, 2);
         for runtime in
-            [DeviceRuntime::Threaded, DeviceRuntime::Multiplexed { devices_per_worker: 2 }]
+            [DeviceRuntime::default(), DeviceRuntime::Multiplexed { devices_per_worker: 2 }]
         {
             let trainer = AsyncDistributedPlos::try_new(PlosConfig::fast(), AsyncSpec::default())
                 .unwrap()

@@ -36,7 +36,8 @@ use plos_ckpt::{CkptError, ConsensusPhase, ConsensusState, FleetSection};
 use plos_linalg::{ExactSum, ExactVecSum, Vector};
 use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
 use plos_net::{
-    try_star, ClientExit, DeviceMachine, DeviceRuntime, Endpoint, FaultPlan, TrafficStats,
+    try_star, ClientExit, DeviceMachine, DeviceRuntime, Endpoint, FaultPlan, MuxNetwork,
+    TrafficStats,
 };
 use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
@@ -613,11 +614,11 @@ pub(crate) fn prepare(
 }
 
 impl Cohort {
-    /// Runs the devices under `runtime`, each one the machine `machine`
-    /// builds around its solver, while `server` drives the star from the
-    /// calling thread. Returns the server's result, every device's outcome
-    /// in device order (a crashed device's left at its defaults) and the
-    /// crashed devices.
+    /// Runs the devices on the [`MuxNetwork`] under `runtime`, each one the
+    /// machine `machine` builds around its solver, while `server` drives the
+    /// star from the calling thread. Returns the server's result, every
+    /// device's outcome in device order (a crashed device's left at its
+    /// defaults) and the crashed devices.
     // Allowed: the slot map holds one solver per device index and the
     // network builds each device exactly once, so the take-once expect
     // cannot fail.
@@ -633,7 +634,8 @@ impl Cohort {
     {
         let network =
             try_star(self.t_count).map_err(|e| CoreError::Protocol { detail: e.to_string() })?;
-        let (out, exits) = network.run_devices(runtime, server, |t| {
+        let DeviceRuntime::Multiplexed { devices_per_worker } = runtime;
+        let (out, exits) = MuxNetwork::new(network, devices_per_worker).run(server, |t| {
             let solver = self.solvers.lock().get_mut(t).and_then(Option::take);
             machine(t, solver.expect("each device slot is taken exactly once"))
         });

@@ -1,10 +1,10 @@
 //! Distributed PLOS — Algorithm 2, over the simulated device network.
 //!
-//! One server thread (the caller) and `T` device threads communicate only
-//! through [`plos_net`] messages; raw samples never leave the device
-//! closures. The server is the consensus driver of [`crate::consensus`]
-//! over this module's barrier gather strategy; per CCCP round it runs the
-//! ADMM loop:
+//! One server thread (the caller) and `T` virtual devices, multiplexed onto
+//! the pool's workers, communicate only through [`plos_net`] messages; raw
+//! samples never leave the device machines. The server is the consensus
+//! driver of [`crate::consensus`] over this module's barrier gather
+//! strategy; per CCCP round it runs the ADMM loop:
 //!
 //! * **scatter** `Broadcast { w0, u_t }` to every device,
 //! * devices solve the local QP of Eq. (22) ([`LocalSolver`]) and **gather**
@@ -181,12 +181,10 @@ impl DistributedReport {
 }
 
 /// The device side of the synchronous protocol as a resumable state
-/// machine: answer broadcasts with local solves until shutdown. Both
-/// runners drive it — [`plos_net::drive_blocking`] on a dedicated thread,
-/// or the [`plos_net::MuxNetwork`] sweep with K siblings per worker — so
-/// the protocol logic cannot drift between runtimes. Timeouts and
-/// corrupted frames never reach it; the server's retry layer re-broadcasts
-/// anything that mattered.
+/// machine: answer broadcasts with local solves until shutdown. The
+/// [`plos_net::MuxNetwork`] sweep drives it alongside its siblings on a
+/// pool worker. Timeouts and corrupted frames never reach it; the server's
+/// retry layer re-broadcasts anything that mattered.
 pub(crate) struct SyncDeviceMachine {
     user: u32,
     solver: LocalSolver,
@@ -482,7 +480,7 @@ impl<'a> Fleet<'a> {
 
     /// Adopts the roster a snapshot recorded — liveness flags, strike
     /// counts and the tally, so the resumed run's report continues the
-    /// interrupted one's — and tells the fresh threads of devices the
+    /// interrupted one's — and tells the fresh machines of devices the
     /// interrupted run already evicted to exit, or the join at the end of
     /// the run would hang on them.
     pub(crate) fn restore(&mut self, section: &FleetSection) {
@@ -940,11 +938,11 @@ impl DistributedPlos {
         self
     }
 
-    /// Selects the device runtime: one OS thread per device (the default,
-    /// mirroring the paper's deployment) or K virtual devices multiplexed
-    /// per worker ([`DeviceRuntime::Multiplexed`]), which decouples fleet
-    /// size from the host's thread budget. Training output is bit-identical
-    /// either way — the mux-parity gate proves it.
+    /// Selects how many virtual devices each pool worker multiplexes
+    /// ([`DeviceRuntime::Multiplexed`]). The default, K = 1, spreads the
+    /// fleet over `min(T, pool)` workers; a larger K packs the fleet onto
+    /// fewer workers. Training output is bit-identical at every K and pool
+    /// size — the mux-parity gate proves it.
     #[must_use]
     pub fn with_runtime(mut self, runtime: DeviceRuntime) -> Self {
         self.runtime = runtime;
@@ -1311,13 +1309,13 @@ mod tests {
     #[test]
     fn panicking_device_is_evicted_training_completes() {
         // The regression this pins: a client-side panic used to be
-        // re-raised on the main thread by `run_clients`, aborting the whole
-        // run. Now the runtime contains it per-device and the server treats
-        // the dead link like any other silent device.
+        // re-raised on the main thread, aborting the whole run. Now the
+        // runtime contains it per-device and the server treats the dead link
+        // like any other silent device.
         let data = dataset(4, 3);
         let plan = FaultPlan::seeded(11).with_device_panic(3, 2);
         for runtime in
-            [DeviceRuntime::Threaded, DeviceRuntime::Multiplexed { devices_per_worker: 2 }]
+            [DeviceRuntime::default(), DeviceRuntime::Multiplexed { devices_per_worker: 2 }]
         {
             let trainer = DistributedPlos::try_new(PlosConfig::fast())
                 .unwrap()
@@ -1335,7 +1333,7 @@ mod tests {
     }
 
     #[test]
-    fn mux_runtime_matches_threaded_bit_for_bit() {
+    fn devices_per_worker_sweep_matches_default_bit_for_bit() {
         let data = dataset(4, 2);
         let config = PlosConfig::fast();
         let bits = |model: &PersonalizedModel| -> Vec<u64> {
@@ -1348,7 +1346,7 @@ mod tests {
         };
         let (reference, ref_report) =
             DistributedPlos::try_new(config.clone()).unwrap().fit(&data).unwrap();
-        for k in [1usize, 3, 16] {
+        for k in [2usize, 3, 16] {
             let (model, report) = DistributedPlos::try_new(config.clone())
                 .unwrap()
                 .with_runtime(DeviceRuntime::Multiplexed { devices_per_worker: k })

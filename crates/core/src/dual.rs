@@ -398,7 +398,7 @@ mod tests {
             for j in 0..5 {
                 let same = if i % 2 == j % 2 { 1.0 } else { 0.0 };
                 let expect = (coupling + same) * constraints[i].s.dot(&constraints[j].s);
-                assert!((solver.qp.q_row(i)[j] - expect).abs() < 1e-12, "({i},{j})");
+                assert!((solver.qp.q_row(i).unwrap()[j] - expect).abs() < 1e-12, "({i},{j})");
             }
         }
     }

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! whose working-set dual is a tiny capped-simplex QP — the same
-//! [`GroupedQp`] machinery as the centralized dual, with
+//! [`plos_opt::IncrementalQp`] front-end as the centralized dual, with
 //! `w = a + (1/μ)·Σ α_k s_k`. The working set persists across ADMM
 //! iterations within a CCCP round (old constraints remain valid constraints
 //! of the same convexified problem) and is cleared when the server advances

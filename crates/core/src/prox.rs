@@ -23,8 +23,8 @@
 use crate::config::PlosConfig;
 use crate::error::CoreError;
 use crate::problem::{self, Constraint, PreparedUser};
-use plos_linalg::{Matrix, Vector};
-use plos_opt::GroupedQp;
+use plos_linalg::Vector;
+use plos_opt::IncrementalQp;
 
 /// Minimizes `(μ/2)‖w − a‖² + ξ(w)` over a working set via its dual,
 /// subject to the user's *hard* constraints (class balance), whose
@@ -34,15 +34,8 @@ use plos_opt::GroupedQp;
 ///
 /// # Errors
 ///
-/// Propagates QP construction and solver failures as [`CoreError::Opt`].
-///
-/// # Panics
-///
-/// Panics if `mu <= 0`.
-// Allowed: the `all` accessor below splits `0..n` into the two concatenated
-// constraint slices with `i` already range-checked against `n_soft`, so the
-// indexing cannot go out of bounds.
-#[allow(clippy::indexing_slicing)]
+/// * [`CoreError::InvalidConfig`] if `mu` is not positive.
+/// * [`CoreError::Opt`] if a constraint makes the dual non-finite.
 pub fn solve_working_set(
     working_set: &[Constraint],
     hard: &[Constraint],
@@ -50,37 +43,31 @@ pub fn solve_working_set(
     mu: f64,
     config: &PlosConfig,
 ) -> Result<Vector, CoreError> {
-    assert!(mu > 0.0, "prox curvature must be positive");
-    let n_soft = working_set.len();
-    let n = n_soft + hard.len();
-    if n == 0 {
+    if mu.is_nan() || mu <= 0.0 {
+        return Err(CoreError::InvalidConfig {
+            detail: format!("prox curvature must be positive, got {mu}"),
+        });
+    }
+    if working_set.is_empty() && hard.is_empty() {
         return Ok(anchor.clone());
     }
-    let all = |i: usize| -> &Constraint {
-        if i < n_soft {
-            &working_set[i]
-        } else {
-            &hard[i - n_soft]
-        }
-    };
-    let mut q = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            let d = all(i).s.dot(&all(j).s) / mu;
-            q[(i, j)] = d;
-            q[(j, i)] = d;
-        }
+    // Soft multipliers come first and share the slack budget (one group,
+    // Σα ≤ 1); hard multipliers follow and are only constrained to be
+    // non-negative. The dual is solved cold on a fresh QP.
+    let n_soft = working_set.len();
+    let all: Vec<&Constraint> = working_set.iter().chain(hard).collect();
+    let mut qp = IncrementalQp::new(if n_soft > 0 { vec![1.0] } else { Vec::new() })?;
+    let mut row = Vec::with_capacity(all.len());
+    for (i, ci) in all.iter().enumerate() {
+        row.clear();
+        row.extend(all.iter().take(i + 1).map(|cj| ci.s.dot(&cj.s) / mu));
+        qp.append((i < n_soft).then_some(0), ci.c - anchor.dot(&ci.s), &row)?;
     }
-    let b: Vector = (0..n).map(|i| all(i).c - anchor.dot(&all(i).s)).collect();
-    // Soft multipliers share the slack budget (Σα ≤ 1); hard multipliers
-    // are only constrained to be non-negative.
-    let groups = if n_soft > 0 { vec![((0..n_soft).collect(), 1.0)] } else { Vec::new() };
-    let qp = GroupedQp::new(q, b, groups)?;
-    let sol = qp.solve(&config.qp)?;
+    qp.solve(&config.qp);
     let mut w = anchor.clone();
-    for (i, alpha) in sol.gamma.iter().enumerate() {
+    for (c, alpha) in all.iter().zip(qp.gamma()) {
         if *alpha != 0.0 {
-            w.axpy(alpha / mu, &all(i).s);
+            w.axpy(alpha / mu, &c.s);
         }
     }
     Ok(w)
@@ -300,8 +287,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "prox curvature must be positive")]
     fn non_positive_mu_rejected() {
-        let _ = solve_working_set(&[], &[], &Vector::zeros(1), 0.0, &config());
+        for mu in [0.0, -1.0, f64::NAN] {
+            let err = solve_working_set(&[], &[], &Vector::zeros(1), mu, &config()).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::InvalidConfig { detail } if detail.contains("prox curvature")),
+                "mu {mu}: {err:?}"
+            );
+        }
     }
 }

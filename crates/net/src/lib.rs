@@ -19,11 +19,10 @@
 //!   the paper's privacy claim that only model parameters travel;
 //! * [`transport`] — mpsc duplex endpoints with per-endpoint
 //!   byte/message counters;
-//! * [`node`] — star-topology construction and a scoped-thread client
-//!   runner;
-//! * [`mux`] — virtual-device multiplexing: resumable device state
-//!   machines driven K-per-worker over a bounded pool, decoupling fleet
-//!   size from OS thread count;
+//! * [`node`] — star-topology construction and per-device exit reporting;
+//! * [`mux`] — the device runner: resumable device state machines driven
+//!   K-per-worker over a bounded pool, decoupling fleet size from OS thread
+//!   count;
 //! * [`shard`] — the two-level aggregation tree: a device→shard map with
 //!   a checkpoint-bindable fingerprint and a scoped-thread runner wiring
 //!   regional aggregators to a root over fresh duplex links;
@@ -44,7 +43,6 @@ pub mod metrics;
 pub mod mux;
 pub mod node;
 pub mod shard;
-pub mod sim;
 pub mod transport;
 
 pub use codec::CodecError;
@@ -54,8 +52,7 @@ pub use fault::{
 };
 pub use message::Message;
 pub use metrics::{EnergyModel, TrafficStats};
-pub use mux::{drive_blocking, DeviceMachine, DeviceRuntime, DeviceStep, MuxNetwork};
+pub use mux::{DeviceMachine, DeviceRuntime, DeviceStep, MuxNetwork};
 pub use node::{try_star, ClientExit, StarNetwork, TopologyError};
 pub use shard::{run_tree, ShardMap, ShardMapError};
-pub use sim::LinkModel;
 pub use transport::{Endpoint, TransportError};

@@ -1,17 +1,19 @@
-//! Virtual-device multiplexing: K devices per worker thread.
+//! Virtual-device multiplexing: the one device runner.
 //!
-//! The thread-per-device runner in [`crate::node`] mirrors the paper's
-//! deployment literally — one OS thread per phone — which caps the fleet
-//! around the host's thread budget. [`MuxNetwork`] breaks that wall by
-//! executing the device side of the protocol as **resumable state
-//! machines** ([`DeviceMachine`]) multiplexed onto a bounded set of
-//! workers: each worker owns a contiguous, index-ordered slice of virtual
-//! devices and sweeps them round-robin, draining each endpoint with the
-//! non-blocking [`Endpoint::try_recv`] and stepping the machine once per
-//! message.
+//! Giving every simulated phone its own OS thread caps the fleet around the
+//! host's thread budget, and on a host with fewer cores than devices the
+//! threads time-share the cores, so each device's metered compute absorbs
+//! its siblings' solves. [`MuxNetwork`] instead executes the device side of
+//! the protocol as **resumable state machines** ([`DeviceMachine`])
+//! multiplexed onto at most `Pool::current().threads()` workers: each worker
+//! owns a contiguous, index-ordered slice of virtual devices and sweeps them
+//! round-robin, draining each endpoint with the non-blocking
+//! [`Endpoint::try_recv`] and stepping the machine once per message. A
+//! device's solve therefore runs alone on its worker, and its metered
+//! compute is its own.
 //!
-//! **Ordering guarantee.** Output is bit-identical to the thread-per-device
-//! runner at any pool size and any K, because
+//! **Ordering guarantee.** Output is bit-identical at any pool size and any
+//! K, because
 //!
 //! 1. each device's message stream is a per-link FIFO (mpsc), and a
 //!    machine's output depends only on its own stream and its own state;
@@ -34,11 +36,8 @@ use crate::transport::{Endpoint, TransportError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-/// How long an idle device loop parks between polls. The threaded runner
-/// wakes every `CLIENT_IDLE`; the mux worker sleeps `IDLE_BACKOFF` only
-/// when a whole sweep made no progress, so latency stays sub-millisecond
-/// while idle CPU stays bounded.
-const CLIENT_IDLE: Duration = Duration::from_millis(50);
+/// How long a worker parks when a whole sweep made no progress, so latency
+/// stays sub-millisecond while idle CPU stays bounded.
 const IDLE_BACKOFF: Duration = Duration::from_micros(500);
 
 /// What a device state machine wants the scheduler to do next.
@@ -53,9 +52,8 @@ pub enum DeviceStep {
 }
 
 /// A resumable, poll-driven device: the client side of the PLOS protocol
-/// with the blocking receive loop factored out, so the identical logic can
-/// run on a dedicated thread ([`drive_blocking`]) or interleaved with K−1
-/// siblings on a mux worker.
+/// with the receive loop factored out, so a mux worker can interleave it
+/// with its siblings.
 pub trait DeviceMachine {
     /// Final per-device output (traffic stats, compute time, …).
     type Output;
@@ -69,45 +67,30 @@ pub trait DeviceMachine {
     fn finish(self, stats: TrafficStats) -> Self::Output;
 }
 
-/// How a trainer executes its device fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How a trainer executes its device fleet: virtual devices multiplexed
+/// onto `⌈T / K⌉` workers, clamped to `[1, Pool::current().threads()]`
+/// (see [`MuxNetwork::worker_count`]).
+///
+/// The default, `Multiplexed { devices_per_worker: 1 }`, spreads the fleet
+/// over `min(T, pool)` workers. The pool clamp stays even at K = 1: it
+/// bounds the OS thread count by the pool instead of the fleet, so workers
+/// never outnumber the cores the pool was sized for and a device's metered
+/// solve does not absorb its siblings' solves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceRuntime {
-    /// One OS thread per device — the paper's literal deployment, bounded
-    /// by the host's thread budget.
-    #[default]
-    Threaded,
     /// Virtual devices multiplexed onto at most `Pool::current().threads()`
-    /// workers, each driving up to `devices_per_worker` devices.
+    /// workers; each worker drives a contiguous chunk of `⌈T / workers⌉`
+    /// devices.
     Multiplexed {
         /// K: virtual devices per worker (0 is treated as 1).
         devices_per_worker: usize,
     },
 }
 
-/// Drives one machine to completion on the calling thread with blocking
-/// receives — the thread-per-device loop body, shared so both runtimes
-/// execute the same protocol logic instruction for instruction.
-pub fn drive_blocking<M: DeviceMachine>(machine: M, endpoint: Endpoint) -> M::Output {
-    let mut machine = machine;
-    loop {
-        match endpoint.recv_timeout(CLIENT_IDLE) {
-            Ok(message) => match machine.on_message(message) {
-                DeviceStep::NeedRecv => {}
-                DeviceStep::Send(reply) => {
-                    if endpoint.send(&reply).is_err() {
-                        // Server gone mid-reply: retire with what we have.
-                        break;
-                    }
-                }
-                DeviceStep::Done => break,
-            },
-            // Idle ticks and undecodable frames: keep listening.
-            Err(TransportError::Timeout | TransportError::Codec(_)) => {}
-            Err(TransportError::Disconnected) => break,
-        }
+impl Default for DeviceRuntime {
+    fn default() -> Self {
+        DeviceRuntime::Multiplexed { devices_per_worker: 1 }
     }
-    let stats = endpoint.stats();
-    machine.finish(stats)
 }
 
 /// Executes a star's client side as virtual devices multiplexed over a
@@ -150,8 +133,10 @@ impl MuxNetwork {
 
     /// Runs `server_fn(&server_endpoints)` on the calling thread while the
     /// workers drive one machine per device, created by `make_machine(t)`.
-    /// Returns the server output and every device's [`ClientExit`], indexed
-    /// by user, exactly like [`StarNetwork::run_clients`].
+    /// The server closure may move endpoints out of the vector (e.g. to hand
+    /// whole shards to regional aggregators, see [`crate::shard`]); whatever
+    /// remains is dropped when it returns. Returns the server output and
+    /// every device's [`ClientExit`], indexed by user.
     pub fn run<S, SR, M, F>(self, server_fn: S, make_machine: F) -> (SR, Vec<ClientExit<M::Output>>)
     where
         S: FnOnce(&mut Vec<Endpoint>) -> SR,
@@ -166,7 +151,7 @@ impl MuxNetwork {
         let chunk = t_count.div_ceil(workers.max(1)).max(1);
         let make_machine = &make_machine;
         let mut rest: Vec<(usize, Endpoint)> = clients.into_iter().enumerate().collect();
-        // plos-lint: allow(R2): the bounded mux workers are this crate's replacement for thread-per-device; pool width caps the spawn count
+        // plos-lint: allow(R2): the bounded mux workers are this crate's one device runner; pool width caps the spawn count
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             while !rest.is_empty() {
@@ -307,33 +292,6 @@ where
         .collect()
 }
 
-impl StarNetwork {
-    /// Runs the device fleet under the chosen runtime — thread-per-device
-    /// or K-way multiplexed — from one shared protocol implementation, so
-    /// the two runners cannot drift apart.
-    pub fn run_devices<S, SR, M, F>(
-        self,
-        runtime: DeviceRuntime,
-        server_fn: S,
-        make_machine: F,
-    ) -> (SR, Vec<ClientExit<M::Output>>)
-    where
-        S: FnOnce(&mut Vec<Endpoint>) -> SR,
-        M: DeviceMachine,
-        F: Fn(usize) -> M + Sync,
-        M::Output: Send,
-    {
-        match runtime {
-            DeviceRuntime::Threaded => {
-                self.run_clients(server_fn, |t, endpoint| drive_blocking(make_machine(t), endpoint))
-            }
-            DeviceRuntime::Multiplexed { devices_per_worker } => {
-                MuxNetwork::new(self, devices_per_worker).run(server_fn, make_machine)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,23 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_and_mux_runtimes_agree() {
-        let run = |runtime: DeviceRuntime| {
-            let net = try_star(6).unwrap();
-            let (_, exits) = net.run_devices(
-                runtime,
-                |server_ends| echo_server(server_ends, 4),
-                |_t| EchoMachine { rounds: 4, seen: 0 },
-            );
-            exits.into_iter().map(|e| e.finished().unwrap().0).collect::<Vec<_>>()
-        };
-        assert_eq!(
-            run(DeviceRuntime::Threaded),
-            run(DeviceRuntime::Multiplexed { devices_per_worker: 2 })
-        );
-    }
-
-    #[test]
     fn panicking_machine_poisons_one_device_only() {
         struct Poison {
             t: usize,
@@ -454,6 +395,16 @@ mod tests {
             } else {
                 assert_eq!(exit, ClientExit::Finished(t));
             }
+        }
+    }
+
+    #[test]
+    fn default_runtime_spreads_the_fleet_over_the_pool() {
+        assert_eq!(DeviceRuntime::default(), DeviceRuntime::Multiplexed { devices_per_worker: 1 });
+        let pool = plos_exec::Pool::current().threads().max(1);
+        for devices in [1, 3, 40] {
+            let mux = MuxNetwork::new(try_star(devices).unwrap(), 1);
+            assert_eq!(mux.worker_count(), devices.min(pool), "{devices} devices");
         }
     }
 

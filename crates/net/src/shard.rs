@@ -12,10 +12,10 @@
 //! at any shard count (`tests/shard_parity.rs` proves the full matrix).
 //!
 //! [`run_tree`] is the execution shell: one scoped OS thread per regional
-//! aggregator, the root on the calling thread, mirroring
-//! [`crate::StarNetwork::run_clients`]. Regionals are *infrastructure*
-//! (a handful of nodes), not devices, so a thread apiece is the right
-//! cost model even when the devices themselves run multiplexed.
+//! aggregator, the root on the calling thread. Regionals are
+//! *infrastructure* (a handful of nodes), not devices, so a thread apiece
+//! is the right cost model even though the devices themselves run
+//! multiplexed.
 
 use crate::node::{panic_text, ClientExit};
 use crate::transport::Endpoint;
@@ -186,10 +186,9 @@ impl ShardMap {
 /// Runs each regional aggregator closure on its own scoped thread wired to
 /// the root by a fresh duplex link, while `root_fn` plays the root on the
 /// calling thread over the root-side endpoints (indexed by shard, i.e.
-/// `ends[s]` talks to `regions[s]`). Mirrors
-/// [`crate::StarNetwork::run_clients`]: a panicking regional is captured
-/// as [`ClientExit::Panicked`] rather than re-raised, its link drops, and
-/// the root's quorum machinery decides the outcome.
+/// `ends[s]` talks to `regions[s]`). A panicking regional is captured as
+/// [`ClientExit::Panicked`] rather than re-raised, its link drops, and the
+/// root's quorum machinery decides the outcome.
 ///
 /// Regions are boxed because each regional typically captures its own
 /// shard-specific state (device endpoints, fault slices), so the closures

@@ -1,19 +1,17 @@
 //! Shared cyclic coordinate-descent core for the PLOS dual QPs.
 //!
-//! Both QP front-ends — [`crate::GroupedQp`] (owned `Matrix`, built once per
-//! solve) and the incremental solver (persistent state, grows one row per
-//! appended constraint) — drive this single core over a borrowed row-major
-//! view of `Q`. Keeping one core guarantees the two paths produce bit-identical
-//! iterates: the incremental path is an allocation strategy, not a numerical
+//! [`crate::IncrementalQp`] drives this core over a borrowed row-major view
+//! of its padded `Q` buffer; the solver sees only the leading `n` entries of
+//! each row, so the padding is an allocation strategy, not a numerical
 //! variant.
 //!
 //! # Bit-compatibility contract
 //!
 //! For systems no larger than [`QpSolverOptions::stall_dim`] the sweep
 //! schedule, operation order, and every floating-point expression here match
-//! the historical `GroupedQp::solve_warm` implementation exactly, so the
-//! pinned golden-model fixtures stay bit-for-bit valid (their largest dual has
-//! 62 variables). Three restructurings are intentionally bit-silent:
+//! the historical dense one-shot solver exactly, so the pinned golden-model
+//! fixtures stay bit-for-bit valid (their largest dual has 62 variables).
+//! Three restructurings are intentionally bit-silent:
 //!
 //! * the diagonal is read from a cached `diag` slice that holds the same
 //!   `f64` bits as `Q[(i,i)]`;
@@ -110,9 +108,8 @@ fn matvec_of(p: &CdProblem<'_>, x: &[f64]) -> Vec<f64> {
     (0..p.n).map(|r| kernels::dot(p.row(r), x)).collect()
 }
 
-/// Objective `½ γᵀQγ − bᵀγ`, same expression shape as
-/// `GroupedQp::objective` (matvec, then two dots) so the value is
-/// bit-identical to the historical code path.
+/// Objective `½ γᵀQγ − bᵀγ`, same expression shape as the historical dense
+/// objective (matvec, then two dots) so the value is bit-identical to it.
 pub(crate) fn objective_of(p: &CdProblem<'_>, gamma: &[f64]) -> f64 {
     let qg = matvec_of(p, gamma);
     0.5 * kernels::dot(gamma, &qg) - kernels::dot(p.b, gamma)

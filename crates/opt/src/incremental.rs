@@ -1,10 +1,10 @@
-//! Persistent grouped QP that grows by one constraint at a time.
+//! Persistent grouped QP that grows by one constraint at a time — the one
+//! front-end of the PLOS dual solver.
 //!
-//! [`crate::GroupedQp`] materializes `Q`, `b`, and the group lists from
-//! scratch on every call — the right shape for one-shot solves, but quadratic
-//! rebuild work per round when a cutting-plane loop appends a single
-//! constraint and re-solves. [`IncrementalQp`] owns the QP state across
-//! solves instead:
+//! A cutting-plane loop appends a single constraint and re-solves, so
+//! rebuilding `Q`, `b`, and the group lists from scratch every round would
+//! cost quadratic work per round. [`IncrementalQp`] owns the QP state
+//! across solves instead:
 //!
 //! * `Q` lives in one row-major buffer with a padded stride that grows
 //!   geometrically, so [`IncrementalQp::append`] writes one new row plus the
@@ -15,9 +15,11 @@
 //!   coordinate, and the solution stays inside the solver (read it with
 //!   [`IncrementalQp::gamma`]).
 //!
-//! Both solvers drive the same [`crate::cd`] core, so for identical inputs
-//! the two produce bit-identical iterates; the incremental path is an
-//! allocation strategy, not a numerical variant (property-tested in
+//! One-shot solves (the device-local prox dual of Eq. (22)) append their
+//! whole working set to a fresh instance and solve it cold. Every solve runs
+//! the shared [`crate::cd`] core over the leading `n` entries of each row, so
+//! a carried iterate and a from-scratch rebuild warm-started at the same
+//! point produce bit-identical results (property-tested in
 //! `incremental_matches_rebuilt_grouped_qp_bitwise`).
 
 use crate::cd;
@@ -128,18 +130,14 @@ impl IncrementalQp {
         &self.gamma
     }
 
-    /// Row `i` of `Q` (length [`IncrementalQp::dim`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= dim()`.
-    // Allowed: the bounds assert plus the `data.len() == n * stride` growth
-    // invariant make the slice range valid.
-    #[allow(clippy::indexing_slicing)]
-    pub fn q_row(&self, i: usize) -> &[f64] {
-        assert!(i < self.n, "row index out of range");
+    /// Row `i` of `Q` (length [`IncrementalQp::dim`]), or `None` if
+    /// `i >= dim()`.
+    pub fn q_row(&self, i: usize) -> Option<&[f64]> {
+        if i >= self.n {
+            return None;
+        }
         let start = i * self.stride;
-        &self.data[start..start + self.n]
+        self.data.get(start..start + self.n)
     }
 
     /// Appends one variable: its linear gain `b_i`, its `Q` row against
@@ -232,8 +230,8 @@ impl IncrementalQp {
 
     /// Replaces the carried iterate, e.g. when restoring from a checkpoint.
     /// The point is stored as given; the next [`IncrementalQp::solve`]
-    /// projects it to feasibility exactly once, the same schedule as the
-    /// one-shot [`crate::GroupedQp::solve_warm`] path.
+    /// projects it to feasibility exactly once (coordinates clamped to
+    /// `≥ 0`, then each over-cap group rescaled onto its cap).
     ///
     /// # Errors
     ///
@@ -269,8 +267,8 @@ impl IncrementalQp {
 
     /// Solves the QP in place by the shared coordinate-descent core, warm
     /// from the carried iterate. The `O(n)` feasibility projection runs
-    /// exactly as in the one-shot path — it is *not* always a no-op, because
-    /// a cap-saturated group can overshoot its cap by an ulp while the sweep
+    /// before every solve — it is *not* always a no-op, because a
+    /// cap-saturated group can overshoot its cap by an ulp while the sweep
     /// loop tracks group sums incrementally, and the next solve must rescale
     /// that group back onto the cap to stay bit-compatible.
     // plos-lint: allow(R3): infallible by construction — every fallible
@@ -317,33 +315,50 @@ impl IncrementalQp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qp::GroupedQp;
-    use plos_linalg::{Matrix, Vector};
+    use plos_linalg::Matrix;
 
     fn opts() -> QpSolverOptions {
         QpSolverOptions::default()
     }
 
-    /// Rebuilds the equivalent `GroupedQp` from an incremental solver's
-    /// state, mimicking what the historical `DualSolver::solve` did per
-    /// round: dense Q, dense b, only the non-empty groups.
-    fn rebuild(qp: &IncrementalQp, caps: &[f64]) -> GroupedQp {
-        let n = qp.dim();
-        let mut q = Matrix::zeros(n, n);
-        for i in 0..n {
-            for (j, &v) in qp.q_row(i).iter().enumerate() {
-                q[(i, j)] = v;
-            }
+    /// Builds a QP from a dense symmetric `Q` (lower triangle read), `b`,
+    /// and `(members, cap)` groups, one append per variable.
+    fn dense(
+        q: &Matrix,
+        b: &[f64],
+        groups: &[(Vec<usize>, f64)],
+    ) -> Result<IncrementalQp, OptError> {
+        let mut qp = IncrementalQp::new(groups.iter().map(|(_, cap)| *cap).collect())?;
+        for (i, &b_i) in b.iter().enumerate() {
+            let row: Vec<f64> = (0..=i).map(|j| q[(i, j)]).collect();
+            let group = groups.iter().position(|(members, _)| members.contains(&i));
+            qp.append(group, b_i, &row)?;
         }
-        let b: Vector = (0..n).map(|i| qp.b[i]).collect();
-        let groups: Vec<(Vec<usize>, f64)> = qp
-            .groups
-            .iter()
-            .zip(caps)
-            .filter(|((members, _), _)| !members.is_empty())
-            .map(|((members, _), &cap)| (members.clone(), cap))
-            .collect();
-        GroupedQp::new(q, b, groups).unwrap()
+        Ok(qp)
+    }
+
+    /// Objective `½ γᵀQγ − bᵀγ` at the carried iterate, recomputed densely.
+    fn objective(qp: &IncrementalQp) -> f64 {
+        let g = qp.gamma();
+        let quad: f64 = (0..qp.dim())
+            .map(|i| g[i] * qp.q_row(i).unwrap().iter().zip(g).map(|(q, x)| q * x).sum::<f64>())
+            .sum();
+        0.5 * quad - qp.b.iter().zip(g).map(|(b, x)| b * x).sum::<f64>()
+    }
+
+    /// Rebuilds `qp` from scratch the way the historical per-round dense
+    /// solve did — only the non-empty groups, every variable appended in
+    /// order — warm-started at `warm`.
+    fn rebuild(qp: &IncrementalQp, warm: &[f64]) -> IncrementalQp {
+        let live: Vec<usize> =
+            (0..qp.num_groups()).filter(|&g| !qp.groups[g].0.is_empty()).collect();
+        let mut fresh = IncrementalQp::new(live.iter().map(|&g| qp.groups[g].1).collect()).unwrap();
+        for i in 0..qp.dim() {
+            let group = live.iter().position(|&g| g == qp.group_of[i]);
+            fresh.append(group, qp.b[i], &qp.q_row(i).unwrap()[..=i]).unwrap();
+        }
+        fresh.set_warm(warm).unwrap();
+        fresh
     }
 
     /// Deterministic pseudo-random stream (no external crates needed here).
@@ -356,11 +371,11 @@ mod tests {
     fn incremental_matches_rebuilt_grouped_qp_bitwise() {
         // Randomized append/solve interleavings: after every solve the
         // incremental iterate must equal, bit for bit, a from-scratch
-        // GroupedQp solve warm-started the way DualSolver used to.
+        // rebuild solved from the same warm start.
         let mut state = 0x5eed_cafe_f00d_u64;
         for trial in 0..8 {
             let caps = vec![0.9, 1.7, 0.4];
-            let mut inc = IncrementalQp::new(caps.clone()).unwrap();
+            let mut inc = IncrementalQp::new(caps).unwrap();
             let mut warm: Vec<f64> = Vec::new();
             // Base vectors make Q an honest PSD Gram matrix.
             let dim = 4;
@@ -383,22 +398,21 @@ mod tests {
                 // Solve at every other step to exercise carried warm starts
                 // of varying staleness.
                 if step % 2 == 1 {
+                    let mut reference = rebuild(&inc, &warm);
+                    let ref_stats = reference.solve(&opts());
                     let stats = inc.solve(&opts());
-                    let reference = rebuild(&inc, &caps)
-                        .solve_warm(Vector::from(warm.clone()), &opts())
-                        .unwrap();
                     assert_eq!(
                         inc.gamma().iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
-                        reference.gamma.iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
+                        reference.gamma().iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
                         "trial {trial} step {step}: iterates diverged"
                     );
                     assert_eq!(
                         stats.objective.to_bits(),
-                        reference.objective.to_bits(),
+                        ref_stats.objective.to_bits(),
                         "trial {trial} step {step}: objectives diverged"
                     );
-                    assert_eq!(stats.sweeps, reference.sweeps);
-                    assert_eq!(stats.converged, reference.converged);
+                    assert_eq!(stats.sweeps, ref_stats.sweeps);
+                    assert_eq!(stats.converged, ref_stats.converged);
                     warm = inc.gamma().to_vec();
                 }
             }
@@ -420,7 +434,8 @@ mod tests {
     #[test]
     fn new_rejects_bad_caps() {
         for cap in [f64::NAN, f64::INFINITY, -1.0] {
-            assert!(IncrementalQp::new(vec![cap]).is_err(), "cap {cap}");
+            let err = IncrementalQp::new(vec![cap]).unwrap_err();
+            assert!(matches!(err, LinalgError::OutOfRange { .. }), "cap {cap}: {err:?}");
         }
     }
 
@@ -452,7 +467,7 @@ mod tests {
         for i in 0..40 {
             for j in 0..40 {
                 let expect: f64 = vecs[i].iter().zip(&vecs[j]).map(|(a, b)| a * b).sum();
-                assert_eq!(qp.q_row(i)[j].to_bits(), expect.to_bits(), "({i},{j})");
+                assert_eq!(qp.q_row(i).unwrap()[j].to_bits(), expect.to_bits(), "({i},{j})");
             }
         }
     }
@@ -468,8 +483,7 @@ mod tests {
         qp.set_warm(&[0.25, 0.5]).unwrap();
         assert_eq!(qp.gamma()[0].to_bits(), 0.25_f64.to_bits());
         assert_eq!(qp.gamma()[1].to_bits(), 0.5_f64.to_bits());
-        // ...and an infeasible one is projected by the next solve, exactly
-        // like the one-shot GroupedQp::solve_warm schedule.
+        // ...and an infeasible one is projected by the next solve.
         qp.set_warm(&[-3.0, 4.0]).unwrap();
         let _ = qp.solve(&opts());
         assert!(qp.is_feasible(1e-9));
@@ -490,5 +504,189 @@ mod tests {
             let _ = qp.solve(&opts());
             assert!(qp.is_feasible(1e-9), "step {step}");
         }
+    }
+
+    #[test]
+    fn unconstrained_interior_optimum() {
+        // min ½γᵀIγ − bᵀγ with b ≥ 0 and loose cap: optimum γ = b.
+        let mut qp =
+            dense(&Matrix::identity(3), &[0.5, 1.0, 0.25], &[(vec![0, 1, 2], 100.0)]).unwrap();
+        let stats = qp.solve(&opts());
+        assert!(stats.converged);
+        for (g, b) in qp.gamma().iter().zip([0.5, 1.0, 0.25]) {
+            assert!((g - b).abs() < 1e-8);
+        }
+    }
+
+    #[test]
+    fn nonneg_constraint_binds() {
+        // Negative linear gain => γ stays 0.
+        let mut qp = dense(&Matrix::identity(2), &[-1.0, -2.0], &[]).unwrap();
+        let stats = qp.solve(&opts());
+        assert_eq!(qp.gamma(), &[0.0, 0.0]);
+        assert_eq!(stats.objective, 0.0);
+    }
+
+    #[test]
+    fn cap_binds_and_allocates_to_best_coordinate() {
+        // Equal curvature, one coordinate with larger gain, tight cap.
+        let mut qp = dense(&Matrix::identity(2), &[1.0, 2.0], &[(vec![0, 1], 1.0)]).unwrap();
+        let _ = qp.solve(&opts());
+        assert!(qp.is_feasible(1e-9));
+        let total: f64 = qp.gamma().iter().sum();
+        assert!((total - 1.0).abs() < 1e-8, "cap should be active, total={total}");
+        // KKT: cap multiplier μ = 1 gives γ = (1−μ, 2−μ)₊ = (0, 1).
+        assert!(qp.gamma()[0].abs() < 1e-6);
+        assert!((qp.gamma()[1] - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn multiple_independent_groups() {
+        let groups = [(vec![0, 1], 1.0), (vec![2, 3], 10.0)];
+        let mut qp = dense(&Matrix::identity(4), &[5.0, 5.0, 0.1, 0.1], &groups).unwrap();
+        let _ = qp.solve(&opts());
+        let g = qp.gamma();
+        assert!((g[0] + g[1] - 1.0).abs() < 1e-8, "group 0 cap active");
+        // Group 1 cap slack: interior optimum = b.
+        assert!((g[2] - 0.1).abs() < 1e-8);
+        assert!((g[3] - 0.1).abs() < 1e-8);
+    }
+
+    #[test]
+    fn zero_cap_pins_group_to_zero() {
+        let mut qp = dense(&Matrix::identity(2), &[3.0, 3.0], &[(vec![0, 1], 0.0)]).unwrap();
+        let _ = qp.solve(&opts());
+        assert_eq!(qp.gamma(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn correlated_q_matches_kkt() {
+        // Q = [[2,1],[1,2]], b = (1,1): unconstrained optimum Qγ = b => γ = (1/3,1/3).
+        let q = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]).unwrap();
+        let mut qp = dense(&q, &[1.0, 1.0], &[]).unwrap();
+        let _ = qp.solve(&opts());
+        assert!((qp.gamma()[0] - 1.0 / 3.0).abs() < 1e-8);
+        assert!((qp.gamma()[1] - 1.0 / 3.0).abs() < 1e-8);
+    }
+
+    #[test]
+    fn zero_curvature_linear_coordinate() {
+        // Q has a zero row/col: variable 1 is linear with positive gain and a cap.
+        let q = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 0.0]]).unwrap();
+        let mut qp = dense(&q, &[1.0, 1.0], &[(vec![1], 2.0)]).unwrap();
+        let _ = qp.solve(&opts());
+        assert!((qp.gamma()[0] - 1.0).abs() < 1e-8);
+        assert!((qp.gamma()[1] - 2.0).abs() < 1e-8, "linear coordinate rides to its cap");
+    }
+
+    #[test]
+    fn warm_start_infeasible_is_projected() {
+        let mut qp = dense(&Matrix::identity(2), &[1.0, 1.0], &[(vec![0, 1], 1.0)]).unwrap();
+        qp.set_warm(&[-5.0, 10.0]).unwrap();
+        let _ = qp.solve(&opts());
+        assert!(qp.is_feasible(1e-9));
+        // Optimum splits the cap evenly by symmetry.
+        assert!((qp.gamma()[0] - 0.5).abs() < 1e-6);
+        assert!((qp.gamma()[1] - 0.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn warm_start_matches_cold_start() {
+        let q = Matrix::from_rows(&[vec![3.0, 0.5], vec![0.5, 2.0]]).unwrap();
+        let mut qp = dense(&q, &[1.0, 4.0], &[(vec![0, 1], 1.5)]).unwrap();
+        let cold = qp.clone().solve(&opts());
+        qp.set_warm(&[0.7, 0.7]).unwrap();
+        let warm = qp.solve(&opts());
+        assert!((cold.objective - warm.objective).abs() < 1e-8);
+    }
+
+    #[test]
+    fn objective_decreases_from_feasible_start() {
+        let q = Matrix::from_rows(&[vec![2.0, 0.3], vec![0.3, 1.0]]).unwrap();
+        let mut qp = dense(&q, &[1.0, -0.2], &[(vec![0, 1], 0.8)]).unwrap();
+        qp.set_warm(&[0.4, 0.4]).unwrap();
+        let before = objective(&qp);
+        let stats = qp.solve(&opts());
+        assert!(stats.objective <= before + 1e-12);
+        assert!((objective(&qp) - stats.objective).abs() < 1e-12);
+    }
+
+    #[test]
+    fn is_feasible_rejects_bad_points() {
+        let mut qp = dense(&Matrix::identity(2), &[0.0, 0.0], &[(vec![0, 1], 1.0)]).unwrap();
+        for (point, feasible) in [([0.5, 0.5], true), ([-0.1, 0.5], false), ([0.8, 0.8], false)] {
+            qp.set_warm(&point).unwrap();
+            assert_eq!(qp.is_feasible(1e-9), feasible, "{point:?}");
+        }
+    }
+
+    #[test]
+    fn solve_rejects_bad_inputs_with_err() {
+        assert!(matches!(
+            dense(&Matrix::identity(2), &[1.0, f64::NAN], &[]),
+            Err(OptError::NonFinite { what: "b vector" })
+        ));
+        assert!(matches!(
+            dense(&Matrix::from_diagonal(&[f64::NAN, 1.0]), &[0.0, 0.0], &[]),
+            Err(OptError::NonFinite { what: "Q matrix" })
+        ));
+        let mut qp = dense(&Matrix::identity(2), &[0.0, 0.0], &[]).unwrap();
+        assert!(matches!(
+            qp.set_warm(&[0.0; 3]),
+            Err(OptError::Linalg(LinalgError::DimensionMismatch { .. }))
+        ));
+        assert!(matches!(
+            qp.set_warm(&[0.0, f64::INFINITY]),
+            Err(OptError::NonFinite { what: "warm start" })
+        ));
+        assert!(qp.q_row(2).is_none(), "row past dim() is None, not a panic");
+    }
+
+    #[test]
+    fn shrinking_reaches_unique_optimum_from_any_start() {
+        // Strictly convex random QP: the optimum is unique, so the shrunk
+        // working-set path and every warm start must land on the same point.
+        let n = 12;
+        let mut state = 0x9e3779b97f4a7c15_u64;
+        let a =
+            Matrix::from_row_major(n, n, (0..n * n).map(|_| lcg(&mut state)).collect()).unwrap();
+        let mut q = a.transpose().matmul(&a).unwrap();
+        q.add_diagonal(0.5);
+        // Mostly-negative gains pin most coordinates at 0 and exercise the
+        // shrink/verify cycle.
+        let b: Vec<f64> =
+            (0..n).map(|i| if i % 4 == 0 { 1.0 } else { -1.0 + 0.1 * lcg(&mut state) }).collect();
+        let mut qp = dense(&q, &b, &[(vec![0, 4, 8], 0.7)]).unwrap();
+        let mut cold_qp = qp.clone();
+        let cold = cold_qp.solve(&opts());
+        assert!(cold.converged);
+        assert!(cold_qp.is_feasible(1e-9));
+        for trial in 0..4 {
+            let warm: Vec<f64> = (0..n).map(|_| lcg(&mut state).abs() * (trial as f64)).collect();
+            qp.set_warm(&warm).unwrap();
+            let sol = qp.solve(&opts());
+            assert!(sol.converged, "trial {trial}");
+            assert!((sol.objective - cold.objective).abs() < 1e-7, "trial {trial}");
+            for (g, c) in qp.gamma().iter().zip(cold_qp.gamma()) {
+                assert!((g - c).abs() < 1e-5, "trial {trial}: {g} vs {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn shrinking_satisfies_kkt_at_pinned_coordinates() {
+        // All-negative gains: every coordinate pins at 0 (grad = −b > 0),
+        // the whole set shrinks, and the verification pass must still sign
+        // off with converged = true in a handful of sweeps.
+        let mut qp = dense(
+            &Matrix::identity(6),
+            &[-1.0, -2.0, -0.5, -3.0, -1.5, -0.1],
+            &[(vec![0, 1, 2], 1.0)],
+        )
+        .unwrap();
+        let sol = qp.solve(&opts());
+        assert!(sol.converged);
+        assert!(sol.sweeps <= 5, "shrunk problem should converge fast, took {}", sol.sweeps);
+        assert_eq!(qp.gamma(), &[0.0; 6]);
     }
 }

@@ -1,17 +1,17 @@
-//! Mux-parity gate, integration flavor: the virtual-device scheduler must
-//! be a pure runtime substitution for thread-per-device.
+//! Mux-parity gate, integration flavor: how the virtual-device scheduler
+//! packs devices onto workers must never reach the model.
 //!
 //! For each protocol regime — synchronous ADMM, asynchronous `S = 0`
 //! (barrier degeneration), and asynchronous `S = 4` with stragglers under a
-//! seeded sub-window delay plan — one threaded reference run pins the model
-//! digest, and every (K, pool) cell of the K ∈ {1, 4, 16} × pools
+//! seeded sub-window delay plan — one default-runtime reference run pins the
+//! model digest, and every (K, pool) cell of the K ∈ {1, 4, 16} × pools
 //! {1, 2, 8} matrix must reproduce it bit for bit. The pool dimension
 //! exercises the worker-count clamp: at pool 1 every device shares one
 //! worker, at pool 8 the chunking changes entirely, and neither may touch
 //! a single bit of the trajectory.
 //!
 //! Why this holds (DESIGN.md §14): each device's message stream is a
-//! per-link FIFO in both runners, the device machine depends only on its
+//! per-link FIFO at every packing, the device machine depends only on its
 //! own stream and state, and the server folds replies into tag-matched
 //! per-device slots — arrival interleaving never reaches model state. The
 //! `S = 4` leg additionally relies on a quiescence window generous enough
@@ -46,10 +46,10 @@ fn fault_seed() -> u64 {
     std::env::var("PLOS_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(2024)
 }
 
-/// Runs `fit` threaded once for the reference digest, then sweeps the
-/// K × pool matrix and demands bit-identical digests everywhere.
+/// Runs `fit` under the default runtime once for the reference digest, then
+/// sweeps the K × pool matrix and demands bit-identical digests everywhere.
 fn assert_matrix_parity(label: &str, fit: impl Fn(DeviceRuntime) -> u64) {
-    let reference = fit(DeviceRuntime::Threaded);
+    let reference = fit(DeviceRuntime::default());
     for pool in POOL_SWEEP {
         for k in K_SWEEP {
             let got = plos_exec::with_threads(pool, || {
@@ -57,7 +57,7 @@ fn assert_matrix_parity(label: &str, fit: impl Fn(DeviceRuntime) -> u64) {
             });
             assert_eq!(
                 got, reference,
-                "{label}: mux K={k} pool={pool} diverged from the threaded reference"
+                "{label}: mux K={k} pool={pool} diverged from the default reference"
             );
         }
     }

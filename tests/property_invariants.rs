@@ -5,12 +5,14 @@
 // Tests assert by panicking; the panic-free gate applies to library code
 // only (see [workspace.lints] in the root Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
+mod pg_oracle;
+
+use pg_oracle::{project_capped_simplex, DenseQp};
 use plos::linalg::{ExactSum, ExactVecSum, Matrix, Vector};
 use plos::ml::matching::{best_matching_accuracy, hungarian_min_assignment};
 use plos::net::Message;
 use plos::net::ShardMap;
-use plos::opt::pg::project_capped_simplex;
-use plos::opt::{GroupedQp, QpSolverOptions};
+use plos::opt::QpSolverOptions;
 use plos::sensing::window::{samples_for_windows, sliding_windows};
 use proptest::prelude::*;
 
@@ -72,15 +74,16 @@ proptest! {
         let n = diag.len();
         let q = Matrix::from_diagonal(&diag);
         let b: Vector = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-        let qp = GroupedQp::new(q, b, vec![((0..n).collect(), cap)]).unwrap();
-        let sol = qp.solve(&QpSolverOptions::default()).unwrap();
-        prop_assert!(qp.is_feasible(&sol.gamma, 1e-8));
+        let mut qp = DenseQp { q, b, groups: vec![((0..n).collect(), cap)] }.incremental().unwrap();
+        let stats = qp.solve(&QpSolverOptions::default());
+        prop_assert!(qp.is_feasible(1e-8));
         // γ = 0 is feasible with objective 0; the optimum can only improve.
-        prop_assert!(sol.objective <= 1e-12);
+        prop_assert!(stats.objective <= 1e-12);
     }
 
     /// The panic-free contract: NaN anywhere in the linear term surfaces as
-    /// `Err`, never as a panic or a silently wrong solution.
+    /// `Err` while the QP is built, never as a panic or a silently wrong
+    /// solution.
     #[test]
     fn qp_solve_reports_nan_input_as_error(
         diag in prop::collection::vec(0.1..5.0f64, 1..8),
@@ -91,12 +94,12 @@ proptest! {
         let q = Matrix::from_diagonal(&diag);
         let mut b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
         b[poison % n] = f64::NAN;
-        let qp = GroupedQp::new(q, Vector::from(b), vec![((0..n).collect(), cap)]).unwrap();
-        prop_assert!(qp.solve(&QpSolverOptions::default()).is_err());
+        let qp = DenseQp { q, b: Vector::from(b), groups: vec![((0..n).collect(), cap)] };
+        prop_assert!(qp.incremental().is_err());
     }
 
-    /// A wrong-dimension warm start is an `Err`, not a panic; and whenever
-    /// the solver does return `Ok`, the point is feasible.
+    /// A wrong-dimension warm start is an `Err`, not a panic; a rejected warm
+    /// start leaves the iterate alone, and the solved point is feasible.
     #[test]
     fn qp_warm_start_dimension_mismatch_is_an_error(
         diag in prop::collection::vec(0.1..5.0f64, 1..8),
@@ -106,15 +109,15 @@ proptest! {
         let n = diag.len();
         let q = Matrix::from_diagonal(&diag);
         let b: Vector = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-        let qp = GroupedQp::new(q, b, vec![((0..n).collect(), cap)]).unwrap();
-        let bad = Vector::zeros(n + extra);
-        prop_assert!(qp.solve_warm(bad, &QpSolverOptions::default()).is_err());
+        let mut qp = DenseQp { q, b, groups: vec![((0..n).collect(), cap)] }.incremental().unwrap();
+        prop_assert!(qp.set_warm(&vec![0.0; n + extra]).is_err());
         // Non-finite warm starts are rejected the same way.
-        let nan_warm = Vector::from(vec![f64::NAN; n]);
-        prop_assert!(qp.solve_warm(nan_warm, &QpSolverOptions::default()).is_err());
-        // The well-posed solve still succeeds, and every Ok is feasible.
-        let sol = qp.solve(&QpSolverOptions::default()).unwrap();
-        prop_assert!(qp.is_feasible(&sol.gamma, 1e-8));
+        prop_assert!(qp.set_warm(&vec![f64::NAN; n]).is_err());
+        // The well-posed solve still runs from the untouched iterate, and
+        // its point is feasible.
+        prop_assert!(qp.gamma().iter().all(|&g| g == 0.0));
+        let _ = qp.solve(&QpSolverOptions::default());
+        prop_assert!(qp.is_feasible(1e-8));
     }
 
     #[test]

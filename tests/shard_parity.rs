@@ -1,8 +1,8 @@
 //! Shard-parity gate, integration flavor: the hierarchical aggregation
 //! tree must be a pure topology substitution for the flat star.
 //!
-//! One flat threaded run pins the model digest; every cell of the
-//! shards ∈ {1, 2, 4, 8} × runtime {Threaded, Multiplexed K=4} ×
+//! One flat default-runtime run pins the model digest; every cell of the
+//! shards ∈ {1, 2, 4, 8} × runtime {default, Multiplexed K=4} ×
 //! pools {1, 8} matrix must reproduce it bit for bit. The sweep covers
 //! shards larger than the cohort (empty shards), a custom unbalanced
 //! assignment, and a seeded sub-window delay plan that shuffles arrival
@@ -43,20 +43,22 @@ fn fault_seed() -> u64 {
     std::env::var("PLOS_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(2024)
 }
 
-/// Runs the flat threaded fit once for the reference digest, then sweeps
-/// the shards × runtime × pool matrix and demands bit-identical digests.
+/// Runs the flat default-runtime fit once for the reference digest, then
+/// sweeps the shards × runtime × pool matrix and demands bit-identical
+/// digests.
 fn assert_tree_parity(label: &str, fit: impl Fn(Topology, DeviceRuntime) -> u64) {
-    let reference = fit(Topology::Flat, DeviceRuntime::Threaded);
+    let reference = fit(Topology::Flat, DeviceRuntime::default());
     for shards in SHARD_SWEEP {
         for (runtime, pools) in [
-            (DeviceRuntime::Threaded, &[][..]),
+            (DeviceRuntime::default(), &[][..]),
             (DeviceRuntime::Multiplexed { devices_per_worker: 4 }, &POOL_SWEEP[..]),
         ] {
             if pools.is_empty() {
                 let got = fit(Topology::Sharded(ShardSpec::new(shards)), runtime);
                 assert_eq!(
                     got, reference,
-                    "{label}: sharded ({shards} shards, threaded) diverged from the flat reference"
+                    "{label}: sharded ({shards} shards, default runtime) diverged from the flat \
+                     reference"
                 );
                 continue;
             }
