@@ -147,6 +147,16 @@ echo "==> benchmark ledger (build + unit tests)"
 cargo build -q --release --manifest-path ledger/Cargo.toml
 cargo test -q --manifest-path ledger/Cargo.toml
 
+# Benchmark correctness: one shortest measured run per workload (two passes
+# over the six-cohort panel, ~1 min for all four). The ledger exits non-zero
+# if a digest drifts between trials, the tree's digests differ from the
+# fleet's, accuracy falls below 0.70, or an operation fails.
+echo "==> benchmark ledger checks (four workloads, --seconds 0)"
+for workload in central_t16 star_t16 fleet_t64 tree_t64; do
+    ./ledger/target/release/ledger --workload "$workload" --seed 1 --seconds 0 --trace 0 \
+        > "$trace_tmp/ledger_$workload.json"
+done
+
 # Scale smoke: one 1000-user distributed point through the mux runner,
 # with the OS thread count bounded by the pool instead of the fleet, must
 # train end to end. Writes BENCH_scale_quick.json, never the full-sweep

@@ -133,12 +133,13 @@ impl DualSolver {
         assert_eq!(k.s.len(), self.dim, "constraint dimension mismatch");
         // The O(n·d) row of the new constraint against every existing one —
         // Q_ij = (λ/T + [same user])·⟨s_i, s_j⟩, the same expression the
-        // historical per-solve rebuild used — is computed in parallel
-        // blocks; block results are concatenated in submission order, so
-        // the row is identical at any pool size.
+        // historical per-solve rebuild used — costs `dim` multiply-adds per
+        // entry, so it forks into blocks only once they outweigh a spawn;
+        // block results are concatenated in submission order, so the row is
+        // identical at any pool size.
         let coupling = self.coupling;
         let pool = plos_exec::Pool::current();
-        let mut row: Vec<f64> = pool.par_chunks(&self.entries, 64, |_start, chunk| {
+        let mut row: Vec<f64> = pool.par_chunks(&self.entries, self.dim, |_start, chunk| {
             chunk
                 .iter()
                 .map(|(owner, existing)| {

@@ -31,8 +31,21 @@
 //!
 //! 1. a thread-local override installed by [`with_threads`] (used by the
 //!    parity test suite to compare pool sizes in one process),
-//! 2. the `PLOS_THREADS` environment variable (read once per process),
+//! 2. the `PLOS_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
+//!
+//! Sources 2 and 3 are resolved once per process, so asking for the
+//! ambient pool costs a thread-local read, not a cgroup-quota read.
+//!
+//! # When a call forks
+//!
+//! A scoped spawn costs tens of microseconds, at least the time of
+//! [`GRAIN`] multiply-adds. [`Pool::par_chunks`] and
+//! [`Pool::par_range_chunks`] therefore take each item's work in
+//! multiply-adds and split only into chunks that each carry at least one
+//! `GRAIN`; smaller calls run inline on the caller. [`Pool::par_map`] and
+//! [`Pool::par_map_indexed`] serve per-user tasks and count every item as
+//! worth a spawn.
 //!
 //! # Errors
 //!
@@ -43,27 +56,35 @@
 //! caller's thread, exactly like `std::thread::scope`.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::OnceLock;
+
+/// Multiply-adds one spawned chunk must carry to pay for its thread.
+///
+/// A scoped spawn and join costs tens of microseconds (a 2-way fork
+/// measures 55–110 µs on a 2-core x86-64 host), and the dot kernel runs at
+/// about 0.2 ns per multiply-add at the centralized dual's dimension, so
+/// 2^17 multiply-adds (~26 µs) is at most about one spawn's worth of work.
+pub const GRAIN: usize = 1 << 17;
 
 thread_local! {
     /// Thread-local pool-size override installed by [`with_threads`].
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Cached `PLOS_THREADS` parse (one env read per process).
-fn env_threads() -> Option<usize> {
-    static CACHE: OnceLock<Option<usize>> = OnceLock::new();
+/// The process-wide pool width: `PLOS_THREADS`, else hardware parallelism
+/// (1 when the runtime cannot tell), resolved on first use.
+fn process_threads() -> usize {
+    static CACHE: OnceLock<usize> = OnceLock::new();
     *CACHE.get_or_init(|| {
         std::env::var("PLOS_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .map(|n| n.max(1))
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            })
     })
-}
-
-/// Hardware parallelism, defaulting to 1 when the runtime cannot tell.
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Runs `f` with the calling thread's pool size pinned to `threads`: every
@@ -86,11 +107,12 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 
 /// A deterministic fork-join pool of scoped worker threads.
 ///
-/// The pool holds no long-lived threads: each combinator call opens a
-/// `std::thread::scope`, splits the items into contiguous chunks (one per
-/// worker), and joins in submission order. A pool of size 1 runs inline on
-/// the calling thread with zero spawn overhead, which is also the reference
-/// path the parity suite compares larger pools against.
+/// The pool holds no long-lived threads: each combinator call that forks
+/// opens a `std::thread::scope`, splits the items into contiguous chunks
+/// (one per worker), and joins in submission order. A call runs inline on
+/// the calling thread, with no spawn, when the pool has size 1 or when its
+/// work does not fill two [`GRAIN`]-sized chunks; the inline path is also
+/// the reference the parity suite compares larger pools against.
 ///
 /// ```
 /// use plos_exec::Pool;
@@ -114,11 +136,9 @@ impl Pool {
     }
 
     /// The ambient pool: [`with_threads`] override, else `PLOS_THREADS`,
-    /// else hardware parallelism.
+    /// else hardware parallelism (both read once per process).
     pub fn current() -> Self {
-        let threads =
-            THREAD_OVERRIDE.with(Cell::get).or_else(env_threads).unwrap_or_else(hardware_threads);
-        Pool::sized(threads)
+        Pool::sized(THREAD_OVERRIDE.with(Cell::get).unwrap_or_else(process_threads))
     }
 
     /// Number of workers this pool fans out to.
@@ -126,51 +146,14 @@ impl Pool {
         self.threads
     }
 
-    /// Core chunked executor: splits `items` into at most `threads`
-    /// contiguous chunks of at least `min_chunk` items, runs
-    /// `f(chunk_offset, chunk)` per chunk (in parallel when more than one
-    /// chunk), and concatenates the chunk outputs in submission order.
-    fn run_chunked<T, R, F>(&self, items: &[T], min_chunk: usize, f: &F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> Vec<R> + Sync,
-    {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let min_chunk = min_chunk.max(1);
-        let workers = self.threads.min(n.div_ceil(min_chunk)).max(1);
-        if workers <= 1 {
-            return f(0, items);
-        }
-        let chunk_len = n.div_ceil(workers);
-        let mut out = Vec::with_capacity(n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk_len)
-                .enumerate()
-                .map(|(ci, chunk)| scope.spawn(move || f(ci * chunk_len, chunk)))
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(part) => out.extend(part),
-                    // A worker panic is a bug in the mapped closure; re-raise
-                    // it on the caller as std::thread::scope would.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        out
-    }
-
     /// Fallible indexed parallel map, results in submission order.
     ///
     /// Each item is mapped by `f(index, item)`; the returned vector is
     /// ordered by index regardless of which worker produced which entry.
-    /// When one or more closures return `Err`, the error with the smallest
-    /// index is returned — deterministically, independent of pool size.
+    /// Every item counts as worth a spawn (these are per-user tasks), so the
+    /// items split over up to `threads` workers. When one or more closures
+    /// return `Err`, the error with the smallest index is returned —
+    /// deterministically, independent of pool size.
     ///
     /// # Errors
     ///
@@ -182,8 +165,8 @@ impl Pool {
         E: Send,
         F: Fn(usize, &T) -> Result<R, E> + Sync,
     {
-        let parts = self.run_chunked(items, 1, &|base, chunk: &[T]| {
-            chunk.iter().enumerate().map(|(j, item)| f(base + j, item)).collect::<Vec<_>>()
+        let parts = self.par_chunks(items, GRAIN, |base, chunk| {
+            chunk.iter().enumerate().map(|(j, item)| f(base + j, item)).collect()
         });
         // Sequential scan in index order: deterministic first-error-wins.
         parts.into_iter().collect()
@@ -202,57 +185,65 @@ impl Pool {
         }
     }
 
-    /// Parallel map over contiguous chunks of at least `min_chunk` items:
-    /// `f(offset, chunk)` returns the mapped values for `chunk` (which
-    /// starts at `items[offset]`), and the chunk outputs are concatenated in
-    /// order.
+    /// Parallel map over contiguous chunks: `f(offset, chunk)` returns the
+    /// mapped values for `chunk` (which starts at `items[offset]`), and the
+    /// chunk outputs are concatenated in order. `item_cost` is one item's
+    /// work in multiply-adds; the split follows [`Pool::par_range_chunks`].
     ///
     /// Use this instead of [`Pool::par_map`] when per-item work is tiny
     /// (e.g. one dot product) so each worker streams through a cache-friendly
     /// block. For bit-identical results across pool sizes the closure must
     /// map each chunk element independently of its neighbors — chunk
     /// boundaries move with the pool size.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], min_chunk: usize, f: F) -> Vec<R>
+    pub fn par_chunks<T, R, F>(&self, items: &[T], item_cost: usize, f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &[T]) -> Vec<R> + Sync,
     {
-        self.run_chunked(items, min_chunk, &f)
+        self.par_range_chunks(items.len(), item_cost, |range| {
+            f(range.start, items.get(range).unwrap_or_default())
+        })
     }
 
-    /// Index-range variant of [`Pool::par_chunks`] for work that is not
-    /// backed by a slice (e.g. the rows of a matrix–vector product):
-    /// `0..n` is split into at most `threads` contiguous sub-ranges of at
-    /// least `min_chunk` indices, `f(range)` returns the mapped values for
-    /// its sub-range, and the outputs are concatenated in index order.
+    /// Index-range parallel map, the fork-join core every combinator runs
+    /// on: `f(range)` returns the mapped values for its sub-range of `0..n`,
+    /// and the outputs are concatenated in index order.
     ///
-    /// The same determinism contract as the slice combinators applies:
-    /// each index is mapped by exactly the same closure no matter how the
+    /// `item_cost` is one index's work in multiply-adds. Every spawned chunk
+    /// must carry at least one [`GRAIN`], i.e. hold at least
+    /// `floor = ⌈GRAIN / item_cost⌉` indices, so `0..n` splits into
+    /// `min(threads, ⌊n / floor⌋)` contiguous ranges whose lengths differ by
+    /// at most one (longer ranges first). With one range, `f(0..n)` runs
+    /// inline on the caller; otherwise each range runs on its own scoped
+    /// thread. A worker panic resumes on the caller.
+    ///
+    /// Each index is mapped by exactly the same closure no matter how the
     /// range is split, so results are bit-identical across pool sizes as
     /// long as `f` maps each index independently.
-    pub fn par_range_chunks<R, F>(&self, n: usize, min_chunk: usize, f: F) -> Vec<R>
+    pub fn par_range_chunks<R, F>(&self, n: usize, item_cost: usize, f: F) -> Vec<R>
     where
         R: Send,
-        F: Fn(std::ops::Range<usize>) -> Vec<R> + Sync,
+        F: Fn(Range<usize>) -> Vec<R> + Sync,
     {
         if n == 0 {
             return Vec::new();
         }
-        let min_chunk = min_chunk.max(1);
-        let workers = self.threads.min(n.div_ceil(min_chunk)).max(1);
-        if workers <= 1 {
+        let floor = GRAIN.div_ceil(item_cost.max(1));
+        let workers = self.threads.min(n / floor).max(1);
+        if workers == 1 {
             return f(0..n);
         }
-        let chunk_len = n.div_ceil(workers);
+        let (len, longer) = (n / workers, n % workers);
+        let f = &f;
         let mut out = Vec::with_capacity(n);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .step_by(chunk_len)
-                .map(|start| {
-                    let end = (start + chunk_len).min(n);
-                    let f = &f;
-                    scope.spawn(move || f(start..end))
+            let mut start = 0;
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let range = start..start + len + usize::from(w < longer);
+                    start = range.end;
+                    scope.spawn(move || f(range))
                 })
                 .collect();
             for handle in handles {
@@ -277,6 +268,11 @@ impl Default for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::thread::{self, ThreadId};
+
+    /// A per-item cost whose chunk floor is exactly 64 items.
+    const COST_64: usize = GRAIN / 64;
 
     #[test]
     fn par_map_preserves_order_across_pool_sizes() {
@@ -316,7 +312,7 @@ mod tests {
     fn par_chunks_concatenates_in_order() {
         let items: Vec<f64> = (0..37).map(|i| i as f64).collect();
         for threads in [1, 2, 5] {
-            let got = Pool::sized(threads).par_chunks(&items, 4, |offset, chunk| {
+            let got = Pool::sized(threads).par_chunks(&items, GRAIN, |offset, chunk| {
                 chunk.iter().enumerate().map(|(j, &x)| (offset + j) as f64 * x).collect()
             });
             let expected: Vec<f64> = items.iter().map(|&x| x * x).collect();
@@ -328,8 +324,8 @@ mod tests {
     fn empty_input_yields_empty_output() {
         let empty: Vec<u8> = Vec::new();
         assert!(Pool::sized(8).par_map(&empty, |_, &x| x).is_empty());
-        assert!(Pool::sized(8).par_chunks(&empty, 16, |_, c| c.to_vec()).is_empty());
-        assert!(Pool::sized(8).par_range_chunks(0, 16, |r| r.collect::<Vec<_>>()).is_empty());
+        assert!(Pool::sized(8).par_chunks(&empty, GRAIN, |_, c| c.to_vec()).is_empty());
+        assert!(Pool::sized(8).par_range_chunks(0, GRAIN, |r| r.collect::<Vec<_>>()).is_empty());
     }
 
     #[test]
@@ -338,7 +334,7 @@ mod tests {
             let expected: Vec<usize> = (0..n).map(|i| i * i).collect();
             for threads in [1, 2, 3, 8] {
                 let got = Pool::sized(threads)
-                    .par_range_chunks(n, 16, |r| r.map(|i| i * i).collect::<Vec<_>>());
+                    .par_range_chunks(n, GRAIN, |r| r.map(|i| i * i).collect::<Vec<_>>());
                 assert_eq!(got, expected, "n={n} pool size {threads}");
             }
         }
@@ -346,24 +342,49 @@ mod tests {
 
     #[test]
     fn par_range_chunks_respects_min_chunk() {
-        // With min_chunk = n the range must not be split at all.
-        let splits = std::sync::atomic::AtomicUsize::new(0);
-        let _ = Pool::sized(8).par_range_chunks(100, 100, |r| {
-            splits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            r.collect::<Vec<_>>()
-        });
-        assert_eq!(splits.load(std::sync::atomic::Ordering::Relaxed), 1);
+        // Each call reports its range length, so the output lists the
+        // chunks. At 64 items per GRAIN no chunk may hold fewer than 64.
+        let chunks = |n: usize| Pool::sized(8).par_range_chunks(n, COST_64, |r| vec![r.len()]);
+        for (n, calls) in [(64, 1), (65, 1), (127, 1), (128, 2), (129, 2), (640, 8)] {
+            let got = chunks(n);
+            assert_eq!(got.len(), calls, "n={n}: {got:?}");
+            assert_eq!(got.iter().sum::<usize>(), n, "n={n}: {got:?}");
+            assert!(got.iter().all(|&len| len >= 64), "n={n}: {got:?}");
+        }
     }
 
     #[test]
     fn par_range_chunks_worker_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
-            let _ = Pool::sized(4).par_range_chunks(64, 1, |r| {
+            let _ = Pool::sized(4).par_range_chunks(64, GRAIN, |r| {
                 assert!(r.start < 32, "late chunk");
                 r.collect::<Vec<_>>()
             });
         });
         assert!(result.is_err());
+    }
+
+    /// The distinct threads that ran a `par_chunks` and a `par_range_chunks`
+    /// call over `n` items of `COST_64` each, at a pool of 8.
+    fn threads_running(n: usize) -> [HashSet<ThreadId>; 2] {
+        let pool = Pool::sized(8);
+        let chunks =
+            pool.par_chunks(&vec![(); n], COST_64, |_, c| vec![thread::current().id(); c.len()]);
+        let range = pool.par_range_chunks(n, COST_64, |r| vec![thread::current().id(); r.len()]);
+        [chunks.into_iter().collect(), range.into_iter().collect()]
+    }
+
+    #[test]
+    fn below_grain_calls_run_on_the_caller() {
+        let caller = HashSet::from([thread::current().id()]);
+        assert_eq!(threads_running(127), [caller.clone(), caller]);
+    }
+
+    #[test]
+    fn above_grain_calls_use_several_threads() {
+        for threads in threads_running(128) {
+            assert!(threads.len() >= 2, "{threads:?}");
+        }
     }
 
     #[test]

@@ -182,6 +182,27 @@ pub fn axpy2(y: &mut [f64], a1: f64, x1: &[f64], a2: f64, x2: &[f64]) {
     axpy2_scalar(y, a1, x1, a2, x2)
 }
 
+/// Row-parallel strided matrix–vector product: `y[r] = dot(row_r, x)` for
+/// `r < rows`, where `row_r = data[r·stride .. r·stride + x.len()]`.
+///
+/// Each row costs `x.len()` multiply-adds, and the rows fan out over the
+/// ambient [`plos_exec::Pool`] only when every chunk outweighs a spawn
+/// ([`plos_exec::GRAIN`]). Each output is one [`dot`] of the same row
+/// against `x`, joined in row order, so the result is bit-identical at
+/// every pool size and to the sequential loop.
+///
+/// # Panics
+///
+/// Panics if `data` is shorter than `(rows − 1)·stride + x.len()`.
+pub fn matvec_strided(data: &[f64], stride: usize, rows: usize, x: &[f64]) -> Vec<f64> {
+    let cols = x.len();
+    // Allowed: the documented length precondition keeps every row in bounds.
+    #[allow(clippy::indexing_slicing)]
+    let row = |r: usize| &data[r * stride..r * stride + cols];
+    plos_exec::Pool::current()
+        .par_range_chunks(rows, cols, |range| range.map(|r| dot(row(r), x)).collect())
+}
+
 /// Scalar [`dot`] body; also the parity reference for the SIMD variants.
 pub fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
     let mut acc0 = 0.0_f64;
@@ -299,6 +320,21 @@ mod tests {
         let a: Vec<f64> = (0..13).map(|i| i as f64).collect();
         let b: Vec<f64> = (0..13).map(|i| (i % 5) as f64).collect();
         assert_eq!(dot(&a, &b), seq_dot(&a, &b));
+    }
+
+    #[test]
+    fn strided_matvec_is_one_dot_per_row_at_every_pool_size() {
+        // Padded rows (stride > cols), large enough that pools of 2 and 8 fork.
+        let (rows, cols, stride) = (700, 400, 403);
+        assert!(rows * cols >= 2 * plos_exec::GRAIN);
+        let data = lcg_data((rows - 1) * stride + cols, 5);
+        let x = lcg_data(cols, 6);
+        let want: Vec<u64> =
+            (0..rows).map(|r| dot(&data[r * stride..r * stride + cols], &x).to_bits()).collect();
+        for threads in [1, 2, 8] {
+            let got = plos_exec::with_threads(threads, || matvec_strided(&data, stride, rows, &x));
+            assert_eq!(got.iter().map(|y| y.to_bits()).collect::<Vec<_>>(), want, "{threads}");
+        }
     }
 
     #[test]

@@ -140,27 +140,17 @@ impl Matrix {
 
     /// Matrix–vector product `self · x`.
     ///
-    /// Large products fan the rows out over the ambient [`plos_exec::Pool`]
-    /// in contiguous blocks; each output element is still one
-    /// [`crate::kernels::dot`] of the same row against `x`, and blocks are
-    /// concatenated in submission order, so the result is bit-identical at
-    /// every pool size (and to the sequential loop).
+    /// Runs [`crate::kernels::matvec_strided`]: one
+    /// [`crate::kernels::dot`] per row, with the rows fanned out over the
+    /// ambient [`plos_exec::Pool`] once the product outweighs a spawn, so
+    /// the result is bit-identical at every pool size.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != ncols()`.
     pub fn matvec(&self, x: &Vector) -> Vector {
         assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");
-        // Below this many rows the spawn cost of a scoped pool outweighs
-        // the dot products even on wide matrices.
-        const PAR_MIN_ROWS: usize = 128;
-        let pool = plos_exec::Pool::current();
-        if self.rows >= PAR_MIN_ROWS && pool.threads() > 1 {
-            return Vector::from(pool.par_range_chunks(self.rows, 64, |rows| {
-                rows.map(|r| crate::kernels::dot(self.row(r), x.as_slice())).collect()
-            }));
-        }
-        (0..self.rows).map(|r| crate::kernels::dot(self.row(r), x.as_slice())).collect()
+        Vector::from(crate::kernels::matvec_strided(&self.data, self.cols, self.rows, x.as_slice()))
     }
 
     /// Matrix–matrix product `self · rhs`.

@@ -18,9 +18,11 @@
 //! * pairwise (SMO) moves fuse the two gradient rank-1 updates into one
 //!   [`kernels::axpy2`] pass — per element the operation order is unchanged
 //!   (`g += δ·Q_i[k]` then `g += −δ·Q_j[k]`), and elements are independent;
-//! * the gradient initialization `Q·γ` parallelizes per row exactly like
-//!   [`plos_linalg::Matrix::matvec`]; each row is one [`kernels::dot`], so
-//!   the result does not depend on the pool size.
+//! * `Q·γ` (the gradient initialization and the objective) runs the
+//!   row-parallel [`kernels::matvec_strided`] that
+//!   [`plos_linalg::Matrix::matvec`] runs, over the leading `n` entries of
+//!   each padded row; each row is one [`kernels::dot`], so the result does
+//!   not depend on the pool size.
 //!
 //! Systems larger than `stall_dim` additionally arm an objective-stagnation
 //! cutoff: every [`QpSolverOptions::stall_every`] sweeps the objective is
@@ -95,23 +97,10 @@ pub(crate) struct CdOutcome {
     pub objective: f64,
 }
 
-/// `Q·x` over the borrowed view, one [`kernels::dot`] per row; parallel for
-/// large systems exactly like [`plos_linalg::Matrix::matvec`]. Bit-identical
-/// at every pool size: the split only chooses which thread runs which rows.
-fn matvec_of(p: &CdProblem<'_>, x: &[f64]) -> Vec<f64> {
-    const PAR_MIN_ROWS: usize = 128;
-    let pool = plos_exec::Pool::current();
-    if p.n >= PAR_MIN_ROWS && pool.threads() > 1 {
-        return pool
-            .par_range_chunks(p.n, 64, |rows| rows.map(|r| kernels::dot(p.row(r), x)).collect());
-    }
-    (0..p.n).map(|r| kernels::dot(p.row(r), x)).collect()
-}
-
 /// Objective `½ γᵀQγ − bᵀγ`, same expression shape as the historical dense
 /// objective (matvec, then two dots) so the value is bit-identical to it.
 pub(crate) fn objective_of(p: &CdProblem<'_>, gamma: &[f64]) -> f64 {
-    let qg = matvec_of(p, gamma);
+    let qg = kernels::matvec_strided(p.data, p.stride, p.n, gamma);
     0.5 * kernels::dot(gamma, &qg) - kernels::dot(p.b, gamma)
 }
 
@@ -150,7 +139,7 @@ pub(crate) fn solve_cd(p: &CdProblem<'_>, gamma: &mut [f64], opts: &QpSolverOpti
     }
 
     // Maintain grad = Q·γ − b incrementally.
-    let mut grad = matvec_of(p, gamma);
+    let mut grad = kernels::matvec_strided(p.data, p.stride, p.n, gamma);
     for (g, &bi) in grad.iter_mut().zip(p.b) {
         *g -= bi;
     }

@@ -59,12 +59,14 @@ fn centralized_model_is_bit_identical_across_pool_sizes() {
 
 /// The parallel matvec (chunked rows over the pool, each row reduced by
 /// the fixed-order dot kernel) must be bit-identical at every pool size —
-/// it crosses the 128-row parallelism threshold here on purpose.
+/// the product carries more than four `GRAIN`s of work on purpose, so
+/// pools of 2 and 8 really fork (into 2 and 4 uneven row blocks).
 #[test]
 fn parallel_matvec_is_bit_identical_across_pool_sizes() {
     use plos::linalg::{Matrix, Vector};
-    let rows = 301; // above PAR_MIN_ROWS, awkward remainder chunks
-    let cols = 97;
+    let rows = 1201;
+    let cols = 457;
+    assert!(rows * cols >= 4 * plos::exec::GRAIN, "the product must fork");
     let mut state = 0x5eed_u64;
     let mut next = || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -87,7 +89,9 @@ fn parallel_matvec_is_bit_identical_across_pool_sizes() {
 
 /// Q-row construction in the dual solver (one parallel pass of scaled dot
 /// products per appended constraint) and the solve on top of it must be
-/// bit-identical at every pool size.
+/// bit-identical at every pool size. At this dimension a row of `n` entries
+/// carries `n · dim` multiply-adds, so every append past the first 64
+/// constraints forks.
 #[test]
 fn dual_q_rows_and_solve_are_bit_identical_across_pool_sizes() {
     use plos::core::dual::DualSolver;
@@ -95,7 +99,8 @@ fn dual_q_rows_and_solve_are_bit_identical_across_pool_sizes() {
     use plos::linalg::Vector;
     use plos::opt::QpSolverOptions;
 
-    let dim = 9;
+    let dim = 4096;
+    assert!(64 * dim >= 2 * plos::exec::GRAIN, "appends past 64 constraints must fork");
     let users = 5;
     let build_and_solve = |threads: usize| {
         plos::exec::with_threads(threads, || {
@@ -105,8 +110,8 @@ fn dual_q_rows_and_solve_are_bit_identical_across_pool_sizes() {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 ((state >> 33) as f64) / (1u64 << 31) as f64 - 1.0
             };
-            // Enough constraints that the per-append parallel row pass has
-            // multiple chunks to concatenate.
+            // Enough constraints that the late appends' row passes have up
+            // to four chunks to concatenate.
             for i in 0..150 {
                 let s = Vector::from((0..dim).map(|_| next()).collect::<Vec<_>>());
                 let c = next().abs();
