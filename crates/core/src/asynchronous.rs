@@ -11,16 +11,19 @@
 //! the Eq. (23) consensus state *as they arrive*. The protocol (DESIGN.md
 //! §13) is Jacobi-style asynchronous ADMM under a **staleness bound** `S`:
 //!
-//! * every server pass opens a consensus **epoch**; devices with no
-//!   assignment in flight receive `AsyncBroadcast { epoch, S, w0, u_t }`;
-//! * a device replies `AsyncUpdate { epoch, basis, … }` where `basis` is
-//!   the epoch whose `(w0, u_t)` its solution was actually computed
-//!   against — busy devices resend their cached solution with its old
-//!   basis instead of recomputing;
-//! * the server accepts a reply when `epoch − basis ≤ S` and folds it into
-//!   the per-device slots; over-stale updates are **discarded and
-//!   counted** (`stale_discard` events), and the device is re-assigned
-//!   once its outstanding epoch falls more than `S` behind;
+//! * every server pass opens a consensus **epoch** (a protocol round);
+//!   devices with no assignment in flight receive the flat star's
+//!   `Broadcast { round: epoch, w0, u_t }`, and each device knows `S` from
+//!   the spec it was built with;
+//! * a device that is free solves and replies `ClientUpdate` for the
+//!   epoch; a busy one resends its cached solution as
+//!   `AsyncUpdate { epoch, basis, … }`, where `basis < epoch` is the epoch
+//!   whose `(w0, u_t)` that solution was computed against;
+//! * the server accepts a reply when `epoch − basis ≤ S` (a fresh reply's
+//!   basis is the epoch it answers) and folds it into the per-device
+//!   slots; over-stale updates are **discarded and counted**
+//!   (`stale_discard` events), and the device is re-assigned once its
+//!   outstanding epoch falls more than `S` behind;
 //! * a pass closes when every live device is accounted for, or — with
 //!   `S > 0` — after a quiescence window with no arrivals, in which case
 //!   the Eq. (23) update runs over whatever subset arrived (an empty pass
@@ -29,10 +32,11 @@
 //! The server is the consensus driver of [`crate::consensus`] — the same
 //! schedule, Eq. (23)/(24) arithmetic and stopping tests as
 //! [`crate::DistributedPlos`] — over this module's bounded-staleness gather
-//! strategy. **S = 0 degenerates to the synchronous path bit-for-bit**: the
-//! bound forces every reply fresh (`basis == epoch`) and the pass becomes a
-//! barrier — enforced by the `async_parity` ci gate and
-//! `tests/fault_tolerance.rs`.
+//! strategy, and its devices are the flat star's device machine.
+//! **S = 0 degenerates to the synchronous path bit-for-bit**: no device is
+//! ever busy, every reply is a fresh `ClientUpdate`, and the pass becomes a
+//! barrier, so the server exchanges exactly the flat star's frames —
+//! enforced by the `async_parity` ci gate and `tests/fault_tolerance.rs`.
 //!
 //! Checkpointing snapshots the [`plos_ckpt::ConsensusState`] at CCCP and
 //! refinement boundaries; at a boundary the server-held `w_t` slots equal
@@ -40,19 +44,16 @@
 //! fleet and the run continues with bit-parity (fault-free runs).
 
 use crate::checkpoint::{self, CheckpointPolicy};
-use crate::config::{FaultTolerance, PlosConfig};
-use crate::consensus::{self, providers, DeviceOutcome, Driver, Gather, Partial, Reply, Slots};
-use crate::distributed::{Fleet, POLL_SLICE};
+use crate::config::PlosConfig;
+use crate::consensus::{self, providers, Driver, Gather, Partial, Reply, Slots};
+use crate::distributed::Fleet;
 use crate::error::CoreError;
-use crate::local::{LocalSolver, LocalUpdate};
 use crate::model::PersonalizedModel;
 use crate::wire_u32;
 use plos_ckpt::{ConsensusState, FleetSection, KIND_CONSENSUS};
 use plos_linalg::{ExactSum, Vector};
 use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
-use plos_net::{
-    DeviceMachine, DeviceRuntime, DeviceStep, FaultPlan, Message, TrafficStats, TransportError,
-};
+use plos_net::{DeviceRuntime, FaultPlan, Message, TrafficStats};
 use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
 use std::time::{Duration, Instant};
@@ -96,6 +97,29 @@ impl Default for AsyncSpec {
             poll_window: Duration::from_millis(40),
             seed: 0,
         }
+    }
+}
+
+impl AsyncSpec {
+    /// Whether device `t` is busy when the assignment of `epoch` arrives, so
+    /// that it answers from its cache: never at `S = 0`, otherwise a
+    /// stateless splitmix64 hash of (seed, device, epoch) mapped to `[0, 1)`
+    /// and compared with `availability`. Deterministic in the spec alone, so
+    /// the straggler process is independent of message timing and arrival
+    /// order.
+    pub(crate) fn busy(&self, t: usize, epoch: u32) -> bool {
+        if self.staleness_bound == 0 || self.availability >= 1.0 {
+            return false;
+        }
+        let mut z = self.seed
+            ^ (t as u64).wrapping_mul(0xd129_0d3a_37cf_1e2b)
+            ^ u64::from(epoch).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
+        unit >= self.availability
     }
 }
 
@@ -161,197 +185,6 @@ pub struct AsyncDistributedPlos {
     runtime: DeviceRuntime,
 }
 
-/// The device side of the bounded-staleness protocol as a resumable state
-/// machine: answer epoch-tagged assignments until shutdown. Busy devices
-/// (per the stateless straggler hash) resend their cached solution with its
-/// original basis epoch; an `S = 0` assignment forces a fresh solve, which
-/// is what makes the bound degenerate to the synchronous protocol. Replies
-/// are cached per assignment epoch so duplicated or re-sent assignments are
-/// answered idempotently. The [`plos_net::MuxNetwork`] sweep drives it
-/// alongside its siblings on a pool worker.
-struct AsyncDeviceMachine {
-    user: u32,
-    t: usize,
-    solver: LocalSolver,
-    spec: AsyncSpec,
-    /// Latest locally computed solution, tagged with the epoch whose
-    /// (w0, u_t) it was computed against.
-    last: Option<(u32, LocalUpdate)>,
-    /// Last reply sent, keyed by assignment epoch.
-    sent: Option<(u32, Message)>,
-    stale: usize,
-    fresh: usize,
-    /// Chaos injection: panic on the first assignment at or after this
-    /// epoch ([`FaultPlan::panic_round`]), modelling an app crash mid-ADMM.
-    panic_at: Option<u32>,
-}
-
-impl DeviceMachine for AsyncDeviceMachine {
-    type Output = DeviceOutcome;
-
-    // The planned chaos crash must be a genuine panic: the whole point of
-    // the regression is that the runtime contains it per-device.
-    #[allow(clippy::panic)]
-    fn on_message(&mut self, message: Message) -> DeviceStep {
-        match message {
-            Message::AsyncBroadcast { epoch, staleness_bound, w0, u_t } => {
-                if self.panic_at.is_some_and(|at| epoch >= at) {
-                    panic!("planned chaos: device {} crashed at epoch {epoch}", self.user);
-                }
-                if let Some((e, reply)) = &self.sent {
-                    if *e == epoch {
-                        return DeviceStep::Send(reply.clone());
-                    }
-                }
-                let reply = if epoch == 0 {
-                    // Init epoch: contribute a local hyperplane if this
-                    // device has labels of both classes.
-                    let w_init =
-                        self.solver.initial_hyperplane().unwrap_or_else(|| Vector::zeros(w0.len()));
-                    Message::AsyncUpdate {
-                        epoch,
-                        basis: epoch,
-                        user: self.user,
-                        w_t: w_init,
-                        v_t: Vector::zeros(w0.len()),
-                        xi_t: 0.0,
-                    }
-                } else {
-                    let busy = staleness_bound > 0
-                        && self.last.is_some()
-                        && is_busy(self.spec.seed, self.t, epoch, self.spec.availability);
-                    match (&self.last, busy) {
-                        (Some((basis, update)), true) => {
-                            self.stale += 1;
-                            Message::AsyncUpdate {
-                                epoch,
-                                basis: *basis,
-                                user: self.user,
-                                w_t: update.w_t.clone(),
-                                v_t: update.v_t.clone(),
-                                xi_t: update.xi_t,
-                            }
-                        }
-                        _ => {
-                            self.fresh += 1;
-                            // A failed local solve degrades this device to
-                            // the consensus update rather than poisoning the
-                            // protocol.
-                            let update =
-                                self.solver.solve(&w0, &u_t).unwrap_or_else(|_| LocalUpdate {
-                                    w_t: w0.clone(),
-                                    v_t: Vector::zeros(w0.len()),
-                                    xi_t: 0.0,
-                                });
-                            self.last = Some((epoch, update.clone()));
-                            Message::AsyncUpdate {
-                                epoch,
-                                basis: epoch,
-                                user: self.user,
-                                w_t: update.w_t,
-                                v_t: update.v_t,
-                                xi_t: update.xi_t,
-                            }
-                        }
-                    }
-                };
-                self.sent = Some((epoch, reply.clone()));
-                DeviceStep::Send(reply)
-            }
-            Message::CccpAdvance { .. } => {
-                self.solver.advance_cccp();
-                // The linearization changed; cached solutions and replies
-                // are void.
-                self.last = None;
-                self.sent = None;
-                DeviceStep::NeedRecv
-            }
-            Message::Refine { round, w0 } => {
-                if let Some((e, reply)) = &self.sent {
-                    if *e == round {
-                        return DeviceStep::Send(reply.clone());
-                    }
-                }
-                let seed = self.solver.seed_for_round(round);
-                // Refinement is always fresh — it anchors the final model.
-                let update = self.solver.refine(&w0, seed).unwrap_or_else(|_| LocalUpdate {
-                    w_t: w0.clone(),
-                    v_t: Vector::zeros(w0.len()),
-                    xi_t: 0.0,
-                });
-                self.fresh += 1;
-                self.last = Some((round, update.clone()));
-                let reply = Message::AsyncUpdate {
-                    epoch: round,
-                    basis: round,
-                    user: self.user,
-                    w_t: update.w_t,
-                    v_t: update.v_t,
-                    xi_t: update.xi_t,
-                };
-                self.sent = Some((round, reply.clone()));
-                DeviceStep::Send(reply)
-            }
-            // The cohort shrank: rescale every T-dependent quantity,
-            // notably κ = λ/T in the local objective.
-            Message::RosterUpdate { t_count } => {
-                self.solver.set_cohort_size(t_count as usize);
-                DeviceStep::NeedRecv
-            }
-            // Checkpoint resume: adopt the server's recorded anchor and
-            // cohort size, then ack. The ack carries empty vectors — it is
-            // a liveness signal, not an update, and the server's restore
-            // collection discards its payload.
-            Message::Restore { round, t_count, w_t } => {
-                self.solver.restore(w_t, t_count as usize);
-                self.last = None;
-                let reply = Message::AsyncUpdate {
-                    epoch: round,
-                    basis: round,
-                    user: self.user,
-                    w_t: Vector::zeros(0),
-                    v_t: Vector::zeros(0),
-                    xi_t: 0.0,
-                };
-                self.sent = Some((round, reply.clone()));
-                DeviceStep::Send(reply)
-            }
-            // Stray frames (sync-protocol broadcasts, peer updates): drop
-            // rather than dying on a protocol hiccup.
-            Message::Broadcast { .. }
-            | Message::ClientUpdate { .. }
-            | Message::AsyncUpdate { .. }
-            | Message::ShardBroadcast { .. }
-            | Message::PartialSum { .. }
-            | Message::ShardCommit { .. }
-            | Message::ShardResidual { .. } => DeviceStep::NeedRecv,
-            Message::Shutdown => DeviceStep::Done,
-        }
-    }
-
-    fn finish(self, stats: TrafficStats) -> DeviceOutcome {
-        DeviceOutcome { stats, stale: self.stale, fresh: self.fresh, ..DeviceOutcome::default() }
-    }
-}
-
-/// Stateless per-(device, epoch) busy decision — a splitmix64 hash mapped
-/// to `[0, 1)`. Deterministic in the spec seed alone, so the straggler
-/// process is independent of message timing and arrival order.
-fn is_busy(seed: u64, t: usize, epoch: u32, availability: f64) -> bool {
-    if availability >= 1.0 {
-        return false;
-    }
-    let mut z = seed
-        ^ (t as u64).wrapping_mul(0xd129_0d3a_37cf_1e2b)
-        ^ u64::from(epoch).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
-    unit >= availability
-}
-
 /// Mixes the async spec into the structural run fingerprint: resuming with
 /// a different straggler process or staleness bound would follow a
 /// different trajectory, so such snapshots must be refused like a config
@@ -363,30 +196,23 @@ fn async_fingerprint(config: &PlosConfig, spec: &AsyncSpec, t_count: usize, dim:
     mix(mix(mix(base, spec.availability.to_bits()), spec.seed), u64::from(spec.staleness_bound))
 }
 
-/// One collection sweep over the outstanding assignments.
-///
-/// Matches arriving `AsyncUpdate`s against `outstanding` by epoch tag,
-/// accepts the ones within the staleness bound, and counts the rest
-/// (late/stale/protocol discards). In `barrier` mode the sweep
-/// blocks until the whole live roster is accounted for (re-sending the
-/// assignment to silent devices so dropped frames cannot stall it) and a
-/// [`SERVER_WAIT`] expiry is a transport error; otherwise the sweep
-/// returns once no reply has arrived for `quiet_window`.
+/// One collection over the outstanding assignments: [`Fleet::sweep`]s
+/// against `owed` (each device's assignment epoch in flight) at staleness
+/// bound `bound` until every live device is accounted for. With a
+/// quiescence window `quiet` the collection also closes once no reply has
+/// arrived for that long. Without one it is a barrier: it re-sends the
+/// assignment to silent devices every [`RESEND_AFTER`], so dropped frames
+/// cannot stall it (devices answer re-sent assignments from their reply
+/// cache), and a [`SERVER_WAIT`] expiry is a transport error.
 ///
 /// Returns the accepted updates.
-// Allowed: the sweep threads the full pass context (epoch tags, bound,
-// windows, resend closure, discard counter); bundling them into a one-shot
-// struct would only move the argument list behind a constructor.
-#[allow(clippy::too_many_arguments)]
 fn collect_replies(
     fleet: &mut Fleet<'_>,
-    outstanding: &mut [Option<u32>],
+    owed: &mut [Option<u32>],
     epoch: u32,
-    staleness_bound: u32,
-    quiet_window: Duration,
-    barrier: bool,
+    bound: u32,
+    quiet: Option<Duration>,
     resend: &dyn Fn(usize) -> Message,
-    stale_discards: &mut u64,
 ) -> Result<Vec<Reply>, CoreError> {
     // D2 audit: these clocks gate only the pass/quiescence windows and the
     // barrier re-send cadence — whether a reply folds is decided purely by
@@ -395,7 +221,7 @@ fn collect_replies(
     // plos-lint: allow(D2): pass-window/deadline timeout plumbing only
     let started = Instant::now();
     let hard_deadline = started + SERVER_WAIT;
-    let mut quiet_deadline = started + quiet_window;
+    let mut quiet_deadline = quiet.map(|window| started + window);
     let mut resend_at = started + RESEND_AFTER;
     let mut accepted = Vec::new();
     loop {
@@ -404,16 +230,14 @@ fn collect_replies(
                 detail: format!("every device disconnected before epoch {epoch} closed"),
             });
         }
-        let waiting: Vec<usize> = (0..outstanding.len())
-            .filter(|&t| fleet.is_alive(t) && matches!(outstanding.get(t), Some(Some(_))))
-            .collect();
+        let waiting = fleet.owing(owed);
         if waiting.is_empty() {
             break;
         }
         // plos-lint: allow(D2): pass-window/deadline timeout plumbing only
         let now = Instant::now();
         if now >= hard_deadline {
-            if barrier {
+            if quiet.is_none() {
                 return Err(CoreError::Transport {
                     detail: format!(
                         "{} device(s) silent for {SERVER_WAIT:?} in epoch {epoch}",
@@ -423,68 +247,17 @@ fn collect_replies(
             }
             break;
         }
-        if !barrier && now >= quiet_deadline {
+        if quiet_deadline.is_some_and(|deadline| now >= deadline) {
             break;
         }
-        if barrier && now >= resend_at {
-            for &t in &waiting {
-                let message = resend(t);
-                fleet.send_to(t, &message);
-            }
+        if quiet.is_none() && now >= resend_at {
+            fleet.send_each(&waiting, resend);
             // plos-lint: allow(D2): barrier re-send cadence only
             resend_at = Instant::now() + RESEND_AFTER;
         }
-        for &t in &waiting {
-            if !fleet.is_alive(t) {
-                continue;
-            }
-            let Some(link) = fleet.links.get_mut(t) else { continue };
-            let received = link.recv_timeout(POLL_SLICE);
-            match received {
-                Ok(Message::AsyncUpdate { epoch: e, basis, user, w_t, v_t, xi_t }) => {
-                    // Any arrival re-arms the quiescence window.
-                    // plos-lint: allow(D2): quiescence-window bookkeeping only
-                    quiet_deadline = Instant::now() + quiet_window;
-                    let matched =
-                        matches!(outstanding.get(t), Some(Some(assigned)) if *assigned == e);
-                    if user as usize != t {
-                        fleet.tally.protocol_errors = fleet.tally.protocol_errors.saturating_add(1);
-                    } else if !matched {
-                        // A duplicate, or an answer to a superseded
-                        // assignment: discard by tag, never merge.
-                        fleet.tally.late_discards = fleet.tally.late_discards.saturating_add(1);
-                    } else {
-                        if let Some(slot) = outstanding.get_mut(t) {
-                            *slot = None;
-                        }
-                        let staleness = epoch.saturating_sub(basis);
-                        if staleness <= staleness_bound {
-                            accepted.push((t, w_t, v_t, xi_t));
-                        } else {
-                            *stale_discards = stale_discards.saturating_add(1);
-                            if plos_obs::enabled() {
-                                plos_obs::emit(
-                                    "stale_discard",
-                                    &[
-                                        ("device", t.into()),
-                                        ("epoch", epoch.into()),
-                                        ("basis", basis.into()),
-                                        ("staleness", staleness.into()),
-                                    ],
-                                );
-                                plos_obs::counter_add("async.stale_discards", 1);
-                            }
-                        }
-                    }
-                }
-                Ok(_) => {
-                    fleet.tally.protocol_errors = fleet.tally.protocol_errors.saturating_add(1)
-                }
-                // A corrupted frame surfaced as a codec error; barrier mode
-                // re-sends, S > 0 mode re-assigns once over-stale.
-                Err(TransportError::Timeout | TransportError::Codec(_)) => {}
-                Err(TransportError::Disconnected) => fleet.evict(t),
-            }
+        // Any arrival re-arms the quiescence window.
+        if let (Some(at), Some(window)) = (fleet.sweep(owed, epoch, bound, &mut accepted), quiet) {
+            quiet_deadline = Some(at + window);
         }
     }
     Ok(accepted)
@@ -506,7 +279,6 @@ struct Staleness<'a> {
     /// Devices whose slot the last ADMM pass refreshed.
     refreshed: Vec<bool>,
     folded: usize,
-    stale_discards: u64,
     reassignments: u64,
 }
 
@@ -522,7 +294,6 @@ impl<'a> Staleness<'a> {
             outstanding: vec![None; n],
             refreshed: vec![false; n],
             folded: 0,
-            stale_discards: 0,
             reassignments: 0,
         }
     }
@@ -540,9 +311,8 @@ impl Gather for Staleness<'_> {
         // Every u_t is still zero in the initialization epoch.
         let message = |t: usize| match phase {
             PHASE_REFINE => Message::Refine { round: epoch, w0: w0.clone() },
-            _ => Message::AsyncBroadcast {
-                epoch,
-                staleness_bound: bound,
+            _ => Message::Broadcast {
+                round: epoch,
                 w0: w0.clone(),
                 u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
             },
@@ -551,7 +321,7 @@ impl Gather for Staleness<'_> {
         // anchors the final model, and keeping it synchronous is what pins
         // the S > 0 accuracy band to the synchronous protocol's) are
         // barriers; an S > 0 pass closes on quiescence.
-        let barrier = phase != PHASE_ADMM || bound == 0;
+        let quiet = (phase == PHASE_ADMM && bound > 0).then_some(self.poll_window);
         if phase != PHASE_ADMM {
             self.outstanding.fill(None);
         }
@@ -576,17 +346,8 @@ impl Gather for Staleness<'_> {
             }
         }
         self.fleet.publish_roster();
-        let window = if barrier { SERVER_WAIT } else { self.poll_window };
-        let replies = collect_replies(
-            &mut self.fleet,
-            &mut self.outstanding,
-            epoch,
-            bound,
-            window,
-            barrier,
-            &message,
-            &mut self.stale_discards,
-        )?;
+        let replies =
+            collect_replies(&mut self.fleet, &mut self.outstanding, epoch, bound, quiet, &message)?;
         self.fleet.publish_roster();
         let n = self.fleet.alive_count();
         let live = &self.fleet.alive;
@@ -665,17 +426,12 @@ impl Gather for Staleness<'_> {
     /// server-held `w_t` slots equal each device's own anchor (fault-free),
     /// so the `Restore` handshake alone re-seats the fleet exactly.
     fn export(&self, _boundary: bool) -> Option<FleetSection> {
-        Some(FleetSection {
-            stale_discards: self.stale_discards,
-            reassignments: self.reassignments,
-            ..self.fleet.snapshot(&self.slots)
-        })
+        Some(FleetSection { reassignments: self.reassignments, ..self.fleet.snapshot(&self.slots) })
     }
 
     fn restore(&mut self, epoch: u32, section: &FleetSection) -> Result<(), CoreError> {
         self.fleet.restore(section);
         self.slots = Slots::restored(section, self.dim);
-        self.stale_discards = section.stale_discards;
         self.reassignments = section.reassignments;
         let dim = self.dim;
         let t_count = wire_u32(self.fleet.alive_count());
@@ -688,16 +444,7 @@ impl Gather for Staleness<'_> {
         for (slot, &alive) in self.outstanding.iter_mut().zip(&self.fleet.alive) {
             *slot = alive.then_some(epoch);
         }
-        collect_replies(
-            &mut self.fleet,
-            &mut self.outstanding,
-            epoch,
-            self.bound,
-            SERVER_WAIT,
-            true,
-            &restore,
-            &mut self.stale_discards,
-        )?;
+        collect_replies(&mut self.fleet, &mut self.outstanding, epoch, self.bound, None, &restore)?;
         Ok(())
     }
 
@@ -794,32 +541,16 @@ impl AsyncDistributedPlos {
         let fingerprint = async_fingerprint(&self.config, &self.spec, t_count, dim);
         let (session, resume) = consensus::open(policy, "async", fingerprint, t_count, dim)?;
 
-        let spec = self.spec;
-        let (server_out, outcomes, panicked) = cohort.run(
-            self.runtime,
-            |ends| {
-                let fleet = Fleet::new(plan.wrap_links(ends), FaultTolerance::default());
-                let mut server = Staleness::new(fleet, &spec, dim);
+        let (server_out, outcomes, panicked) =
+            cohort.run(self.runtime, plan, Some(self.spec), |ends| {
+                let mut server = Staleness::new(Fleet::new(plan.wrap_links(ends)), &self.spec, dim);
                 let driver = Driver::new(&self.config, session, false, fingerprint, dim);
                 let consensus = driver.run(&mut server, resume)?;
                 let model =
                     consensus.model(&server.slots.w_ts, &server.fleet.alive, self.config.bias);
-                let counters = (server.stale_discards, server.reassignments);
-                Ok::<_, CoreError>((model, consensus, server.fleet.tally, counters))
-            },
-            |t, solver| AsyncDeviceMachine {
-                user: wire_u32(t),
-                t,
-                solver,
-                spec,
-                last: None,
-                sent: None,
-                stale: 0,
-                fresh: 0,
-                panic_at: plan.panic_round(t),
-            },
-        )?;
-        let (model, consensus, tally, (stale_discards, reassignments)) = server_out?;
+                Ok::<_, CoreError>((model, consensus, server.fleet.tally, server.reassignments))
+            })?;
+        let (model, consensus, tally, reassignments) = server_out?;
         let report = AsyncReport {
             per_user_traffic: outcomes.iter().map(|o| o.stats).collect(),
             admm_iterations: consensus.admm_iterations,
@@ -828,7 +559,7 @@ impl AsyncDistributedPlos {
             converged: consensus.converged,
             stale_replies: outcomes.iter().map(|o| o.stale).collect(),
             fresh_replies: outcomes.iter().map(|o| o.fresh).collect(),
-            stale_discards,
+            stale_discards: tally.stale_discards,
             late_discards: tally.late_discards,
             reassignments,
             protocol_errors: tally.protocol_errors.saturating_add(panicked.len() as u64),

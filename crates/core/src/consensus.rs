@@ -23,11 +23,12 @@
 //! staleness server equals the barrier server (`async_parity`), and the
 //! tree equals the flat star at any shard count (`shard_parity`).
 
+use crate::asynchronous::AsyncSpec;
 use crate::checkpoint::{self, CheckpointPolicy, CkptSession};
 use crate::config::PlosConfig;
 use crate::distributed::AdmmResiduals;
 use crate::error::CoreError;
-use crate::local::LocalSolver;
+use crate::local::{LocalSolver, LocalUpdate};
 use crate::model::PersonalizedModel;
 use crate::problem;
 use crate::wire_u32;
@@ -36,8 +37,8 @@ use plos_ckpt::{CkptError, ConsensusPhase, ConsensusState, FleetSection};
 use plos_linalg::{ExactSum, ExactVecSum, Vector};
 use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
 use plos_net::{
-    try_star, ClientExit, DeviceMachine, DeviceRuntime, Endpoint, FaultPlan, MuxNetwork,
-    TrafficStats,
+    try_star, ClientExit, DeviceMachine, DeviceRuntime, DeviceStep, Endpoint, FaultPlan, Message,
+    MuxNetwork, TrafficStats,
 };
 use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
@@ -564,12 +565,208 @@ pub(crate) fn providers(replies: &[Reply], n: usize, dim: usize) -> Partial {
 #[derive(Debug, Default)]
 pub(crate) struct DeviceOutcome {
     pub(crate) stats: TrafficStats,
-    /// Cumulative local-solve time (barrier devices).
+    /// Cumulative local-solve time.
     pub(crate) compute: Duration,
-    /// Replies answered from the cache (bounded-staleness devices).
+    /// Rounds answered from the cache while busy.
     pub(crate) stale: usize,
-    /// Fresh local solves (bounded-staleness devices).
+    /// Fresh local solves (ADMM and refinement).
     pub(crate) fresh: usize,
+}
+
+/// A device's last answer: the round it answered, the round whose
+/// `(w0, u_t)` the solution was computed against, and the solution.
+struct Answer {
+    round: u32,
+    basis: u32,
+    update: LocalUpdate,
+}
+
+/// The device side of Algorithm 2, one machine for every fleet server: it
+/// answers the server's `(w0, u_t)` with a local solve of Eq. (22) until
+/// shutdown, and the [`MuxNetwork`] sweep drives it alongside its siblings
+/// on a pool worker. Timeouts and corrupted frames never reach it; the
+/// server re-sends anything that mattered.
+///
+/// * The init round, every fresh solve, refinement and the `Restore` ack
+///   travel as `ClientUpdate`.
+/// * Under a bounded-staleness spec with `S > 0`, the spec's straggler
+///   process makes the device busy at some rounds. A busy device answers
+///   from its cache instead of solving: its last solution, as
+///   `AsyncUpdate { basis }`, where `basis` is the round it was computed
+///   against. Without a spec (the flat star and the tree's regionals) or at
+///   `S = 0` it never does.
+/// * A re-sent round gets the cached reply again, byte for byte, so a retry
+///   or a duplicated frame never advances the working set twice.
+struct Device {
+    t: usize,
+    user: u32,
+    solver: LocalSolver,
+    spec: Option<AsyncSpec>,
+    /// The last answer; cleared when the linearization changes.
+    answer: Option<Answer>,
+    compute: Duration,
+    stale: usize,
+    fresh: usize,
+    /// Chaos injection: panic on the first broadcast at or after this round
+    /// ([`FaultPlan::panic_round`]), modelling an app crash mid-ADMM.
+    panic_at: Option<u32>,
+}
+
+impl Device {
+    fn new(t: usize, solver: LocalSolver, plan: &FaultPlan, spec: Option<AsyncSpec>) -> Self {
+        Device {
+            t,
+            user: wire_u32(t),
+            solver,
+            spec,
+            answer: None,
+            compute: Duration::ZERO,
+            stale: 0,
+            fresh: 0,
+            panic_at: plan.panic_round(t),
+        }
+    }
+
+    /// Runs `work` on the solver, adding its time to the device's compute.
+    fn metered<T>(&mut self, work: impl FnOnce(&mut LocalSolver) -> T) -> T {
+        // plos-lint: allow(D2): per-device compute-time metering only
+        let start = Instant::now();
+        let out = work(&mut self.solver);
+        self.compute += start.elapsed();
+        out
+    }
+
+    /// The wire form of an answer: fresh solutions travel as
+    /// `ClientUpdate`, cached ones as `AsyncUpdate` with their basis.
+    fn frame(&self, answer: &Answer) -> Message {
+        let LocalUpdate { w_t, v_t, xi_t } = answer.update.clone();
+        let (round, basis, user) = (answer.round, answer.basis, self.user);
+        if basis == round {
+            Message::ClientUpdate { round, user, w_t, v_t, xi_t }
+        } else {
+            Message::AsyncUpdate { epoch: round, basis, user, w_t, v_t, xi_t }
+        }
+    }
+
+    /// The cached reply, when `round` was already answered.
+    fn resend(&self, round: u32) -> Option<DeviceStep> {
+        let answer = self.answer.as_ref().filter(|a| a.round == round)?;
+        Some(DeviceStep::Send(self.frame(answer)))
+    }
+
+    /// Sends `answer` and caches it.
+    fn reply(&mut self, answer: Answer) -> DeviceStep {
+        let frame = self.frame(&answer);
+        self.answer = Some(answer);
+        DeviceStep::Send(frame)
+    }
+}
+
+/// A failed local solve degrades the device to the consensus update rather
+/// than poisoning the protocol: the server keeps driving the other devices
+/// and this one rejoins next round.
+fn consensus_update(w0: &Vector) -> LocalUpdate {
+    LocalUpdate { w_t: w0.clone(), v_t: Vector::zeros(w0.len()), xi_t: 0.0 }
+}
+
+impl DeviceMachine for Device {
+    type Output = DeviceOutcome;
+
+    // The planned chaos crash must be a genuine panic: the whole point of
+    // the regression is that the runtime contains it per-device.
+    #[allow(clippy::panic)]
+    fn on_message(&mut self, message: Message) -> DeviceStep {
+        match message {
+            Message::Broadcast { round, w0, u_t } => {
+                if self.panic_at.is_some_and(|at| round >= at) {
+                    panic!("planned chaos: device {} crashed at round {round}", self.user);
+                }
+                if let Some(cached) = self.resend(round) {
+                    return cached;
+                }
+                let busy = self.spec.is_some_and(|s| s.busy(self.t, round));
+                let answer = match self.answer.take() {
+                    // Init round: contribute a local hyperplane if this
+                    // device has labels of both classes.
+                    _ if round == 0 => {
+                        let w_t = self.metered(|s| s.initial_hyperplane());
+                        let update = LocalUpdate {
+                            w_t: w_t.unwrap_or_else(|| Vector::zeros(w0.len())),
+                            v_t: Vector::zeros(w0.len()),
+                            xi_t: 0.0,
+                        };
+                        Answer { round, basis: round, update }
+                    }
+                    // Busy with a solution of this linearization in hand
+                    // (the init hyperplane is none): answer from the cache.
+                    Some(last) if busy && last.basis > 0 => {
+                        self.stale += 1;
+                        Answer { round, ..last }
+                    }
+                    _ => {
+                        self.fresh += 1;
+                        let update = self.metered(|s| s.solve(&w0, &u_t));
+                        let update = update.unwrap_or_else(|_| consensus_update(&w0));
+                        Answer { round, basis: round, update }
+                    }
+                };
+                self.reply(answer)
+            }
+            Message::Refine { round, w0 } => {
+                if let Some(cached) = self.resend(round) {
+                    return cached;
+                }
+                // Refinement is always fresh — it anchors the final model.
+                self.fresh += 1;
+                let seed = self.solver.seed_for_round(round);
+                let update = self.metered(|s| s.refine(&w0, seed));
+                let update = update.unwrap_or_else(|_| consensus_update(&w0));
+                self.reply(Answer { round, basis: round, update })
+            }
+            Message::CccpAdvance { .. } => {
+                self.solver.advance_cccp();
+                // The linearization changed: the cached solution is void.
+                self.answer = None;
+                DeviceStep::NeedRecv
+            }
+            // The cohort shrank: rescale every T-dependent quantity,
+            // notably κ = λ/T in the local objective.
+            Message::RosterUpdate { t_count } => {
+                self.solver.set_cohort_size(t_count as usize);
+                DeviceStep::NeedRecv
+            }
+            // Checkpoint resume: adopt the server's recorded CCCP anchor and
+            // cohort size, then ack so the server knows this device is
+            // repositioned. The ack carries empty vectors — it is a liveness
+            // signal, not an update — and is not cached: the flat server
+            // next replays the broadcast of the restore round itself, which
+            // must run a solve.
+            Message::Restore { round, t_count, w_t } => {
+                self.solver.restore(w_t, t_count as usize);
+                self.answer = None;
+                DeviceStep::Send(Message::ClientUpdate {
+                    round,
+                    user: self.user,
+                    w_t: Vector::zeros(0),
+                    v_t: Vector::zeros(0),
+                    xi_t: 0.0,
+                })
+            }
+            // Devices never receive peer updates or tree frames; drop the
+            // stray frame rather than dying on a protocol hiccup.
+            Message::ClientUpdate { .. }
+            | Message::AsyncUpdate { .. }
+            | Message::ShardBroadcast { .. }
+            | Message::PartialSum { .. }
+            | Message::ShardCommit { .. }
+            | Message::ShardResidual { .. } => DeviceStep::NeedRecv,
+            Message::Shutdown => DeviceStep::Done,
+        }
+    }
+
+    fn finish(self, stats: TrafficStats) -> DeviceOutcome {
+        DeviceOutcome { stats, compute: self.compute, stale: self.stale, fresh: self.fresh }
+    }
 }
 
 /// A prepared cohort: one local solver per device, handed out once each.
@@ -614,30 +811,29 @@ pub(crate) fn prepare(
 }
 
 impl Cohort {
-    /// Runs the devices on the [`MuxNetwork`] under `runtime`, each one the
-    /// machine `machine` builds around its solver, while `server` drives the
-    /// star from the calling thread. Returns the server's result, every
-    /// device's outcome in device order (a crashed device's left at its
-    /// defaults) and the crashed devices.
+    /// Runs the devices on the [`MuxNetwork`] under `runtime`, each one a
+    /// [`Device`] around its solver under `plan` and, for the
+    /// bounded-staleness server, `spec`, while `server` drives the star from
+    /// the calling thread. Returns the server's result, every device's
+    /// outcome in device order (a crashed device's left at its defaults) and
+    /// the crashed devices.
     // Allowed: the slot map holds one solver per device index and the
     // network builds each device exactly once, so the take-once expect
     // cannot fail.
     #[allow(clippy::expect_used)]
-    pub(crate) fn run<R, M>(
+    pub(crate) fn run<R>(
         &self,
         runtime: DeviceRuntime,
+        plan: &FaultPlan,
+        spec: Option<AsyncSpec>,
         server: impl FnOnce(&mut Vec<Endpoint>) -> R,
-        machine: impl Fn(usize, LocalSolver) -> M + Sync,
-    ) -> Result<(R, Vec<DeviceOutcome>, Vec<usize>), CoreError>
-    where
-        M: DeviceMachine<Output = DeviceOutcome>,
-    {
+    ) -> Result<(R, Vec<DeviceOutcome>, Vec<usize>), CoreError> {
         let network =
             try_star(self.t_count).map_err(|e| CoreError::Protocol { detail: e.to_string() })?;
         let DeviceRuntime::Multiplexed { devices_per_worker } = runtime;
         let (out, exits) = MuxNetwork::new(network, devices_per_worker).run(server, |t| {
             let solver = self.solvers.lock().get_mut(t).and_then(Option::take);
-            machine(t, solver.expect("each device slot is taken exactly once"))
+            Device::new(t, solver.expect("each device slot is taken exactly once"), plan, spec)
         });
         let mut panicked = Vec::new();
         let outcomes = exits
@@ -655,5 +851,103 @@ impl Cohort {
             })
             .collect();
         Ok((out, outcomes, panicked))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use plos_sensing::dataset::LabelMask;
+    use plos_sensing::synthetic::{generate_synthetic, SyntheticSpec};
+
+    /// Device 0 of a small cohort, built with `spec`, and the model dimension.
+    fn device(spec: Option<AsyncSpec>) -> (Device, usize) {
+        let shape =
+            SyntheticSpec { num_users: 3, points_per_class: 20, max_rotation: 0.4, flip_prob: 0.0 };
+        let data = generate_synthetic(&shape, 7).mask_labels(&LabelMask::providers(2, 0.2), 1);
+        let plan = FaultPlan::none();
+        let cohort = prepare(&PlosConfig::fast(), &data, &plan).unwrap();
+        let solver = cohort.solvers.lock()[0].take().unwrap();
+        (Device::new(0, solver, &plan, spec), cohort.dim)
+    }
+
+    fn broadcast(round: u32, dim: usize) -> Message {
+        Message::Broadcast { round, w0: Vector::from(vec![0.5; dim]), u_t: Vector::zeros(dim) }
+    }
+
+    fn sent(step: DeviceStep) -> Message {
+        let DeviceStep::Send(reply) = step else { panic!("the device did not reply") };
+        reply
+    }
+
+    #[test]
+    fn fresh_answers_are_client_updates_and_only_busy_ones_come_from_the_cache() {
+        let (mut dev, dim) = device(None);
+        let steps = [
+            broadcast(0, dim),
+            broadcast(1, dim),
+            Message::Refine { round: 2, w0: Vector::from(vec![0.5; dim]) },
+            Message::Restore { round: 3, t_count: 3, w_t: Vector::zeros(dim) },
+        ];
+        for (round, message) in (0..).zip(steps) {
+            let reply = sent(dev.on_message(message));
+            assert!(
+                matches!(reply, Message::ClientUpdate { round: r, user: 0, .. } if r == round),
+                "round {round}: {reply:?}"
+            );
+        }
+
+        let spec =
+            AsyncSpec { availability: 0.1, staleness_bound: 2, seed: 3, ..AsyncSpec::default() };
+        let (mut dev, dim) = device(Some(spec));
+        sent(dev.on_message(broadcast(0, dim)));
+        // Nothing is cached before the first solve of a linearization.
+        assert!(matches!(sent(dev.on_message(broadcast(1, dim))), Message::ClientUpdate { .. }));
+        let mut cached = 0;
+        for epoch in 2..12 {
+            match sent(dev.on_message(broadcast(epoch, dim))) {
+                Message::AsyncUpdate { epoch: e, basis, .. } => {
+                    assert_eq!(e, epoch);
+                    assert!(basis > 0 && basis < epoch, "basis {basis} at epoch {epoch}");
+                    cached += 1;
+                }
+                Message::ClientUpdate { round, .. } => assert_eq!(round, epoch),
+                other => panic!("epoch {epoch}: {other:?}"),
+            }
+        }
+        assert!(cached > 0, "at 10 % availability some epoch must be busy");
+        assert_eq!((dev.stale, dev.fresh), (cached, 11 - cached));
+
+        // The same straggler process at S = 0 never answers from the cache.
+        let (mut dev, dim) = device(Some(AsyncSpec { staleness_bound: 0, ..spec }));
+        for epoch in 0..12 {
+            let reply = sent(dev.on_message(broadcast(epoch, dim)));
+            assert!(matches!(reply, Message::ClientUpdate { .. }), "epoch {epoch}: {reply:?}");
+        }
+        assert_eq!(dev.stale, 0);
+    }
+
+    #[test]
+    fn a_re_sent_round_gets_the_cached_reply_without_a_second_solve() {
+        let (mut dev, dim) = device(None);
+        sent(dev.on_message(broadcast(0, dim)));
+        let first = sent(dev.on_message(broadcast(1, dim)));
+        let working_set = dev.solver.working_set_len();
+        let again = sent(dev.on_message(broadcast(1, dim)));
+        assert_eq!(again.encode(), first.encode());
+        assert_eq!(dev.fresh, 1);
+        assert_eq!(dev.solver.working_set_len(), working_set);
+    }
+
+    #[test]
+    fn a_broadcast_of_the_restore_round_runs_a_solve() {
+        let (mut dev, dim) = device(None);
+        let restore = Message::Restore { round: 5, t_count: 3, w_t: Vector::zeros(dim) };
+        let ack = sent(dev.on_message(restore));
+        assert!(matches!(&ack, Message::ClientUpdate { round: 5, w_t, .. } if w_t.is_empty()));
+        // The flat server replays the restore round's own broadcast next.
+        let reply = sent(dev.on_message(broadcast(5, dim)));
+        assert_eq!(dev.fresh, 1, "the replayed broadcast must solve");
+        assert!(matches!(&reply, Message::ClientUpdate { round: 5, w_t, .. } if w_t.len() == dim));
     }
 }

@@ -44,17 +44,13 @@ use crate::consensus::{
     self, providers, Consensus, DeviceOutcome, Driver, Gather, Partial, Reply, Slots,
 };
 use crate::error::CoreError;
-use crate::local::LocalSolver;
 use crate::model::PersonalizedModel;
 use crate::sharded::Topology;
 use crate::wire_u32;
 use plos_ckpt::{ConsensusState, FleetSection, KIND_CONSENSUS};
 use plos_linalg::{ExactSum, Vector};
 use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
-use plos_net::{
-    DeviceMachine, DeviceRuntime, DeviceStep, FaultPlan, FaultyEndpoint, Message, TrafficStats,
-    TransportError,
-};
+use plos_net::{DeviceRuntime, FaultPlan, FaultyEndpoint, Message, TrafficStats, TransportError};
 use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
 use std::time::{Duration, Instant};
@@ -180,144 +176,6 @@ impl DistributedReport {
     }
 }
 
-/// The device side of the synchronous protocol as a resumable state
-/// machine: answer broadcasts with local solves until shutdown. The
-/// [`plos_net::MuxNetwork`] sweep drives it alongside its siblings on a
-/// pool worker. Timeouts and corrupted frames never reach it; the server's
-/// retry layer re-broadcasts anything that mattered.
-pub(crate) struct SyncDeviceMachine {
-    user: u32,
-    solver: LocalSolver,
-    compute: Duration,
-    /// Chaos injection: panic on the first broadcast at or after this round
-    /// ([`FaultPlan::panic_round`]), modelling an app crash mid-ADMM.
-    panic_at: Option<u32>,
-}
-
-impl SyncDeviceMachine {
-    pub(crate) fn new(t: usize, solver: LocalSolver, plan: &FaultPlan) -> Self {
-        SyncDeviceMachine {
-            user: wire_u32(t),
-            solver,
-            compute: Duration::ZERO,
-            panic_at: plan.panic_round(t),
-        }
-    }
-}
-
-impl DeviceMachine for SyncDeviceMachine {
-    type Output = DeviceOutcome;
-
-    // The planned chaos crash must be a genuine panic: the whole point of
-    // the regression is that the runtime contains it per-device.
-    #[allow(clippy::panic)]
-    fn on_message(&mut self, message: Message) -> DeviceStep {
-        match message {
-            Message::Broadcast { round, w0, u_t } => {
-                if self.panic_at.is_some_and(|at| round >= at) {
-                    panic!("planned chaos: device {} crashed at round {round}", self.user);
-                }
-                if round == 0 {
-                    // Init round: contribute a local hyperplane if this
-                    // device has labels of both classes.
-                    // plos-lint: allow(D2): per-device compute-time metering only
-                    let start = Instant::now();
-                    let w_init =
-                        self.solver.initial_hyperplane().unwrap_or_else(|| Vector::zeros(w0.len()));
-                    self.compute += start.elapsed();
-                    DeviceStep::Send(Message::ClientUpdate {
-                        round,
-                        user: self.user,
-                        w_t: w_init,
-                        v_t: Vector::zeros(w0.len()),
-                        xi_t: 0.0,
-                    })
-                } else {
-                    // plos-lint: allow(D2): per-device compute-time metering only
-                    let start = Instant::now();
-                    // A failed local solve degrades this device to the
-                    // consensus update rather than poisoning the protocol:
-                    // the server keeps driving the other devices and this
-                    // one rejoins next round.
-                    let update = self.solver.solve(&w0, &u_t).unwrap_or_else(|_| {
-                        crate::local::LocalUpdate {
-                            w_t: w0.clone(),
-                            v_t: Vector::zeros(w0.len()),
-                            xi_t: 0.0,
-                        }
-                    });
-                    self.compute += start.elapsed();
-                    DeviceStep::Send(Message::ClientUpdate {
-                        round,
-                        user: self.user,
-                        w_t: update.w_t,
-                        v_t: update.v_t,
-                        xi_t: update.xi_t,
-                    })
-                }
-            }
-            Message::CccpAdvance { .. } => {
-                self.solver.advance_cccp();
-                DeviceStep::NeedRecv
-            }
-            Message::Refine { round, w0 } => {
-                // plos-lint: allow(D2): per-device compute-time metering only
-                let start = Instant::now();
-                let seed = self.solver.seed_for_round(round);
-                let update =
-                    self.solver.refine(&w0, seed).unwrap_or_else(|_| crate::local::LocalUpdate {
-                        w_t: w0.clone(),
-                        v_t: Vector::zeros(w0.len()),
-                        xi_t: 0.0,
-                    });
-                self.compute += start.elapsed();
-                DeviceStep::Send(Message::ClientUpdate {
-                    round,
-                    user: self.user,
-                    w_t: update.w_t,
-                    v_t: update.v_t,
-                    xi_t: update.xi_t,
-                })
-            }
-            // The cohort shrank: rescale every T-dependent quantity,
-            // notably κ = λ/T in the local objective.
-            Message::RosterUpdate { t_count } => {
-                self.solver.set_cohort_size(t_count as usize);
-                DeviceStep::NeedRecv
-            }
-            // Checkpoint resume: adopt the server's recorded CCCP anchor
-            // and cohort size, then ack so the server knows this device is
-            // repositioned before it replays the interrupted round. The ack
-            // carries empty vectors — it is a liveness signal, not an
-            // update.
-            Message::Restore { round, t_count, w_t } => {
-                self.solver.restore(w_t, t_count as usize);
-                DeviceStep::Send(Message::ClientUpdate {
-                    round,
-                    user: self.user,
-                    w_t: Vector::zeros(0),
-                    v_t: Vector::zeros(0),
-                    xi_t: 0.0,
-                })
-            }
-            // Devices never receive peer updates or async-protocol frames;
-            // drop the stray frame rather than dying on a protocol hiccup.
-            Message::ClientUpdate { .. }
-            | Message::AsyncBroadcast { .. }
-            | Message::AsyncUpdate { .. }
-            | Message::ShardBroadcast { .. }
-            | Message::PartialSum { .. }
-            | Message::ShardCommit { .. }
-            | Message::ShardResidual { .. } => DeviceStep::NeedRecv,
-            Message::Shutdown => DeviceStep::Done,
-        }
-    }
-
-    fn finish(self, stats: TrafficStats) -> DeviceOutcome {
-        DeviceOutcome { stats, compute: self.compute, ..DeviceOutcome::default() }
-    }
-}
-
 /// What a fleet counted over a run: evictions, attendance and discarded
 /// frames.
 #[derive(Debug, Clone, Default)]
@@ -328,19 +186,21 @@ pub(crate) struct Tally {
     pub(crate) participation: Vec<RoundParticipation>,
     pub(crate) protocol_errors: u64,
     pub(crate) late_discards: u64,
+    /// Matched replies whose basis exceeded the staleness bound.
+    pub(crate) stale_discards: u64,
 }
 
 /// Server-side view of the device roster: the fault-wrapped links plus the
 /// liveness bookkeeping that drives quorum gathers, retries and eviction.
-/// Both fleet strategies run over it: the barrier gather below, and the
-/// bounded-staleness server (`crate::asynchronous`), which replaces the
-/// quorum gather with its own collection loop.
+/// Both fleet strategies run over it and read replies through its one
+/// [`Fleet::sweep`]: the barrier gather below, and the bounded-staleness
+/// server (`crate::asynchronous`), whose collection loop closes on
+/// quiescence instead of quorum.
 pub(crate) struct Fleet<'a> {
     pub(crate) links: Vec<FaultyEndpoint<'a>>,
     pub(crate) alive: Vec<bool>,
     /// Consecutive rounds each device has missed.
     missed: Vec<u32>,
-    ft: FaultTolerance,
     pub(crate) tally: Tally,
     /// Set when an eviction changed the cohort size and the survivors have
     /// not been told yet.
@@ -353,26 +213,20 @@ pub(crate) struct Fleet<'a> {
 }
 
 impl<'a> Fleet<'a> {
-    pub(crate) fn new(links: Vec<FaultyEndpoint<'a>>, ft: FaultTolerance) -> Self {
-        let n = links.len();
-        let ids = (0..n).collect();
-        Self::with_ids(links, ft, ids)
+    pub(crate) fn new(links: Vec<FaultyEndpoint<'a>>) -> Self {
+        let ids = (0..links.len()).collect();
+        Self::with_ids(links, ids)
     }
 
     /// A sub-fleet whose link `i` talks to global device `ids[i]` — the
     /// regional aggregator's view of its shard.
-    pub(crate) fn with_ids(
-        links: Vec<FaultyEndpoint<'a>>,
-        ft: FaultTolerance,
-        ids: Vec<usize>,
-    ) -> Self {
+    pub(crate) fn with_ids(links: Vec<FaultyEndpoint<'a>>, ids: Vec<usize>) -> Self {
         let n = links.len();
         debug_assert_eq!(ids.len(), n);
         Fleet {
             links,
             alive: vec![true; n],
             missed: vec![0; n],
-            ft,
             tally: Tally::default(),
             roster_dirty: false,
             ids,
@@ -422,14 +276,105 @@ impl<'a> Fleet<'a> {
         }
     }
 
+    /// Sends one message to each of the devices `to`.
+    pub(crate) fn send_each(&mut self, to: &[usize], make: &dyn Fn(usize) -> Message) {
+        for &t in to {
+            let message = make(t);
+            self.send_to(t, &message);
+        }
+    }
+
     /// Sends one message per live device.
     pub(crate) fn send_alive(&mut self, make: &dyn Fn(usize) -> Message) {
-        for t in 0..self.links.len() {
-            if self.is_alive(t) {
-                let message = make(t);
-                self.send_to(t, &message);
+        let live: Vec<usize> = (0..self.links.len()).filter(|&t| self.is_alive(t)).collect();
+        self.send_each(&live, make);
+    }
+
+    /// The live devices that still owe a reply: `owed[t]` is the round
+    /// device `t` was last assigned, `None` once it answered.
+    pub(crate) fn owing(&self, owed: &[Option<u32>]) -> Vec<usize> {
+        (0..owed.len())
+            .filter(|&t| self.is_alive(t) && owed.get(t).is_some_and(Option::is_some))
+            .collect()
+    }
+
+    /// One reply sweep, the only place a fleet server reads device replies:
+    /// polls each device that still owes a reply ([`Fleet::owing`]) once, for
+    /// [`POLL_SLICE`], in index order. A reply that answers the round its
+    /// device owes, under the device's id, settles the debt. It is accepted
+    /// into `accepted` when its basis — the round a fresh `ClientUpdate`
+    /// answers, or the `basis` of a cached `AsyncUpdate` — is at most `bound`
+    /// rounds behind `round`, and discarded as stale otherwise. Duplicates
+    /// and answers to closed or superseded rounds are late discards;
+    /// misattributed replies and other frames are protocol errors; a dead
+    /// link evicts its device. Returns when the sweep's last reply arrived,
+    /// if one did.
+    pub(crate) fn sweep(
+        &mut self,
+        owed: &mut [Option<u32>],
+        round: u32,
+        bound: u32,
+        accepted: &mut Vec<Reply>,
+    ) -> Option<Instant> {
+        let mut arrived = None;
+        for t in self.owing(owed) {
+            let Some(link) = self.links.get_mut(t) else { continue };
+            let (answers, basis, user, w_t, v_t, xi_t) = match link.recv_timeout(POLL_SLICE) {
+                Ok(Message::ClientUpdate { round, user, w_t, v_t, xi_t }) => {
+                    (round, round, user, w_t, v_t, xi_t)
+                }
+                Ok(Message::AsyncUpdate { epoch, basis, user, w_t, v_t, xi_t }) => {
+                    (epoch, basis, user, w_t, v_t, xi_t)
+                }
+                Ok(_) => {
+                    self.tally.protocol_errors = self.tally.protocol_errors.saturating_add(1);
+                    continue;
+                }
+                // A corrupted frame surfaced as a codec error; the caller
+                // re-sends, and the device answers from its reply cache.
+                Err(TransportError::Timeout | TransportError::Codec(_)) => continue,
+                Err(TransportError::Disconnected) => {
+                    self.evict(t);
+                    continue;
+                }
+            };
+            // plos-lint: allow(D2): quiescence-window bookkeeping only
+            arrived = Some(Instant::now());
+            let tally = &mut self.tally;
+            let Some(slot) = owed.get_mut(t).filter(|slot| **slot == Some(answers)) else {
+                // A duplicate, or an answer to a closed or superseded round:
+                // discard by tag, never merge.
+                tally.late_discards = tally.late_discards.saturating_add(1);
+                continue;
+            };
+            let id = self.ids.get(t).copied().unwrap_or(t);
+            if user as usize != id {
+                // An update attributed to the wrong device is a counted,
+                // recoverable protocol error.
+                tally.protocol_errors = tally.protocol_errors.saturating_add(1);
+                continue;
+            }
+            *slot = None;
+            let staleness = round.saturating_sub(basis);
+            if staleness <= bound {
+                accepted.push((t, w_t, v_t, xi_t));
+                continue;
+            }
+            tally.stale_discards = tally.stale_discards.saturating_add(1);
+            if plos_obs::enabled() {
+                plos_obs::emit(
+                    "stale_discard",
+                    &[
+                        ("device", id.into()),
+                        ("epoch", round.into()),
+                        ("basis", basis.into()),
+                        ("staleness", staleness.into()),
+                    ],
+                );
+                plos_obs::counter_add("async.stale_discards", 1);
             }
         }
+        arrived
     }
 
     /// If evictions changed the cohort size, tells the survivors the new
@@ -474,6 +419,7 @@ impl<'a> Fleet<'a> {
                 .collect(),
             protocol_errors: tally.protocol_errors,
             late_discards: tally.late_discards,
+            stale_discards: tally.stale_discards,
             ..FleetSection::default()
         }
     }
@@ -504,6 +450,7 @@ impl<'a> Fleet<'a> {
                 .collect(),
             protocol_errors: section.protocol_errors,
             late_discards: section.late_discards,
+            stale_discards: section.stale_discards,
         };
         self.roster_dirty = false;
         for (link, &alive) in self.links.iter_mut().zip(&self.alive) {
@@ -513,9 +460,9 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// One quorum gather: collects the `ClientUpdate`s for `round` under the
-    /// retry policy and returns the accepted ones. The round closes when the
-    /// whole live roster replied, or the quorum is met after the initial
+    /// One quorum gather: collects the replies to `round` under the retry
+    /// policy of `ft` and returns the accepted ones. The round closes when
+    /// the whole live roster replied, or the quorum is met after the initial
     /// window, or the round deadline expires. Devices that stay silent
     /// accumulate a strike and are evicted after `evict_after` consecutive
     /// misses.
@@ -533,12 +480,12 @@ impl<'a> Fleet<'a> {
     /// advance, so retrying at the next round would only loop forever.
     pub(crate) fn gather(
         &mut self,
+        ft: &FaultTolerance,
         round: u32,
         record: bool,
         rebroadcast: &dyn Fn(usize) -> Message,
     ) -> Result<Vec<Reply>, CoreError> {
-        let t_count = self.links.len();
-        let mut replied = vec![false; t_count];
+        let mut owed = vec![Some(round); self.links.len()];
         let mut replies = Vec::new();
         // D2 audit: these clocks gate only the retry/deadline machinery —
         // replies are matched by round tag, late ones discarded, so which
@@ -546,10 +493,10 @@ impl<'a> Fleet<'a> {
         // Asserted clock-independent by tests/clock_independence.rs.
         // plos-lint: allow(D2): retry-window/deadline timeout plumbing only
         let started = Instant::now();
-        let first_window = started + self.ft.retry.recv_timeout;
-        let deadline = started + self.ft.retry.round_deadline;
+        let first_window = started + ft.retry.recv_timeout;
+        let deadline = started + ft.retry.round_deadline;
         let mut window_ends = first_window;
-        let mut backoff = self.ft.retry.backoff_base;
+        let mut backoff = ft.retry.backoff_base;
         let mut retries = 0u32;
 
         loop {
@@ -559,10 +506,8 @@ impl<'a> Fleet<'a> {
                     detail: format!("every device disconnected before round {round} closed"),
                 });
             }
-            let required = self.ft.required_replies(alive);
-            let outstanding: Vec<usize> = (0..t_count)
-                .filter(|&t| self.is_alive(t) && !replied.get(t).copied().unwrap_or(true))
-                .collect();
+            let required = ft.required_replies(alive);
+            let outstanding = self.owing(&owed);
             // plos-lint: allow(D2): retry-window/deadline timeout plumbing only
             let now = Instant::now();
             if outstanding.is_empty()
@@ -571,12 +516,9 @@ impl<'a> Fleet<'a> {
             {
                 break;
             }
-            if now >= window_ends && retries < self.ft.retry.max_retries {
+            if now >= window_ends && retries < ft.retry.max_retries {
                 retries += 1;
-                for &t in &outstanding {
-                    let message = rebroadcast(t);
-                    self.send_to(t, &message);
-                }
+                self.send_each(&outstanding, rebroadcast);
                 // plos-lint: allow(D2): backoff window for re-broadcasts only
                 let retry_now = Instant::now();
                 window_ends = retry_now + backoff;
@@ -586,45 +528,11 @@ impl<'a> Fleet<'a> {
                 // than the remaining deadline is indistinguishable from the
                 // deadline itself.
                 let remaining = deadline.saturating_duration_since(retry_now);
-                backoff = Duration::try_from_secs_f64(
-                    backoff.as_secs_f64() * self.ft.retry.backoff_factor,
-                )
-                .map_or(remaining, |grown| grown.min(remaining));
+                backoff =
+                    Duration::try_from_secs_f64(backoff.as_secs_f64() * ft.retry.backoff_factor)
+                        .map_or(remaining, |grown| grown.min(remaining));
             }
-            for &t in &outstanding {
-                if !self.is_alive(t) {
-                    continue;
-                }
-                let Some(link) = self.links.get_mut(t) else { continue };
-                let received = link.recv_timeout(POLL_SLICE);
-                match received {
-                    Ok(Message::ClientUpdate { round: r, user, w_t, v_t, xi_t }) => {
-                        if r != round || replied.get(t).copied().unwrap_or(false) {
-                            // A late reply to a closed round, or a duplicate:
-                            // discard by tag, never merge.
-                            self.tally.late_discards = self.tally.late_discards.saturating_add(1);
-                        } else if user as usize != self.ids.get(t).copied().unwrap_or(t) {
-                            // An update attributed to the wrong device used
-                            // to be a hard assert; now it is a counted,
-                            // recoverable protocol error.
-                            self.tally.protocol_errors =
-                                self.tally.protocol_errors.saturating_add(1);
-                        } else {
-                            if let Some(slot) = replied.get_mut(t) {
-                                *slot = true;
-                            }
-                            replies.push((t, w_t, v_t, xi_t));
-                        }
-                    }
-                    Ok(_) => {
-                        self.tally.protocol_errors = self.tally.protocol_errors.saturating_add(1)
-                    }
-                    // A corrupted frame surfaced as a codec error; the retry
-                    // layer re-broadcasts, the device recomputes.
-                    Err(TransportError::Timeout | TransportError::Codec(_)) => {}
-                    Err(TransportError::Disconnected) => self.evict(t),
-                }
-            }
+            self.sweep(&mut owed, round, 0, &mut replies);
         }
 
         let alive = self.alive_count();
@@ -636,7 +544,7 @@ impl<'a> Fleet<'a> {
             return Err(CoreError::QuorumLost {
                 round,
                 alive,
-                required: self.ft.required_replies(alive),
+                required: ft.required_replies(alive),
             });
         }
         if !record {
@@ -645,16 +553,16 @@ impl<'a> Fleet<'a> {
         // Strike accounting: a reply clears the count, a miss adds one, and
         // `evict_after` consecutive misses remove the device for good.
         let mut to_evict = Vec::new();
-        for (t, replied_t) in replied.iter().enumerate() {
+        for (t, owes) in owed.iter().enumerate() {
             if !self.is_alive(t) {
                 continue;
             }
             let Some(strikes) = self.missed.get_mut(t) else { continue };
-            if *replied_t {
+            if owes.is_none() {
                 *strikes = 0;
             } else {
                 *strikes += 1;
-                if *strikes >= self.ft.evict_after {
+                if *strikes >= ft.evict_after {
                     to_evict.push(t);
                 }
             }
@@ -675,6 +583,8 @@ impl<'a> Fleet<'a> {
 pub(crate) struct Barrier<'a> {
     pub(crate) fleet: Fleet<'a>,
     pub(crate) slots: Slots,
+    /// Retry, quorum and eviction policy of every gather.
+    ft: FaultTolerance,
     dim: usize,
     /// The flat star publishes cohort changes itself; a regional forwards
     /// the root's instead.
@@ -689,11 +599,18 @@ pub(crate) struct Barrier<'a> {
 }
 
 impl<'a> Barrier<'a> {
-    pub(crate) fn new(fleet: Fleet<'a>, dim: usize, owns_roster: bool, checkpointed: bool) -> Self {
+    pub(crate) fn new(
+        fleet: Fleet<'a>,
+        ft: FaultTolerance,
+        dim: usize,
+        owns_roster: bool,
+        checkpointed: bool,
+    ) -> Self {
         let n = fleet.links.len();
         Barrier {
             fleet,
             slots: Slots::new(n, dim),
+            ft,
             dim,
             owns_roster,
             checkpointed,
@@ -735,7 +652,7 @@ impl<'a> Barrier<'a> {
             self.log.push((round, w0.clone(), us.clone()));
         }
         self.fleet.send_alive(&message);
-        let replies = self.fleet.gather(round, true, &message)?;
+        let replies = self.fleet.gather(&self.ft, round, true, &message)?;
         if self.owns_roster {
             self.fleet.publish_roster();
         }
@@ -848,7 +765,7 @@ impl Gather for Barrier<'_> {
             w_t: anchors.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
         };
         self.fleet.send_alive(&restore);
-        self.fleet.gather(round, false, &restore)?;
+        self.fleet.gather(&self.ft, round, false, &restore)?;
         // Replay the interrupted CCCP round's broadcasts so each device
         // rebuilds its working set bit for bit. Replies are discarded: the
         // checkpointed server state is authoritative.
@@ -859,7 +776,7 @@ impl Gather for Barrier<'_> {
                 u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
             };
             self.fleet.send_alive(&scatter);
-            self.fleet.gather(*round, false, &scatter)?;
+            self.fleet.gather(&self.ft, *round, false, &scatter)?;
         }
         Ok(())
     }
@@ -1026,18 +943,15 @@ impl DistributedPlos {
         let (session, resume) = consensus::open(policy, "distributed", fingerprint, t_count, dim)?;
         let checkpointed = session.is_some();
 
-        let (server_out, outcomes, panicked) = cohort.run(
-            self.runtime,
-            |ends| {
-                let fleet = Fleet::new(plan.wrap_links(ends), self.fault_tolerance.clone());
-                let mut star = Barrier::new(fleet, dim, true, checkpointed);
-                let driver = Driver::new(&self.config, session, true, fingerprint, dim);
-                let consensus = driver.run(&mut star, resume)?;
-                let model = consensus.model(&star.slots.w_ts, &star.fleet.alive, self.config.bias);
-                Ok::<_, CoreError>((model, consensus, star.fleet.tally, star.compute))
-            },
-            |t, solver| SyncDeviceMachine::new(t, solver, plan),
-        )?;
+        let (server_out, outcomes, panicked) = cohort.run(self.runtime, plan, None, |ends| {
+            let fleet = Fleet::new(plan.wrap_links(ends));
+            let ft = self.fault_tolerance.clone();
+            let mut star = Barrier::new(fleet, ft, dim, true, checkpointed);
+            let driver = Driver::new(&self.config, session, true, fingerprint, dim);
+            let consensus = driver.run(&mut star, resume)?;
+            let model = consensus.model(&star.slots.w_ts, &star.fleet.alive, self.config.bias);
+            Ok::<_, CoreError>((model, consensus, star.fleet.tally, star.compute))
+        })?;
         let (model, consensus, tally, compute) = server_out?;
         let report = report(consensus, tally, compute, &outcomes, panicked, started);
         if plos_obs::enabled() {

@@ -37,8 +37,8 @@ use crate::checkpoint;
 use crate::config::FaultTolerance;
 use crate::consensus::{self, Driver, Gather, Partial};
 use crate::distributed::{
-    report, Barrier, DistributedPlos, DistributedReport, Fleet, RoundParticipation,
-    SyncDeviceMachine, Tally, POLL_SLICE,
+    report, Barrier, DistributedPlos, DistributedReport, Fleet, RoundParticipation, Tally,
+    POLL_SLICE,
 };
 use crate::error::CoreError;
 use crate::model::PersonalizedModel;
@@ -525,7 +525,7 @@ fn region_loop(
         .zip(ends.iter())
         .map(|(&t, end)| FaultyEndpoint::new(end, plan.link_faults(t)))
         .collect();
-    let mut region = Barrier::new(Fleet::with_ids(links, ft, devices.clone()), dim, false, false);
+    let mut region = Barrier::new(Fleet::with_ids(links, devices.clone()), ft, dim, false, false);
     // Idempotent replay caches: a failed-over leader re-issues the round it
     // was killed in, and the cached reply must be byte-identical.
     let mut last_partial: Option<(u32, Message)> = None;
@@ -677,9 +677,8 @@ pub(crate) fn fit_sharded(
 
     let num_shards = map.num_shards();
     let map_ref = &map;
-    let (server_out, outcomes, panicked) = cohort.run(
-        trainer.runtime,
-        |server_ends| {
+    let (server_out, outcomes, panicked) =
+        cohort.run(trainer.runtime, plan, None, |server_ends| {
             // Move each shard's device endpoints out of the star and into
             // its regional aggregator thread.
             let mut owned: Vec<Option<Endpoint>> = server_ends.drain(..).map(Some).collect();
@@ -711,9 +710,7 @@ pub(crate) fn fit_sharded(
                 let driver = Driver::new(&trainer.config, None, false, fingerprint, dim);
                 Ok::<_, CoreError>((driver.run(&mut root, None)?, root.tally))
             })
-        },
-        |t, solver| SyncDeviceMachine::new(t, solver, plan),
-    )?;
+        })?;
 
     let (root_out, region_exits) = server_out;
     // A typed regional failure (quorum lost in a shard, device transport

@@ -290,29 +290,33 @@ impl ExactSum {
     /// # Errors
     ///
     /// Returns [`LinalgError::OutOfRange`] when a limb index is out of
-    /// bounds, repeated, out of order, or paired with a zero limb — every
-    /// well-formed encoding comes from [`canonical_parts`](Self::canonical_parts).
+    /// bounds, repeated, out of order, or paired with a zero limb; when a
+    /// limb below the top lies outside `[1, 2^32)`, the range normalization
+    /// leaves; when the top limb's magnitude reaches `2^32`, far beyond any
+    /// sum of finite `f64`s; or when `flags` has a bit outside the three
+    /// flags. Every well-formed encoding comes from
+    /// [`canonical_parts`](Self::canonical_parts), and every accepted one
+    /// re-encodes to itself.
     pub fn from_parts(flags: u8, parts: &[(u8, i64)]) -> Result<ExactSum, LinalgError> {
+        let out_of_range =
+            |value: f64| LinalgError::OutOfRange { op: "ExactSum::from_parts", value };
+        if flags & !(FLAG_NAN | FLAG_POS_INF | FLAG_NEG_INF) != 0 {
+            return Err(out_of_range(f64::from(flags)));
+        }
         let mut s = ExactSum::new();
         s.any_nan = flags & FLAG_NAN != 0;
         s.pos_inf = flags & FLAG_POS_INF != 0;
         s.neg_inf = flags & FLAG_NEG_INF != 0;
         let mut prev: Option<u8> = None;
         for &(idx, limb) in parts {
-            if limb == 0 || prev.is_some_and(|p| p >= idx) {
-                return Err(LinalgError::OutOfRange {
-                    op: "ExactSum::from_parts",
-                    value: idx as f64,
-                });
-            }
-            match s.limbs.get_mut(idx as usize) {
-                Some(slot) => *slot = limb,
-                None => {
-                    return Err(LinalgError::OutOfRange {
-                        op: "ExactSum::from_parts",
-                        value: idx as f64,
-                    })
-                }
+            let in_range = if usize::from(idx) == NUM_LIMBS - 1 {
+                limb != 0 && limb.unsigned_abs() < 1 << LIMB_BITS
+            } else {
+                (1..1 << LIMB_BITS).contains(&limb)
+            };
+            match s.limbs.get_mut(usize::from(idx)) {
+                Some(slot) if in_range && prev.is_none_or(|p| p < idx) => *slot = limb,
+                _ => return Err(out_of_range(f64::from(idx))),
             }
             prev = Some(idx);
         }
@@ -601,6 +605,42 @@ mod tests {
         assert!(ExactSum::from_parts(0, &[(3, 0)]).is_err(), "zero limb");
         assert!(ExactSum::from_parts(0, &[(5, 1), (5, 2)]).is_err(), "repeated index");
         assert!(ExactSum::from_parts(0, &[(5, 1), (2, 2)]).is_err(), "out of order");
+    }
+
+    #[test]
+    fn from_parts_rejects_limbs_and_flags_no_sum_produces() {
+        let top = (NUM_LIMBS - 1) as u8;
+        let reject = |flags: u8, parts: &[(u8, i64)]| {
+            assert!(
+                matches!(ExactSum::from_parts(flags, parts), Err(LinalgError::OutOfRange { .. })),
+                "accepted flags {flags:#x}, parts {parts:?}"
+            );
+        };
+        // Below the top, normalization leaves every limb in [0, 2^32).
+        reject(0, &[(3, -1)]);
+        reject(0, &[(3, 1 << 32)]);
+        reject(0, &[(3, i64::MAX)]);
+        // The top limb keeps its sign, but no sum of finite f64s comes
+        // near 2^32 there; i64::MIN would overflow the negation in value().
+        reject(0, &[(top, i64::MIN)]);
+        reject(0, &[(top, 1 << 32)]);
+        reject(0, &[(top, -(1 << 32))]);
+        // Only the three flags exist; any other bit would not re-encode.
+        for bit in 3..8 {
+            reject(1 << bit, &[]);
+        }
+        // Extreme but canonical encodings still decode to themselves.
+        for parts in [vec![(3, (1 << 32) - 1), (top, (1 << 32) - 1)], vec![(0, 1), (top, -1)]] {
+            let flags = FLAG_NAN | FLAG_POS_INF | FLAG_NEG_INF;
+            let s = ExactSum::from_parts(flags, &parts).unwrap();
+            assert_eq!(s.canonical_parts(), (flags, parts));
+        }
+        let mut negative = ExactSum::new();
+        negative.add(-f64::MAX);
+        negative.add(-1e-300);
+        let (flags, parts) = negative.canonical_parts();
+        let back = ExactSum::from_parts(flags, &parts).unwrap();
+        assert_eq!(back.value().to_bits(), negative.value().to_bits());
     }
 
     #[test]

@@ -184,6 +184,9 @@ pub fn get_exact_vec_sum(buf: &mut Bytes) -> Result<ExactVecSum, CodecError> {
     if dim > MAX_VEC_LEN {
         return Err(CodecError::LengthOverflow(dim));
     }
+    // Every component costs at least its flags and count bytes: check the
+    // bytes exist before reserving room for the components.
+    ensure(buf, 2 * dim as usize)?;
     let mut parts = Vec::with_capacity(dim as usize);
     for _ in 0..dim {
         let flags = get_u8(buf)?;
@@ -349,6 +352,23 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         assert_eq!(bytes.remaining(), 0);
+    }
+
+    #[test]
+    fn exact_vec_sum_dimension_is_checked_against_the_bytes_before_reserving() {
+        // A 22-byte `PartialSum` frame that declares the largest legal
+        // dimension and carries no component.
+        let mut raw = BytesMut::new();
+        raw.put_u8(WIRE_VERSION);
+        raw.put_u8(11);
+        raw.put_slice(&[0; 16]);
+        raw.put_u32_le(MAX_VEC_LEN as u32);
+        assert_eq!(raw.len(), 22);
+        let needed = 2 * MAX_VEC_LEN as usize;
+        assert_eq!(
+            crate::Message::decode(raw.freeze()).unwrap_err(),
+            CodecError::UnexpectedEof { needed, remaining: 0 }
+        );
     }
 
     #[test]

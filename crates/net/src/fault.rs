@@ -627,8 +627,8 @@ mod tests {
     fn async_messages_survive_the_fault_layer() {
         // Fault interplay for the epoch-tagged async protocol: a delayed
         // `AsyncUpdate` must arrive with its epoch/basis tags intact (the
-        // staleness decision rides on them), and a corrupted one must
-        // surface as a codec error, never as a silently mangled update.
+        // staleness decision rides on them), and a corrupted assignment must
+        // surface as a codec error, never as a silently mangled frame.
         let update = Message::AsyncUpdate {
             epoch: 9,
             basis: 7,
@@ -649,9 +649,8 @@ mod tests {
         let plan = FaultPlan::seeded(8).with_corruption(1.0);
         let mut faulty = FaultyEndpoint::new(&server, plan.link_faults(0));
         client
-            .send(&Message::AsyncBroadcast {
-                epoch: 4,
-                staleness_bound: 2,
+            .send(&Message::Broadcast {
+                round: 4,
                 w0: vec![0.0, 1.0].into(),
                 u_t: vec![1.0, 0.0].into(),
             })

@@ -60,31 +60,16 @@ pub enum Message {
         /// Number of devices still participating.
         t_count: u32,
     },
-    /// Server → user: asynchronous assignment — fold your contribution into
-    /// consensus epoch `epoch`. Unlike [`Message::Broadcast`] the server
-    /// does not barrier on the reply; it folds answers in as they arrive,
-    /// discarding any whose basis is more than `staleness_bound` epochs old.
-    AsyncBroadcast {
-        /// Server consensus epoch this assignment belongs to.
-        epoch: u32,
-        /// Staleness bound `S` in force: `0` demands a fresh solve every
-        /// epoch (synchronous degeneracy), `S>0` lets a busy device answer
-        /// with its cached solution up to `S` epochs old.
-        staleness_bound: u32,
-        /// Global hyperplane `w0` at `epoch`.
-        w0: Vector,
-        /// Scaled dual `u_t` for the receiving user at `epoch`.
-        u_t: Vector,
-    },
-    /// User → server: reply to an [`Message::AsyncBroadcast`]. `epoch` names
-    /// the assignment it answers; `basis` names the epoch whose `(w0, u_t)`
-    /// the payload was actually computed against (`basis == epoch` for a
-    /// fresh solve, `basis < epoch` for a cached reply from a busy device).
-    /// The server measures staleness as `current_epoch - basis`.
+    /// User → server: a *cached* reply from a busy device under the
+    /// bounded-staleness server. It answers the assignment of round `epoch`
+    /// with the solution the device last computed, against the `(w0, u_t)`
+    /// of the earlier round `basis < epoch`. A fresh solution always travels
+    /// as a [`Message::ClientUpdate`], whose basis is the round it answers.
+    /// The server measures staleness as `current_round - basis`.
     AsyncUpdate {
-        /// Assignment epoch this update answers.
+        /// Round of the assignment this update answers.
         epoch: u32,
-        /// Epoch of the consensus state the payload was computed against.
+        /// Round of the consensus state the payload was computed against.
         basis: u32,
         /// Sender's user index `t`.
         user: u32,
@@ -173,7 +158,7 @@ const TAG_SHUTDOWN: u8 = 4;
 const TAG_REFINE: u8 = 5;
 const TAG_ROSTER_UPDATE: u8 = 6;
 const TAG_RESTORE: u8 = 7;
-const TAG_ASYNC_BROADCAST: u8 = 8;
+// Tag 8 is retired: it decodes as an unknown tag and is never reassigned.
 const TAG_ASYNC_UPDATE: u8 = 9;
 const TAG_SHARD_BROADCAST: u8 = 10;
 const TAG_PARTIAL_SUM: u8 = 11;
@@ -222,13 +207,6 @@ impl Message {
                 buf.put_u32_le(*t_count);
                 codec::put_vector(&mut buf, w_t);
             }
-            Message::AsyncBroadcast { epoch, staleness_bound, w0, u_t } => {
-                buf.put_u8(TAG_ASYNC_BROADCAST);
-                buf.put_u32_le(*epoch);
-                buf.put_u32_le(*staleness_bound);
-                codec::put_vector(&mut buf, w0);
-                codec::put_vector(&mut buf, u_t);
-            }
             Message::AsyncUpdate { epoch, basis, user, w_t, v_t, xi_t } => {
                 buf.put_u8(TAG_ASYNC_UPDATE);
                 buf.put_u32_le(*epoch);
@@ -274,81 +252,78 @@ impl Message {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on version mismatch, unknown tag, or
-    /// truncated payload.
+    /// Returns a [`CodecError`] on version mismatch, unknown tag, truncated
+    /// payload, or bytes left over after the message: every message has
+    /// exactly one encoding.
     pub fn decode(mut bytes: Bytes) -> Result<Message, CodecError> {
         let version = codec::get_u8(&mut bytes)?;
         if version != WIRE_VERSION {
             return Err(CodecError::BadVersion(version));
         }
         let tag = codec::get_u8(&mut bytes)?;
-        match tag {
-            TAG_BROADCAST => Ok(Message::Broadcast {
+        let message = match tag {
+            TAG_BROADCAST => Message::Broadcast {
                 round: codec::get_u32(&mut bytes)?,
                 w0: codec::get_vector(&mut bytes)?,
                 u_t: codec::get_vector(&mut bytes)?,
-            }),
-            TAG_CLIENT_UPDATE => Ok(Message::ClientUpdate {
+            },
+            TAG_CLIENT_UPDATE => Message::ClientUpdate {
                 round: codec::get_u32(&mut bytes)?,
                 user: codec::get_u32(&mut bytes)?,
                 w_t: codec::get_vector(&mut bytes)?,
                 v_t: codec::get_vector(&mut bytes)?,
                 xi_t: codec::get_f64(&mut bytes)?,
-            }),
-            TAG_CCCP_ADVANCE => {
-                Ok(Message::CccpAdvance { cccp_round: codec::get_u32(&mut bytes)? })
-            }
-            TAG_REFINE => Ok(Message::Refine {
+            },
+            TAG_CCCP_ADVANCE => Message::CccpAdvance { cccp_round: codec::get_u32(&mut bytes)? },
+            TAG_REFINE => Message::Refine {
                 round: codec::get_u32(&mut bytes)?,
                 w0: codec::get_vector(&mut bytes)?,
-            }),
-            TAG_SHUTDOWN => Ok(Message::Shutdown),
-            TAG_ROSTER_UPDATE => Ok(Message::RosterUpdate { t_count: codec::get_u32(&mut bytes)? }),
-            TAG_RESTORE => Ok(Message::Restore {
+            },
+            TAG_SHUTDOWN => Message::Shutdown,
+            TAG_ROSTER_UPDATE => Message::RosterUpdate { t_count: codec::get_u32(&mut bytes)? },
+            TAG_RESTORE => Message::Restore {
                 round: codec::get_u32(&mut bytes)?,
                 t_count: codec::get_u32(&mut bytes)?,
                 w_t: codec::get_vector(&mut bytes)?,
-            }),
-            TAG_ASYNC_BROADCAST => Ok(Message::AsyncBroadcast {
-                epoch: codec::get_u32(&mut bytes)?,
-                staleness_bound: codec::get_u32(&mut bytes)?,
-                w0: codec::get_vector(&mut bytes)?,
-                u_t: codec::get_vector(&mut bytes)?,
-            }),
-            TAG_ASYNC_UPDATE => Ok(Message::AsyncUpdate {
+            },
+            TAG_ASYNC_UPDATE => Message::AsyncUpdate {
                 epoch: codec::get_u32(&mut bytes)?,
                 basis: codec::get_u32(&mut bytes)?,
                 user: codec::get_u32(&mut bytes)?,
                 w_t: codec::get_vector(&mut bytes)?,
                 v_t: codec::get_vector(&mut bytes)?,
                 xi_t: codec::get_f64(&mut bytes)?,
-            }),
-            TAG_SHARD_BROADCAST => Ok(Message::ShardBroadcast {
+            },
+            TAG_SHARD_BROADCAST => Message::ShardBroadcast {
                 round: codec::get_u32(&mut bytes)?,
                 phase: codec::get_u8(&mut bytes)?,
                 w0: codec::get_vector(&mut bytes)?,
-            }),
-            TAG_PARTIAL_SUM => Ok(Message::PartialSum {
+            },
+            TAG_PARTIAL_SUM => Message::PartialSum {
                 shard: codec::get_u32(&mut bytes)?,
                 round: codec::get_u32(&mut bytes)?,
                 n: codec::get_u32(&mut bytes)?,
                 m: codec::get_u32(&mut bytes)?,
                 sum_w: codec::get_exact_vec_sum(&mut bytes)?,
-            }),
-            TAG_SHARD_COMMIT => Ok(Message::ShardCommit {
+            },
+            TAG_SHARD_COMMIT => Message::ShardCommit {
                 round: codec::get_u32(&mut bytes)?,
                 phase: codec::get_u8(&mut bytes)?,
                 w0: codec::get_vector(&mut bytes)?,
-            }),
-            TAG_SHARD_RESIDUAL => Ok(Message::ShardResidual {
+            },
+            TAG_SHARD_RESIDUAL => Message::ShardResidual {
                 shard: codec::get_u32(&mut bytes)?,
                 round: codec::get_u32(&mut bytes)?,
                 a: Box::new(codec::get_exact_sum(&mut bytes)?),
                 b: Box::new(codec::get_exact_sum(&mut bytes)?),
                 c: Box::new(codec::get_exact_sum(&mut bytes)?),
-            }),
-            other => Err(CodecError::UnknownTag(other)),
+            },
+            other => return Err(CodecError::UnknownTag(other)),
+        };
+        if !bytes.is_empty() {
+            return Err(CodecError::Invalid("trailing bytes after the message"));
         }
+        Ok(message)
     }
 
     /// Exact encoded size in bytes.
@@ -365,9 +340,6 @@ impl Message {
             Message::Shutdown => 0,
             Message::RosterUpdate { .. } => 4,
             Message::Restore { w_t, .. } => 4 + 4 + codec::vector_wire_len(w_t),
-            Message::AsyncBroadcast { w0, u_t, .. } => {
-                4 + 4 + codec::vector_wire_len(w0) + codec::vector_wire_len(u_t)
-            }
             Message::AsyncUpdate { w_t, v_t, .. } => {
                 4 + 4 + 4 + codec::vector_wire_len(w_t) + codec::vector_wire_len(v_t) + 8
             }
@@ -447,12 +419,6 @@ mod tests {
     #[test]
     fn empty_vectors_round_trip() {
         round_trip(Message::Broadcast { round: 0, w0: Vector::zeros(0), u_t: Vector::zeros(0) });
-        round_trip(Message::AsyncBroadcast {
-            epoch: 0,
-            staleness_bound: 0,
-            w0: Vector::zeros(0),
-            u_t: Vector::zeros(0),
-        });
         round_trip(Message::AsyncUpdate {
             epoch: 0,
             basis: 0,
@@ -464,13 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn async_messages_round_trip() {
-        round_trip(Message::AsyncBroadcast {
-            epoch: 17,
-            staleness_bound: 3,
-            w0: Vector::from(vec![1.0, -2.0, 3.5]),
-            u_t: Vector::from(vec![0.25, 0.0, -9.0]),
-        });
+    fn async_update_round_trip() {
         round_trip(Message::AsyncUpdate {
             epoch: 17,
             basis: 14,
@@ -509,6 +469,19 @@ mod tests {
     fn unknown_tag_rejected() {
         let raw = vec![WIRE_VERSION, 0xAB];
         assert_eq!(Message::decode(Bytes::from(raw)).unwrap_err(), CodecError::UnknownTag(0xAB));
+        // The retired asynchronous assignment frame.
+        let raw = vec![WIRE_VERSION, 8];
+        assert_eq!(Message::decode(Bytes::from(raw)).unwrap_err(), CodecError::UnknownTag(8));
+    }
+
+    #[test]
+    fn trailing_bytes_rejected() {
+        let mut raw = Message::RosterUpdate { t_count: 3 }.encode().to_vec();
+        raw.push(0);
+        assert_eq!(
+            Message::decode(Bytes::from(raw)).unwrap_err(),
+            CodecError::Invalid("trailing bytes after the message")
+        );
     }
 
     #[test]
@@ -612,6 +585,41 @@ mod tests {
             let sliced = full.slice(0..cut);
             assert!(Message::decode(sliced).is_err(), "decoding a {cut}-byte prefix should fail");
         }
+    }
+
+    #[test]
+    fn overflowing_exact_sum_limbs_rejected() {
+        // A residual frame whose first sum is the single top limb i64::MIN:
+        // rendering it would negate i64::MIN.
+        let mut raw = BytesMut::new();
+        raw.put_u8(WIRE_VERSION);
+        raw.put_u8(TAG_SHARD_RESIDUAL);
+        raw.put_u32_le(0);
+        raw.put_u32_le(1);
+        raw.put_u8(0);
+        raw.put_u8(1);
+        raw.put_u8(67);
+        raw.put_u64_le(i64::MIN as u64);
+        raw.put_slice(&[0; 4]);
+        assert_eq!(
+            Message::decode(raw.freeze()).unwrap_err(),
+            CodecError::Invalid("exact-sum limb list not canonical")
+        );
+        // A flag bit outside NaN/+∞/−∞ would be dropped on re-encoding.
+        let mut raw = Message::ShardResidual {
+            shard: 0,
+            round: 1,
+            a: Box::new(ExactSum::new()),
+            b: Box::new(ExactSum::new()),
+            c: Box::new(ExactSum::new()),
+        }
+        .encode()
+        .to_vec();
+        raw[10] = 8;
+        assert_eq!(
+            Message::decode(Bytes::from(raw)).unwrap_err(),
+            CodecError::Invalid("exact-sum limb list not canonical")
+        );
     }
 
     #[test]

@@ -10,11 +10,13 @@ mod pg_oracle;
 use pg_oracle::{project_capped_simplex, DenseQp};
 use plos::linalg::{ExactSum, ExactVecSum, Matrix, Vector};
 use plos::ml::matching::{best_matching_accuracy, hungarian_min_assignment};
-use plos::net::Message;
-use plos::net::ShardMap;
+use plos::net::codec::WIRE_VERSION;
+use plos::net::{CodecError, Message, ShardMap};
 use plos::opt::QpSolverOptions;
 use plos::sensing::window::{samples_for_windows, sliding_windows};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn small_vec() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6..1e6f64, 0..20)
@@ -261,6 +263,111 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&b| b), "some device is unassigned");
+    }
+}
+
+/// One sample frame of each of the twelve wire tags, with exact sums whose
+/// canonical encodings carry many limbs, a negative top limb and a flag.
+fn sample_frames() -> Vec<Message> {
+    let v = |xs: &[f64]| Vector::from(xs.to_vec());
+    let mut sum_w = ExactVecSum::zeros(3);
+    sum_w.add(&v(&[1e16, -0.5, 5e-324]));
+    sum_w.add(&v(&[1.0, -1e15, 3.0]));
+    let mut a = ExactSum::new();
+    a.add(1e16);
+    a.add(1.0);
+    a.add(-1e16);
+    let mut b = ExactSum::new();
+    b.add(-2.5e-3);
+    let mut c = ExactSum::new();
+    c.add(f64::NEG_INFINITY);
+    c.add(7.0);
+    vec![
+        Message::Broadcast { round: 7, w0: v(&[1.0, -2.0, 3.5]), u_t: v(&[0.25, 0.0, -9.0]) },
+        Message::ClientUpdate {
+            round: 3,
+            user: 42,
+            w_t: v(&[0.1, 0.2]),
+            v_t: v(&[-0.1, 0.3]),
+            xi_t: 1.75,
+        },
+        Message::CccpAdvance { cccp_round: 2 },
+        Message::Shutdown,
+        Message::Refine { round: 3, w0: v(&[1.0, -0.5]) },
+        Message::RosterUpdate { t_count: 11 },
+        Message::Restore { round: 9, t_count: 5, w_t: v(&[0.5, -0.25, 8.0]) },
+        Message::AsyncUpdate {
+            epoch: 17,
+            basis: 14,
+            user: 6,
+            w_t: v(&[0.1, 0.2]),
+            v_t: v(&[-0.1, 0.3]),
+            xi_t: -1.75,
+        },
+        Message::ShardBroadcast { round: 4, phase: 1, w0: v(&[0.5, -1.25]) },
+        Message::PartialSum { shard: 1, round: 9, n: 12, m: 11, sum_w },
+        Message::ShardCommit { round: 4, phase: 2, w0: v(&[0.5, -1.25, 3.0]) },
+        Message::ShardResidual {
+            shard: 3,
+            round: 4,
+            a: Box::new(a),
+            b: Box::new(b),
+            c: Box::new(c),
+        },
+    ]
+}
+
+/// `None` when `frame` is rejected with a typed error, or decodes to a
+/// message that re-encodes to exactly `frame` and whose exact sums render
+/// without panicking; otherwise the offending message.
+fn non_canonical(frame: &[u8]) -> Option<Message> {
+    let message: Result<Message, CodecError> = Message::decode(frame.to_vec().into());
+    let message = message.ok()?;
+    match &message {
+        Message::PartialSum { sum_w, .. } => drop(sum_w.value()),
+        Message::ShardResidual { a, b, c, .. } => drop([a.value(), b.value(), c.value()]),
+        _ => {}
+    }
+    (message.encode().to_vec() != frame).then_some(message)
+}
+
+#[test]
+fn every_tag_decodes_canonically_under_mutation() {
+    let frames = sample_frames();
+    let tags: Vec<u8> = frames.iter().map(|m| m.encode().to_vec()[1]).collect();
+    assert_eq!(tags, [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13], "one frame per wire tag");
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let mut checked = 0usize;
+    for message in &frames {
+        let frame = message.encode().to_vec();
+        assert_eq!(non_canonical(&frame), None, "sample {message:?}");
+        let mut mutants: Vec<Vec<u8>> = Vec::new();
+        for bit in 0..frame.len() * 8 {
+            let mut flipped = frame.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            mutants.push(flipped);
+        }
+        mutants.extend((0..frame.len()).map(|cut| frame[..cut].to_vec()));
+        mutants.push([frame.as_slice(), &[0]].concat());
+        for _ in 0..500 {
+            let len = rng.gen_range(0..=2 * frame.len());
+            let body = (0..len).map(|_| rng.gen_range(0..=u8::MAX));
+            mutants.push(frame[..2].iter().copied().chain(body).collect());
+        }
+        for mutant in &mutants {
+            if let Some(decoded) = non_canonical(mutant) {
+                panic!("{mutant:02x?} decoded to {decoded:?}, which re-encodes differently");
+            }
+        }
+        checked += mutants.len();
+    }
+    assert!(checked > 10_000, "only {checked} mutated frames");
+    // Tag 8 carried the retired asynchronous assignment frame.
+    for len in [0, 8, 64] {
+        let body = (0..len).map(|_| rng.gen_range(0..=u8::MAX));
+        let frame: Vec<u8> = [WIRE_VERSION, 8].into_iter().chain(body).collect();
+        let err = Message::decode(frame.into()).unwrap_err();
+        assert_eq!(err, CodecError::UnknownTag(8));
     }
 }
 
