@@ -1,9 +1,12 @@
 //! Microbenchmarks: the grouped QP solver that backs both PLOS duals.
 //!
 //! The cutting-plane loops re-solve the dual after every constraint batch,
-//! so this solver dominates training time at scale. Three groups:
+//! so this solver dominates training time at scale. Four groups:
 //!
 //! * `grouped_qp_solve` — one-shot cold solves at fixed sizes;
+//! * `device_dual_solve` — the device-local prox dual of Eq. (22): a cold
+//!   solve of a rank-3 Gram dual with one cap-1 group plus 2 ungrouped
+//!   (hard) rows, at the sizes a star device's working set reaches;
 //! * `cutting_plane_growth` — the append-one-constraint-then-resolve loop,
 //!   incremental state vs. rebuilding `Q` from stored constraint vectors
 //!   every round (the pre-`IncrementalQp` behaviour);
@@ -47,6 +50,40 @@ fn bench_qp(c: &mut Criterion) {
         let mut qp = random_qp(n, (n / 10).max(1), 7);
         let cold = vec![0.0; n];
         let opts = QpSolverOptions::default();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, _| {
+            bencher.iter(|| {
+                qp.set_warm(&cold).expect("valid start");
+                black_box(qp.solve(&opts))
+            });
+        });
+    }
+    group.finish();
+}
+
+/// The device prox dual (`prox::solve_working_set`): `n − 2` soft cuts in
+/// one cap-1 group followed by 2 ungrouped class-balance rows, with `Q` the
+/// Gram matrix of 3-dimensional constraint vectors over `μ`.
+fn device_dual(n: usize, seed: u64) -> IncrementalQp {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mu = 0.8;
+    let s: Vec<[f64; 3]> = (0..n)
+        .map(|_| [rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0), rng.gen_range(0.5..1.0)])
+        .collect();
+    let mut qp = IncrementalQp::new(vec![1.0]).expect("valid cap");
+    for i in 0..n {
+        let row: Vec<f64> = (0..=i).map(|j| kernels::dot(&s[i], &s[j]) / mu).collect();
+        let soft = i + 2 < n;
+        qp.append(soft.then_some(0), rng.gen_range(-0.2..1.0), &row).expect("valid row");
+    }
+    qp
+}
+
+fn bench_device_dual(c: &mut Criterion) {
+    let mut group = c.benchmark_group("device_dual_solve");
+    let opts = QpSolverOptions::default();
+    for &n in &[8usize, 16, 28] {
+        let mut qp = device_dual(n, 5);
+        let cold = vec![0.0; n];
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, _| {
             bencher.iter(|| {
                 qp.set_warm(&cold).expect("valid start");
@@ -148,5 +185,5 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_qp, bench_growth, bench_kernels);
+criterion_group!(benches, bench_qp, bench_device_dual, bench_growth, bench_kernels);
 criterion_main!(benches);

@@ -346,7 +346,7 @@ pub struct MuxScalePoint {
     pub users: usize,
     /// Synthetic points per class per user.
     pub points_per_class: usize,
-    /// Virtual devices driven by each mux worker.
+    /// Virtual devices per mux worker (K), which sets the worker count.
     pub devices_per_worker: usize,
     /// Worker threads the runner actually spawned (≤ pool size).
     pub workers: usize,
@@ -436,7 +436,7 @@ pub struct ShardScalePoint {
     pub users: usize,
     /// Regional aggregators in the tree leg.
     pub shards: usize,
-    /// Virtual devices driven by each mux worker.
+    /// Virtual devices per mux worker (K), which sets the worker count.
     pub devices_per_worker: usize,
     /// Flat-star wall-clock, seconds.
     pub wall_clock_flat_s: f64,

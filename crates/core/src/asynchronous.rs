@@ -198,12 +198,13 @@ fn async_fingerprint(config: &PlosConfig, spec: &AsyncSpec, t_count: usize, dim:
 
 /// One collection over the outstanding assignments: [`Fleet::sweep`]s
 /// against `owed` (each device's assignment epoch in flight) at staleness
-/// bound `bound` until every live device is accounted for. With a
-/// quiescence window `quiet` the collection also closes once no reply has
-/// arrived for that long. Without one it is a barrier: it re-sends the
-/// assignment to silent devices every [`RESEND_AFTER`], so dropped frames
-/// cannot stall it (devices answer re-sent assignments from their reply
-/// cache), and a [`SERVER_WAIT`] expiry is a transport error.
+/// bound `bound`, for replies carrying vectors of length `len`, until every
+/// live device is accounted for. With a quiescence window `quiet` the
+/// collection also closes once no reply has arrived for that long. Without
+/// one it is a barrier: it re-sends the assignment to silent devices every
+/// [`RESEND_AFTER`], so dropped frames cannot stall it (devices answer
+/// re-sent assignments from their reply cache), and a [`SERVER_WAIT`]
+/// expiry is a transport error.
 ///
 /// Returns the accepted updates.
 fn collect_replies(
@@ -211,6 +212,7 @@ fn collect_replies(
     owed: &mut [Option<u32>],
     epoch: u32,
     bound: u32,
+    len: usize,
     quiet: Option<Duration>,
     resend: &dyn Fn(usize) -> Message,
 ) -> Result<Vec<Reply>, CoreError> {
@@ -256,7 +258,9 @@ fn collect_replies(
             resend_at = Instant::now() + RESEND_AFTER;
         }
         // Any arrival re-arms the quiescence window.
-        if let (Some(at), Some(window)) = (fleet.sweep(owed, epoch, bound, &mut accepted), quiet) {
+        if let (Some(at), Some(window)) =
+            (fleet.sweep(owed, epoch, bound, len, &mut accepted), quiet)
+        {
             quiet_deadline = Some(at + window);
         }
     }
@@ -346,8 +350,8 @@ impl Gather for Staleness<'_> {
             }
         }
         self.fleet.publish_roster();
-        let replies =
-            collect_replies(&mut self.fleet, &mut self.outstanding, epoch, bound, quiet, &message)?;
+        let (fleet, owed) = (&mut self.fleet, &mut self.outstanding);
+        let replies = collect_replies(fleet, owed, epoch, bound, dim, quiet, &message)?;
         self.fleet.publish_roster();
         let n = self.fleet.alive_count();
         let live = &self.fleet.alive;
@@ -444,7 +448,9 @@ impl Gather for Staleness<'_> {
         for (slot, &alive) in self.outstanding.iter_mut().zip(&self.fleet.alive) {
             *slot = alive.then_some(epoch);
         }
-        collect_replies(&mut self.fleet, &mut self.outstanding, epoch, self.bound, None, &restore)?;
+        // The acks carry no vectors.
+        let (fleet, owed) = (&mut self.fleet, &mut self.outstanding);
+        collect_replies(fleet, owed, epoch, self.bound, 0, None, &restore)?;
         Ok(())
     }
 

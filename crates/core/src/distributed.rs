@@ -306,14 +306,17 @@ impl<'a> Fleet<'a> {
     /// answers, or the `basis` of a cached `AsyncUpdate` — is at most `bound`
     /// rounds behind `round`, and discarded as stale otherwise. Duplicates
     /// and answers to closed or superseded rounds are late discards;
-    /// misattributed replies and other frames are protocol errors; a dead
-    /// link evicts its device. Returns when the sweep's last reply arrived,
-    /// if one did.
+    /// misattributed replies, replies whose vectors are not `len` long (the
+    /// model dimension, or 0 for a `Restore` ack) and other frames are
+    /// protocol errors that leave the debt open, as if the device had stayed
+    /// silent; a dead link evicts its device. Returns when the sweep's last
+    /// reply arrived, if one did.
     pub(crate) fn sweep(
         &mut self,
         owed: &mut [Option<u32>],
         round: u32,
         bound: u32,
+        len: usize,
         accepted: &mut Vec<Reply>,
     ) -> Option<Instant> {
         let mut arrived = None;
@@ -348,9 +351,9 @@ impl<'a> Fleet<'a> {
                 continue;
             };
             let id = self.ids.get(t).copied().unwrap_or(t);
-            if user as usize != id {
-                // An update attributed to the wrong device is a counted,
-                // recoverable protocol error.
+            if user as usize != id || w_t.len() != len || v_t.len() != len {
+                // An update attributed to the wrong device, or one the fold
+                // cannot add, is a counted, recoverable protocol error.
                 tally.protocol_errors = tally.protocol_errors.saturating_add(1);
                 continue;
             }
@@ -471,6 +474,7 @@ impl<'a> Fleet<'a> {
     /// collects replies under the same retry machinery but leaves the
     /// participation log and strike counters untouched, because the
     /// uninterrupted run it reconstructs never had these extra rounds.
+    /// Replies must carry vectors of length `len` ([`Fleet::sweep`]).
     ///
     /// # Errors
     ///
@@ -483,6 +487,7 @@ impl<'a> Fleet<'a> {
         ft: &FaultTolerance,
         round: u32,
         record: bool,
+        len: usize,
         rebroadcast: &dyn Fn(usize) -> Message,
     ) -> Result<Vec<Reply>, CoreError> {
         let mut owed = vec![Some(round); self.links.len()];
@@ -532,7 +537,7 @@ impl<'a> Fleet<'a> {
                     Duration::try_from_secs_f64(backoff.as_secs_f64() * ft.retry.backoff_factor)
                         .map_or(remaining, |grown| grown.min(remaining));
             }
-            self.sweep(&mut owed, round, 0, &mut replies);
+            self.sweep(&mut owed, round, 0, len, &mut replies);
         }
 
         let alive = self.alive_count();
@@ -652,7 +657,7 @@ impl<'a> Barrier<'a> {
             self.log.push((round, w0.clone(), us.clone()));
         }
         self.fleet.send_alive(&message);
-        let replies = self.fleet.gather(&self.ft, round, true, &message)?;
+        let replies = self.fleet.gather(&self.ft, round, true, dim, &message)?;
         if self.owns_roster {
             self.fleet.publish_roster();
         }
@@ -765,7 +770,8 @@ impl Gather for Barrier<'_> {
             w_t: anchors.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
         };
         self.fleet.send_alive(&restore);
-        self.fleet.gather(&self.ft, round, false, &restore)?;
+        // The acks carry no vectors.
+        self.fleet.gather(&self.ft, round, false, 0, &restore)?;
         // Replay the interrupted CCCP round's broadcasts so each device
         // rebuilds its working set bit for bit. Replies are discarded: the
         // checkpointed server state is authoritative.
@@ -776,7 +782,7 @@ impl Gather for Barrier<'_> {
                 u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
             };
             self.fleet.send_alive(&scatter);
-            self.fleet.gather(&self.ft, *round, false, &scatter)?;
+            self.fleet.gather(&self.ft, *round, false, dim, &scatter)?;
         }
         Ok(())
     }
@@ -1270,5 +1276,33 @@ mod tests {
             assert_eq!(report.history.values(), ref_report.history.values(), "K={k}");
             assert_eq!(report.admm_iterations, ref_report.admm_iterations, "K={k}");
         }
+    }
+
+    /// A reply whose vectors are not `dim` long cannot be folded: it counts
+    /// as a protocol error and its device is carried forward as if silent,
+    /// instead of reaching `ExactVecSum::add`'s dimension assert.
+    #[test]
+    fn a_reply_of_the_wrong_length_is_a_protocol_error_not_a_panic() {
+        let dim = 3;
+        let net = plos_net::try_star(2).unwrap();
+        let reply = |user: u32, len: usize| Message::ClientUpdate {
+            round: 1,
+            user,
+            w_t: Vector::from(vec![1.0; len]),
+            v_t: Vector::from(vec![0.5; len]),
+            xi_t: 0.25,
+        };
+        net.clients[0].send(&reply(0, dim)).unwrap();
+        net.clients[1].send(&reply(1, dim - 1)).unwrap();
+        let plan = FaultPlan::none();
+        let fleet = Fleet::new(plan.wrap_links(&net.server));
+        let mut star = Barrier::new(fleet, FaultTolerance::fast(), dim, true, false);
+        let partial = star.collect(PHASE_ADMM, 1, &Vector::zeros(dim)).unwrap();
+        assert_eq!(partial.n, 2);
+        assert_eq!(star.fleet.tally.protocol_errors, 1);
+        let round = &star.fleet.tally.participation[0];
+        assert_eq!((round.replied, round.alive), (1, 2));
+        assert_eq!(star.slots.w_ts[0], Vector::from(vec![1.0; dim]));
+        assert_eq!(star.slots.w_ts[1], Vector::zeros(dim), "device 1 is carried forward");
     }
 }

@@ -102,11 +102,32 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     dot_scalar(a, b)
 }
 
-/// Four-way-unrolled `y += alpha * x`.
+/// Slices of at most this many elements take an inlined loop in [`axpy`]
+/// and [`axpy2`] instead of the dispatched body: at that length the
+/// out-of-line call and the level check cost more than the vector lanes
+/// save (EXPERIMENTS.md has the measurement). The loop performs the same
+/// `mul` then `add` per element, so the bits do not depend on the path.
+pub const SHORT_ROW: usize = 16;
+
+/// `y += alpha * x`: an inlined loop up to [`SHORT_ROW`] elements, the
+/// four-way-unrolled dispatched body beyond.
 ///
 /// If the slices have different lengths the extra elements of the longer
 /// slice are ignored; callers enforce dimension agreement.
+#[inline]
 pub fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
+    if y.len() <= SHORT_ROW {
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi += alpha * xi;
+        }
+    } else {
+        axpy_dispatch(y, alpha, x);
+    }
+}
+
+/// The SIMD-dispatched [`axpy`] body.
+#[inline(never)]
+fn axpy_dispatch(y: &mut [f64], alpha: f64, x: &[f64]) {
     #[cfg(target_arch = "x86_64")]
     {
         let level = simd_level();
@@ -158,11 +179,26 @@ pub fn axpy_dot(y: &mut [f64], alpha: f64, x: &[f64]) -> f64 {
 /// [`axpy`] calls: elements are independent, and each element sees the
 /// same two individually-rounded operations in the same order. The QP
 /// solver's SMO pass uses this for its `±δ` pair moves, halving the
-/// gradient load/store traffic.
+/// gradient load/store traffic. Like [`axpy`], slices of at most
+/// [`SHORT_ROW`] elements take an inlined loop.
 ///
 /// If the slices have different lengths the extra elements of the longer
 /// slices are ignored; callers enforce dimension agreement.
+#[inline]
 pub fn axpy2(y: &mut [f64], a1: f64, x1: &[f64], a2: f64, x2: &[f64]) {
+    if y.len() <= SHORT_ROW {
+        for ((yi, pi), qi) in y.iter_mut().zip(x1).zip(x2) {
+            *yi += a1 * pi;
+            *yi += a2 * qi;
+        }
+    } else {
+        axpy2_dispatch(y, a1, x1, a2, x2);
+    }
+}
+
+/// The SIMD-dispatched [`axpy2`] body.
+#[inline(never)]
+fn axpy2_dispatch(y: &mut [f64], a1: f64, x1: &[f64], a2: f64, x2: &[f64]) {
     #[cfg(target_arch = "x86_64")]
     {
         let level = simd_level();
@@ -381,11 +417,16 @@ mod tests {
     }
 
     /// The dispatched kernels and the scalar bodies must agree bit-for-bit
-    /// on every length, including awkward tails. On non-x86-64 hosts the
-    /// dispatch IS the scalar body and this holds trivially.
+    /// on every length, including awkward tails and both sides of the
+    /// [`SHORT_ROW`] cutoff, where `axpy`/`axpy2` switch from the inlined
+    /// loop to the SIMD bodies. On non-x86-64 hosts the dispatch IS the
+    /// scalar body and this holds trivially.
     #[test]
     fn dispatched_kernels_bit_match_scalar() {
-        for n in [0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 64, 65, 100, 257] {
+        let cutoff = [SHORT_ROW - 2, SHORT_ROW - 1, SHORT_ROW, SHORT_ROW + 1, SHORT_ROW + 2];
+        for n in
+            [0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 64, 65, 100, 257].into_iter().chain(cutoff)
+        {
             let a = lcg_data(n, 11);
             let b = lcg_data(n, 12);
             assert_eq!(dot(&a, &b).to_bits(), dot_scalar(&a, &b).to_bits(), "dot n={n}");
@@ -408,6 +449,35 @@ mod tests {
             axpy2(&mut w0, 0.3, &a, -0.9, &b);
             axpy2_scalar(&mut w1, 0.3, &a, -0.9, &b);
             assert_eq!(w0, w1, "axpy2 n={n}");
+        }
+    }
+
+    /// The inlined short-row loop and the dispatched body agree bit for bit
+    /// at every length up to twice the cutoff, on signed zeros and
+    /// subnormals too.
+    #[test]
+    fn short_rows_bit_match_the_dispatched_bodies() {
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        for n in 0..=2 * SHORT_ROW {
+            let mut a = lcg_data(n, 16);
+            let b = lcg_data(n, 17);
+            if let Some(first) = a.first_mut() {
+                *first = -0.0;
+            }
+            if let Some(last) = a.last_mut() {
+                *last = f64::MIN_POSITIVE / 8.0;
+            }
+            for alpha in [0.7, -0.0, 1.0e-300] {
+                let y = lcg_data(n, 18);
+                let (mut short, mut long) = (y.clone(), y.clone());
+                axpy(&mut short, alpha, &a);
+                axpy_dispatch(&mut long, alpha, &a);
+                assert_eq!(bits(&short), bits(&long), "axpy n={n} alpha={alpha}");
+                let (mut short, mut long) = (y.clone(), y);
+                axpy2(&mut short, alpha, &a, -1.3, &b);
+                axpy2_dispatch(&mut long, alpha, &a, -1.3, &b);
+                assert_eq!(bits(&short), bits(&long), "axpy2 n={n} alpha={alpha}");
+            }
         }
     }
 

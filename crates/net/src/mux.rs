@@ -5,12 +5,14 @@
 //! threads time-share the cores, so each device's metered compute absorbs
 //! its siblings' solves. [`MuxNetwork`] instead executes the device side of
 //! the protocol as **resumable state machines** ([`DeviceMachine`])
-//! multiplexed onto at most `Pool::current().threads()` workers: each worker
-//! owns a contiguous, index-ordered slice of virtual devices and sweeps them
-//! round-robin, draining each endpoint with the non-blocking
-//! [`Endpoint::try_recv`] and stepping the machine once per message. A
-//! device's solve therefore runs alone on its worker, and its metered
-//! compute is its own.
+//! multiplexed onto at most `Pool::current().threads()` workers. Every
+//! device slot (endpoint plus machine) sits behind its own lock, and every
+//! worker sweeps *all* slots in index order: it `try_lock`s each one, drains
+//! its endpoint with the non-blocking [`Endpoint::try_recv`] and steps the
+//! machine once per message, and skips a slot a sibling is stepping. A
+//! heavy device therefore holds up only its own worker; the light devices
+//! go to whichever worker is free. A device's solve still runs alone on
+//! its worker, so its metered compute is its own.
 //!
 //! **Ordering guarantee.** Output is bit-identical at any pool size and any
 //! K, because
@@ -20,20 +22,21 @@
 //! 2. the server folds replies by tag-matched slot assignment, so reply
 //!    *arrival order* — the only thing scheduling changes — never reaches
 //!    the model;
-//! 3. the sweep order is a fixed function of device indices (ascending
-//!    within each contiguous chunk), independent of seeds, timing, and the
-//!    worker count.
+//! 3. a device is stepped by at most one worker at a time (its slot lock),
+//!    so it reads its FIFO in order whichever worker steps it.
 //!
-//! **Panic containment.** A machine that panics is retired as
-//! [`ClientExit::Panicked`]; its endpoint drops, the server sees a dead
-//! link, and the fleet's strike/eviction machinery handles the loss — one
-//! poisoned device can no longer abort the run.
+//! **Panic containment.** A machine that panics while it is built, stepped
+//! or retired is retired as [`ClientExit::Panicked`]; its endpoint drops,
+//! the server sees a dead link, and the fleet's strike/eviction machinery
+//! handles the loss — one poisoned device can no longer abort the run.
 
 use crate::message::Message;
 use crate::metrics::TrafficStats;
 use crate::node::{panic_text, ClientExit, StarNetwork};
 use crate::transport::{Endpoint, TransportError};
+use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// How long a worker parks when a whole sweep made no progress, so latency
@@ -79,10 +82,10 @@ pub trait DeviceMachine {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceRuntime {
     /// Virtual devices multiplexed onto at most `Pool::current().threads()`
-    /// workers; each worker drives a contiguous chunk of `⌈T / workers⌉`
-    /// devices.
+    /// workers, which share the whole fleet between them.
     Multiplexed {
-        /// K: virtual devices per worker (0 is treated as 1).
+        /// K: virtual devices per worker (0 is treated as 1); sets the
+        /// worker count, not which devices a worker steps.
         devices_per_worker: usize,
     },
 }
@@ -101,10 +104,9 @@ pub struct MuxNetwork {
     devices_per_worker: usize,
 }
 
-/// One virtual device slot on a worker: alive (endpoint + machine) or
-/// already retired with its exit.
-struct VirtualDevice<M: DeviceMachine> {
-    t: usize,
+/// One virtual device: alive (endpoint + machine) or already retired with
+/// its exit.
+struct Slot<M: DeviceMachine> {
     live: Option<(Endpoint, M)>,
     exit: Option<ClientExit<M::Output>>,
 }
@@ -122,9 +124,9 @@ impl MuxNetwork {
         MuxNetwork { net, devices_per_worker: devices_per_worker.max(1) }
     }
 
-    /// Number of worker threads this network will spawn: enough chunks of K
-    /// devices to cover the fleet, capped by the current plos-exec pool
-    /// width — never by the fleet size.
+    /// Number of worker threads this network will spawn: enough for K
+    /// devices each to cover the fleet, capped by the current plos-exec
+    /// pool width — never by the fleet size.
     pub fn worker_count(&self) -> usize {
         let t_count = self.net.num_clients();
         let pool = plos_exec::Pool::current().threads().max(1);
@@ -140,94 +142,63 @@ impl MuxNetwork {
     pub fn run<S, SR, M, F>(self, server_fn: S, make_machine: F) -> (SR, Vec<ClientExit<M::Output>>)
     where
         S: FnOnce(&mut Vec<Endpoint>) -> SR,
-        M: DeviceMachine,
-        F: Fn(usize) -> M + Sync,
+        M: DeviceMachine + Send,
+        F: Fn(usize) -> M,
         M::Output: Send,
     {
         let workers = self.worker_count();
-        let MuxNetwork { net, devices_per_worker: _ } = self;
-        let StarNetwork { mut server, clients } = net;
-        let t_count = clients.len();
-        let chunk = t_count.div_ceil(workers.max(1)).max(1);
-        let make_machine = &make_machine;
-        let mut rest: Vec<(usize, Endpoint)> = clients.into_iter().enumerate().collect();
+        let StarNetwork { mut server, clients } = self.net;
+        let slots: Vec<Mutex<Slot<M>>> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(t, endpoint)| {
+                // plos-lint: allow(U2): a panicking machine constructor must poison one device slot, not the run
+                let slot = match catch_unwind(AssertUnwindSafe(|| make_machine(t))) {
+                    Ok(machine) => Slot { live: Some((endpoint, machine)), exit: None },
+                    Err(payload) => Slot {
+                        live: None,
+                        exit: Some(ClientExit::Panicked(panic_text(payload.as_ref()))),
+                    },
+                };
+                Mutex::new(slot)
+            })
+            .collect();
+        // Devices not yet retired. It only ends the sweeps and publishes no
+        // data: slots are read under their locks, and the exits below only
+        // after the scope has joined every worker.
+        let live = AtomicUsize::new(slots.iter().filter(|s| s.lock().live.is_some()).count());
         // plos-lint: allow(R2): the bounded mux workers are this crate's one device runner; pool width caps the spawn count
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            while !rest.is_empty() {
-                let tail = rest.split_off(chunk.min(rest.len()));
-                let mine = std::mem::replace(&mut rest, tail);
-                let ids: Vec<usize> = mine.iter().map(|(t, _)| *t).collect();
-                handles.push((ids, scope.spawn(move || run_worker(mine, make_machine))));
+        let server_result = std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| run_worker(&slots, &live));
             }
             let server_result = server_fn(&mut server);
             // Drop the server endpoints so lingering devices observe
-            // Disconnected and retire, then join every worker (capturing
-            // worker-level panics as per-device exits).
+            // Disconnected and retire; the scope then joins every worker.
             drop(server);
-            let mut exits: Vec<Option<ClientExit<M::Output>>> = Vec::new();
-            exits.resize_with(t_count, || None);
-            for (ids, handle) in handles {
-                match handle.join() {
-                    Ok(outputs) => {
-                        for (t, exit) in outputs {
-                            if let Some(slot) = exits.get_mut(t) {
-                                *slot = Some(exit);
-                            }
-                        }
-                    }
-                    Err(payload) => {
-                        let msg = panic_text(payload.as_ref());
-                        for t in ids {
-                            if let Some(slot) = exits.get_mut(t) {
-                                *slot = Some(ClientExit::Panicked(msg.clone()));
-                            }
-                        }
-                    }
-                }
-            }
-            let exits: Vec<ClientExit<M::Output>> = exits
-                .into_iter()
-                .map(|slot| match slot {
-                    Some(exit) => exit,
-                    None => ClientExit::Panicked("device retired without an exit".to_string()),
+            server_result
+        });
+        let exits = slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner().exit.unwrap_or_else(|| {
+                    ClientExit::Panicked("device retired without an exit".to_string())
                 })
-                .collect();
-            (server_result, exits)
-        })
+            })
+            .collect();
+        (server_result, exits)
     }
 }
 
-/// One worker: sweeps its devices in ascending index order, draining each
-/// endpoint and stepping its machine, until every device has retired.
-fn run_worker<M, F>(
-    devices: Vec<(usize, Endpoint)>,
-    make_machine: &F,
-) -> Vec<(usize, ClientExit<M::Output>)>
-where
-    M: DeviceMachine,
-    F: Fn(usize) -> M + Sync,
-{
-    let mut devs: Vec<VirtualDevice<M>> = devices
-        .into_iter()
-        .map(|(t, endpoint)| {
-            // plos-lint: allow(U2): a panicking machine constructor must poison one device slot, not the worker and its K-1 siblings
-            match catch_unwind(AssertUnwindSafe(|| make_machine(t))) {
-                Ok(machine) => VirtualDevice { t, live: Some((endpoint, machine)), exit: None },
-                Err(payload) => VirtualDevice {
-                    t,
-                    live: None,
-                    exit: Some(ClientExit::Panicked(panic_text(payload.as_ref()))),
-                },
-            }
-        })
-        .collect();
-    loop {
+/// One worker: sweeps every slot in ascending index order, stepping the
+/// devices no sibling holds, until every device has retired.
+fn run_worker<M: DeviceMachine>(slots: &[Mutex<Slot<M>>], live: &AtomicUsize) {
+    while live.load(Ordering::Acquire) > 0 {
         let mut progressed = false;
-        let mut all_retired = true;
-        for dev in devs.iter_mut() {
-            let Some((endpoint, machine)) = dev.live.as_mut() else { continue };
-            all_retired = false;
+        for slot in slots {
+            // A sibling is stepping this device; it keeps the FIFO order.
+            let Some(mut slot) = slot.try_lock() else { continue };
+            let Some((endpoint, machine)) = slot.live.as_mut() else { continue };
             let mut retire: Option<Retire> = None;
             // Drain everything already queued for this device before moving
             // to the next: per-device FIFO order is preserved, and a device
@@ -266,30 +237,28 @@ where
                     }
                 }
             }
-            if let Some(reason) = retire {
-                if let Some((endpoint, machine)) = dev.live.take() {
-                    dev.exit = Some(match reason {
-                        Retire::Clean => ClientExit::Finished(machine.finish(endpoint.stats())),
-                        // Dropping the endpoint here is the containment: the
-                        // server sees a dead link and evicts the device.
-                        Retire::Panicked(msg) => ClientExit::Panicked(msg),
-                    });
-                }
+            let Some(reason) = retire else { continue };
+            if let Some((endpoint, machine)) = slot.live.take() {
+                slot.exit = Some(match reason {
+                    Retire::Clean => {
+                        let stats = endpoint.stats();
+                        // plos-lint: allow(U2): a panicking `finish` retires that one device, like a panicking step
+                        catch_unwind(AssertUnwindSafe(|| machine.finish(stats))).map_or_else(
+                            |payload| ClientExit::Panicked(panic_text(payload.as_ref())),
+                            ClientExit::Finished,
+                        )
+                    }
+                    // Dropping the endpoint here is the containment: the
+                    // server sees a dead link and evicts the device.
+                    Retire::Panicked(msg) => ClientExit::Panicked(msg),
+                });
+                live.fetch_sub(1, Ordering::AcqRel);
             }
-        }
-        if all_retired {
-            break;
         }
         if !progressed {
             std::thread::sleep(IDLE_BACKOFF);
         }
     }
-    devs.into_iter()
-        .map(|dev| match dev.exit {
-            Some(exit) => (dev.t, exit),
-            None => (dev.t, ClientExit::Panicked("device retired without an exit".to_string())),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -396,6 +365,90 @@ mod tests {
                 assert_eq!(exit, ClientExit::Finished(t));
             }
         }
+    }
+
+    /// Device 0's step waits on a flag that only device 1's step sets. A
+    /// worker that owned devices 0 and 1 together could not set it before
+    /// device 0 gave up; a free worker must take device 1 instead.
+    #[test]
+    fn an_idle_worker_takes_the_next_ready_device() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        use std::time::Instant;
+
+        struct Handoff {
+            t: usize,
+            flag: Arc<AtomicBool>,
+            saw_flag: bool,
+        }
+        impl DeviceMachine for Handoff {
+            type Output = bool;
+            fn on_message(&mut self, _message: Message) -> DeviceStep {
+                match self.t {
+                    0 => {
+                        let started = Instant::now();
+                        while !self.flag.load(Ordering::Acquire)
+                            && started.elapsed() < Duration::from_secs(2)
+                        {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        self.saw_flag = self.flag.load(Ordering::Acquire);
+                    }
+                    1 => self.flag.store(true, Ordering::Release),
+                    _ => {}
+                }
+                DeviceStep::Done
+            }
+            fn finish(self, _stats: TrafficStats) -> bool {
+                self.saw_flag
+            }
+        }
+
+        let flag = Arc::new(AtomicBool::new(false));
+        let (_, exits) = plos_exec::with_threads(2, || {
+            let mux = MuxNetwork::new(try_star(4).unwrap(), 1);
+            assert_eq!(mux.worker_count(), 2);
+            mux.run(
+                |server_ends| {
+                    for end in server_ends.iter() {
+                        end.send(&Message::Shutdown).unwrap();
+                    }
+                },
+                |t| Handoff { t, flag: Arc::clone(&flag), saw_flag: false },
+            )
+        });
+        let saw: Vec<bool> = exits.into_iter().map(|exit| exit.finished().unwrap()).collect();
+        assert!(saw[0], "device 1 waited behind device 0 on one worker");
+    }
+
+    #[test]
+    fn panicking_finish_retires_one_device_only() {
+        struct Sour {
+            t: usize,
+        }
+        impl DeviceMachine for Sour {
+            type Output = usize;
+            fn on_message(&mut self, _message: Message) -> DeviceStep {
+                DeviceStep::Done
+            }
+            fn finish(self, _stats: TrafficStats) -> usize {
+                if self.t == 1 {
+                    panic!("device {} failed to retire", self.t);
+                }
+                self.t
+            }
+        }
+        let (_, exits) = MuxNetwork::new(try_star(3).unwrap(), 1).run(
+            |server_ends| {
+                for end in server_ends.iter() {
+                    let _ = end.send(&Message::Shutdown);
+                }
+            },
+            |t| Sour { t },
+        );
+        assert!(exits[1].panic_message().unwrap().contains("failed to retire"));
+        assert_eq!(exits[0], ClientExit::Finished(0));
+        assert_eq!(exits[2], ClientExit::Finished(2));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! model digest, and every (K, pool) cell of the K ∈ {1, 4, 16} × pools
 //! {1, 2, 8} matrix must reproduce it bit for bit. The pool dimension
 //! exercises the worker-count clamp: at pool 1 every device shares one
-//! worker, at pool 8 the chunking changes entirely, and neither may touch
-//! a single bit of the trajectory.
+//! worker, at pool 8 up to eight workers share the fleet, and neither may
+//! touch a single bit of the trajectory.
 //!
 //! Why this holds (DESIGN.md §14): each device's message stream is a
 //! per-link FIFO at every packing, the device machine depends only on its
