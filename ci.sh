@@ -13,6 +13,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo run -p xtask -- lint"
 cargo run -p xtask -- lint
 
+# Rustdoc gate: an intra-doc link to a private item, or to a name that no
+# longer exists, fails here instead of rendering as plain text. The
+# vendored shims are left out.
+echo "==> RUSTDOCFLAGS=-D warnings cargo doc --no-deps -p <first-party crates>"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p plos -p plos-bench -p plos-ckpt \
+    -p plos-core -p plos-exec -p plos-linalg -p plos-lint -p plos-ml -p plos-net -p plos-obs \
+    -p plos-opt -p plos-sensing -p xtask
+
 # Dynamic checkers complement the plos-lint static rules. Miri interprets
 # the pure wire/digest crates (framing, JSON, digests — no threads, no
 # blocking I/O in their unit tests) and catches UB the syntactic rules

@@ -3,10 +3,10 @@
 //!
 //! Long-running PLOS fits (CCCP outer loops centrally, consensus-ADMM
 //! rounds in the distributed deployment) need to survive being killed:
-//! this crate serializes the resumable state — the personalized model
-//! (`w0` + per-user `v_t`), the structured dual solver's working set and
-//! warm start, and the mid-run consensus-ADMM state — into a self-describing
-//! binary format and stores it atomically on disk.
+//! this crate serializes the resumable state — the centralized trainer's
+//! mid-run CCCP or refinement state and the consensus driver's mid-run
+//! ADMM state — into a self-describing binary format and stores it
+//! atomically on disk.
 //!
 //! Format guarantees (see `DESIGN.md` §10 for the byte-level layout):
 //!
@@ -22,8 +22,8 @@
 //! - **Privacy**: the state mirrors hold only server-visible quantities;
 //!   device-local training data has no representation in the format.
 //!
-//! The solver crates (`plos-core`) convert their private state to and
-//! from the mirrors in [`state`]; this crate never depends on them.
+//! The trainers (`plos-core`) hold their resumable state in the mirrors
+//! of [`state`]; this crate never depends on them.
 
 pub mod digest;
 pub mod error;
@@ -36,7 +36,7 @@ pub use digest::{fnv1a, model_digest, Fnv1a};
 pub use error::CkptError;
 pub use frame::{CheckpointFile, FORMAT_VERSION, MAGIC, MIN_SUPPORTED_VERSION};
 pub use state::{
-    CentralizedPhase, CentralizedState, ConsensusPhase, ConsensusState, DualEntry, DualState,
-    FleetSection, ModelState, TreeSection, KIND_CENTRALIZED, KIND_CONSENSUS, KIND_DUAL, KIND_MODEL,
+    CentralizedPhase, CentralizedState, ConsensusPhase, ConsensusState, FleetSection, TreeSection,
+    KIND_CENTRALIZED, KIND_CONSENSUS,
 };
 pub use store::Store;

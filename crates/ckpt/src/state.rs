@@ -1,8 +1,9 @@
 //! Checkpointable state mirrors and their section-level codecs.
 //!
-//! The solver crates convert their private working state into these plain
-//! data structs; this module owns the byte layout. Each state kind encodes
-//! into a [`CheckpointFile`] with a fixed set of tagged sections:
+//! The trainers keep their resumable state in these plain data structs —
+//! [`CentralizedState`] for Algorithm 1 and [`ConsensusState`] for every
+//! Algorithm 2 topology; this module owns the byte layout. Each state kind
+//! encodes into a [`CheckpointFile`] with a fixed set of tagged sections:
 //!
 //! | tag | section  | contents                                        |
 //! |-----|----------|-------------------------------------------------|
@@ -12,7 +13,6 @@
 //! | 4   | HISTORY  | objective history (+ residuals, consensus)      |
 //! | 5   | FLEET    | per-device slots, roster, replay log (optional) |
 //! | 6   | TREE     | shard-map fingerprint and term (optional)       |
-//! | 7   | DUAL     | cutting-plane working set + warm start          |
 //!
 //! Privacy note: none of these sections ever carry device-local training
 //! data. The consensus state holds only quantities the server already
@@ -35,13 +35,7 @@ pub const SEC_HISTORY: u16 = 4;
 pub const SEC_FLEET: u16 = 5;
 /// Section tag: aggregation-tree binding (consensus only, optional).
 pub const SEC_TREE: u16 = 6;
-/// Section tag: dual-solver working set.
-pub const SEC_DUAL: u16 = 7;
 
-/// Kind byte: a finished [`ModelState`].
-pub const KIND_MODEL: u8 = 1;
-/// Kind byte: a [`DualState`].
-pub const KIND_DUAL: u8 = 2;
 /// Kind byte: a [`CentralizedState`].
 pub const KIND_CENTRALIZED: u8 = 3;
 /// Kind byte: a [`ConsensusState`].
@@ -96,141 +90,6 @@ fn get_bools(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<bool>, CkptEr
         out.push(r.get_bool(what)?);
     }
     Ok(out)
-}
-
-/// A finished personalized model: global hyperplane, per-user biases, and
-/// the optional bias-augmentation constant.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelState {
-    /// Structural fingerprint of the run that produced the model.
-    pub fingerprint: u64,
-    /// Global hyperplane `w0` (feature space, possibly bias-augmented).
-    pub w0: Vector,
-    /// Per-user biases `v_t`, one per user.
-    pub biases: Vec<Vector>,
-    /// Bias augmentation constant, if the model was trained with one.
-    pub bias_aug: Option<f64>,
-}
-
-impl ModelState {
-    /// Serializes into a framed checkpoint.
-    #[must_use]
-    pub fn encode(&self) -> CheckpointFile {
-        let mut file = CheckpointFile::new();
-        file.push_section(SEC_CONTEXT, context_section(KIND_MODEL, self.fingerprint));
-        let mut meta = Writer::new();
-        meta.put_opt_f64(self.bias_aug);
-        file.push_section(SEC_META, meta.into_bytes());
-        let mut model = Writer::new();
-        model.put_vector(&self.w0);
-        put_vectors(&mut model, &self.biases);
-        file.push_section(SEC_MODEL, model.into_bytes());
-        file
-    }
-
-    /// Reconstructs from a verified checkpoint file.
-    pub fn decode(file: &CheckpointFile) -> Result<Self, CkptError> {
-        let fingerprint = read_context(file, KIND_MODEL)?;
-        let mut meta = Reader::new(file.section(SEC_META)?);
-        let bias_aug = meta.get_opt_f64("bias_aug")?;
-        meta.finish("meta section")?;
-        let mut model = Reader::new(file.section(SEC_MODEL)?);
-        let w0 = model.get_vector("w0")?;
-        let biases = get_vectors(&mut model, "biases")?;
-        model.finish("model section")?;
-        Ok(ModelState { fingerprint, w0, biases, bias_aug })
-    }
-}
-
-/// One cutting-plane constraint owned by a user: aggregated direction `s`
-/// and offset `c` (Eq. 13–14), plus whether it is a hard balance row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DualEntry {
-    /// Index of the user that owns the constraint.
-    pub owner: usize,
-    /// Aggregated constraint direction.
-    pub s: Vector,
-    /// Constraint offset.
-    pub c: f64,
-    /// True for hard (balance) constraints exempt from the box cap.
-    pub hard: bool,
-}
-
-/// The structured dual solver's resumable state: working set and warm
-/// start. The Gram matrix is *not* stored — it is recomputed entry by
-/// entry on restore, which is deterministic and keeps files small.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DualState {
-    /// Structural fingerprint of the owning run.
-    pub fingerprint: u64,
-    /// Regularization trade-off λ.
-    pub lambda: f64,
-    /// Number of users in the cohort.
-    pub t_count: usize,
-    /// Feature dimension.
-    pub dim: usize,
-    /// Working-set constraints in insertion order.
-    pub entries: Vec<DualEntry>,
-    /// Warm-start multipliers, one per entry.
-    pub warm: Vec<f64>,
-}
-
-impl DualState {
-    /// Serializes into a framed checkpoint.
-    #[must_use]
-    pub fn encode(&self) -> CheckpointFile {
-        let mut file = CheckpointFile::new();
-        file.push_section(SEC_CONTEXT, context_section(KIND_DUAL, self.fingerprint));
-        let mut meta = Writer::new();
-        meta.put_f64(self.lambda);
-        meta.put_usize(self.t_count);
-        meta.put_usize(self.dim);
-        file.push_section(SEC_META, meta.into_bytes());
-        let mut dual = Writer::new();
-        dual.put_usize(self.entries.len());
-        for entry in &self.entries {
-            dual.put_usize(entry.owner);
-            dual.put_vector(&entry.s);
-            dual.put_f64(entry.c);
-            dual.put_bool(entry.hard);
-        }
-        dual.put_f64s(&self.warm);
-        file.push_section(SEC_DUAL, dual.into_bytes());
-        file
-    }
-
-    /// Reconstructs from a verified checkpoint file.
-    pub fn decode(file: &CheckpointFile) -> Result<Self, CkptError> {
-        let fingerprint = read_context(file, KIND_DUAL)?;
-        let mut meta = Reader::new(file.section(SEC_META)?);
-        let lambda = meta.get_f64("lambda")?;
-        let t_count = meta.get_usize("t_count")?;
-        let dim = meta.get_usize("dim")?;
-        meta.finish("meta section")?;
-        let mut dual = Reader::new(file.section(SEC_DUAL)?);
-        // Each entry costs at least owner + vector-len + c + hard bytes.
-        let n = dual.get_len(8 + 8 + 8 + 1, "dual entries")?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let owner = dual.get_usize("entry owner")?;
-            let s = dual.get_vector("entry direction")?;
-            let c = dual.get_f64("entry offset")?;
-            let hard = dual.get_bool("entry hard flag")?;
-            entries.push(DualEntry { owner, s, c, hard });
-        }
-        let warm = dual.get_f64s("warm start")?;
-        dual.finish("dual section")?;
-        if warm.len() != entries.len() {
-            return Err(CkptError::Malformed {
-                detail: format!(
-                    "warm start has {} multipliers for {} entries",
-                    warm.len(),
-                    entries.len()
-                ),
-            });
-        }
-        Ok(DualState { fingerprint, lambda, t_count, dim, entries, warm })
-    }
 }
 
 /// Which outer phase a centralized run was in when checkpointed.
@@ -711,61 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn model_state_round_trips() {
-        let state = ModelState {
-            fingerprint: 42,
-            w0: vec2(1.5, -2.5),
-            biases: vec![vec2(0.0, -0.0), vec2(f64::MIN_POSITIVE, f64::MAX)],
-            bias_aug: Some(1.0),
-        };
-        let bytes = state.encode().encode();
-        let back = ModelState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-        assert_eq!(back, state);
-    }
-
-    #[test]
-    fn model_state_zero_users_round_trips() {
-        let state =
-            ModelState { fingerprint: 0, w0: Vector::zeros(0), biases: Vec::new(), bias_aug: None };
-        let bytes = state.encode().encode();
-        let back = ModelState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-        assert_eq!(back, state);
-    }
-
-    #[test]
-    fn dual_state_round_trips() {
-        let state = DualState {
-            fingerprint: 7,
-            lambda: 0.5,
-            t_count: 3,
-            dim: 2,
-            entries: vec![
-                DualEntry { owner: 0, s: vec2(1.0, -1.0), c: 0.9, hard: true },
-                DualEntry { owner: 2, s: vec2(-0.25, 0.75), c: -1.5, hard: false },
-            ],
-            warm: vec![0.1, 0.0],
-        };
-        let bytes = state.encode().encode();
-        let back = DualState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-        assert_eq!(back, state);
-    }
-
-    #[test]
-    fn dual_state_empty_working_set_round_trips() {
-        let state = DualState {
-            fingerprint: 7,
-            lambda: 0.5,
-            t_count: 1,
-            dim: 4,
-            entries: Vec::new(),
-            warm: Vec::new(),
-        };
-        let bytes = state.encode().encode();
-        let back = DualState::decode(&CheckpointFile::decode(&bytes).unwrap()).unwrap();
-        assert_eq!(back, state);
-    }
-
-    #[test]
     fn centralized_state_round_trips_both_phases() {
         for phase in [CentralizedPhase::Cccp, CentralizedPhase::Refine { rounds_done: 2 }] {
             let state = CentralizedState {
@@ -863,15 +667,20 @@ mod tests {
 
     #[test]
     fn wrong_kind_is_typed() {
-        let model = ModelState {
+        let centralized = CentralizedState {
             fingerprint: 1,
+            phase: CentralizedPhase::Cccp,
             w0: vec2(1.0, 2.0),
-            biases: vec![vec2(0.0, 0.0)],
-            bias_aug: None,
+            vectors: vec![vec2(0.0, 0.0)],
+            history: Vec::new(),
+            cccp_rounds: 0,
+            cccp_converged: false,
+            cutting_rounds: 0,
+            constraints_added: 0,
         };
         assert_eq!(
-            ConsensusState::decode(&model.encode()).unwrap_err(),
-            CkptError::WrongKind { found: KIND_MODEL, expected: KIND_CONSENSUS }
+            ConsensusState::decode(&centralized.encode()).unwrap_err(),
+            CkptError::WrongKind { found: KIND_CENTRALIZED, expected: KIND_CONSENSUS }
         );
     }
 }

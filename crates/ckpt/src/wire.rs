@@ -46,11 +46,6 @@ impl Writer {
         self.buf.push(v);
     }
 
-    /// Appends a `u16`, little-endian.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -75,17 +70,6 @@ impl Writer {
     /// Appends a bool as one byte (0 or 1).
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(u8::from(v));
-    }
-
-    /// Appends an optional `f64` as a presence byte plus the value.
-    pub fn put_opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.put_bool(true);
-                self.put_f64(x);
-            }
-            None => self.put_bool(false),
-        }
     }
 
     /// Appends a length-prefixed vector of coefficients.
@@ -154,7 +138,8 @@ impl<'a> Reader<'a> {
         head.first().copied().ok_or(CkptError::Truncated { what, needed: 1, remaining: 0 })
     }
 
-    /// Reads a little-endian `u16`.
+    /// Reads a little-endian `u16` (the frame header's version and section
+    /// tags).
     pub fn get_u16(&mut self, what: &'static str) -> Result<u16, CkptError> {
         let head = self.take(2, what)?;
         let arr: [u8; 2] =
@@ -200,15 +185,6 @@ impl<'a> Reader<'a> {
             other => Err(CkptError::Malformed {
                 detail: format!("{what}: bool byte must be 0 or 1, found {other}"),
             }),
-        }
-    }
-
-    /// Reads an optional `f64` written by [`Writer::put_opt_f64`].
-    pub fn get_opt_f64(&mut self, what: &'static str) -> Result<Option<f64>, CkptError> {
-        if self.get_bool(what)? {
-            Ok(Some(self.get_f64(what)?))
-        } else {
-            Ok(None)
         }
     }
 
@@ -281,24 +257,20 @@ mod tests {
     fn primitives_round_trip() {
         let mut w = Writer::new();
         w.put_u8(0xab);
-        w.put_u16(0x1234);
         w.put_u32(0xdead_beef);
         w.put_u64(u64::MAX - 7);
         w.put_f64(-0.0);
         w.put_bool(true);
-        w.put_opt_f64(Some(f64::MIN_POSITIVE));
-        w.put_opt_f64(None);
-        let bytes = w.into_bytes();
+        let mut bytes = w.into_bytes();
+        bytes.extend_from_slice(&0x1234u16.to_le_bytes());
 
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8("a").unwrap(), 0xab);
-        assert_eq!(r.get_u16("b").unwrap(), 0x1234);
         assert_eq!(r.get_u32("c").unwrap(), 0xdead_beef);
         assert_eq!(r.get_u64("d").unwrap(), u64::MAX - 7);
         assert_eq!(r.get_f64("e").unwrap().to_bits(), (-0.0f64).to_bits());
         assert!(r.get_bool("f").unwrap());
-        assert_eq!(r.get_opt_f64("g").unwrap(), Some(f64::MIN_POSITIVE));
-        assert_eq!(r.get_opt_f64("h").unwrap(), None);
+        assert_eq!(r.get_u16("b").unwrap(), 0x1234);
         r.finish("tail").unwrap();
     }
 

@@ -29,8 +29,8 @@
 //!   the Eq. (23) update runs over whatever subset arrived (an empty pass
 //!   applies nothing and is not counted as an ADMM iteration).
 //!
-//! The server is the consensus driver of [`crate::consensus`] — the same
-//! schedule, Eq. (23)/(24) arithmetic and stopping tests as
+//! The server is the crate's one consensus driver — the same schedule,
+//! Eq. (23)/(24) arithmetic and stopping tests as
 //! [`crate::DistributedPlos`] — over this module's bounded-staleness gather
 //! strategy, and its devices are the flat star's device machine.
 //! **S = 0 degenerates to the synchronous path bit-for-bit**: no device is

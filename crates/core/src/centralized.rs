@@ -15,7 +15,7 @@
 
 use crate::checkpoint::{self, CheckpointPolicy};
 use crate::config::PlosConfig;
-use crate::dual::DualSolver;
+use crate::dual::{DualSolution, DualSolver};
 use crate::error::CoreError;
 use crate::model::PersonalizedModel;
 use crate::problem::{self, Prepared};
@@ -23,7 +23,7 @@ use crate::wire_u32;
 use plos_ckpt::{CentralizedPhase, CentralizedState, CkptError, KIND_CENTRALIZED};
 use plos_linalg::Vector;
 use plos_ml::svm::{LinearSvm, SvmParams};
-use plos_opt::{Cccp, History};
+use plos_opt::History;
 use plos_sensing::dataset::MultiUserDataset;
 use rand::{Rng, SeedableRng};
 
@@ -49,24 +49,6 @@ pub struct CentralizedFit {
     pub constraints_added: usize,
     /// Whether the CCCP objective converged before the round cap.
     pub converged: bool,
-}
-
-/// State carried between CCCP rounds.
-#[derive(Clone)]
-struct CccpState {
-    w0: Vector,
-    vs: Vec<Vector>,
-    signs: Vec<Vec<f64>>,
-}
-
-/// Where a checkpointed run re-enters `fit_detailed`.
-enum ResumePoint {
-    /// No (usable) checkpoint: run from the top.
-    Fresh,
-    /// Continue the CCCP outer loop from a mid-run snapshot.
-    MidCccp(Box<CentralizedState>),
-    /// CCCP finished; continue refinement from a mid-run snapshot.
-    MidRefine(Box<CentralizedState>, u32),
 }
 
 /// Shape check on a restored snapshot: the fingerprint already binds the
@@ -128,10 +110,10 @@ impl CentralizedPlos {
     ///
     /// Propagates failures of the dual QP solves, the refinement CCCP runs,
     /// and the SVM initialization as [`CoreError`].
-    // Allowed: every per-user buffer indexed below (`vs`, `xis`, `signs`,
-    // `w_ts`) is created with length `t_count` and `t` ranges over
-    // `prepared.users` of that same length, so the indices are in bounds by
-    // construction.
+    // Allowed: `st.vectors` holds `t_count` vectors (built that way on a
+    // fresh start, checked by `validate_restored` on resume) and `t` ranges
+    // over `prepared.users` of that same length, so the indices are in
+    // bounds.
     #[allow(clippy::indexing_slicing)]
     pub fn fit_detailed(&self, dataset: &MultiUserDataset) -> Result<CentralizedFit, CoreError> {
         let _span = plos_obs::Span::enter("centralized_fit");
@@ -149,104 +131,77 @@ impl CentralizedPlos {
         let policy = self.ckpt.clone().or_else(CheckpointPolicy::from_env);
         let fingerprint = checkpoint::run_fingerprint(KIND_CENTRALIZED, t_count, dim, &self.config);
         let mut session = policy.as_ref().map(|p| p.session("centralized"));
-        let resume = match &session {
-            Some(sess) => match sess.load()? {
-                Some(file) => {
-                    let st = CentralizedState::decode(&file)?;
-                    checkpoint::check_fingerprint(st.fingerprint, fingerprint)?;
-                    validate_restored(&st, t_count, dim)?;
-                    plos_obs::emit(
-                        "checkpoint_resume",
-                        &[
-                            ("kind", "centralized".into()),
-                            ("cccp_rounds", u64::from(st.cccp_rounds).into()),
-                        ],
-                    );
-                    match st.phase {
-                        CentralizedPhase::Cccp => ResumePoint::MidCccp(Box::new(st)),
-                        CentralizedPhase::Refine { rounds_done } => {
-                            ResumePoint::MidRefine(Box::new(st), rounds_done)
-                        }
-                    }
-                }
-                None => ResumePoint::Fresh,
+        let snapshot = match &session {
+            Some(sess) => sess.load()?,
+            None => None,
+        };
+        let mut st = match snapshot {
+            Some(file) => {
+                let st = CentralizedState::decode(&file)?;
+                checkpoint::check_fingerprint(st.fingerprint, fingerprint)?;
+                validate_restored(&st, t_count, dim)?;
+                plos_obs::emit(
+                    "checkpoint_resume",
+                    &[
+                        ("trainer", "centralized".into()),
+                        ("cccp_rounds", u64::from(st.cccp_rounds).into()),
+                    ],
+                );
+                st
+            }
+            // Initialization of w'(0): a global SVM over all observed labels
+            // gives the sign pattern CCCP linearizes around first.
+            None => CentralizedState {
+                fingerprint,
+                phase: CentralizedPhase::Cccp,
+                w0: self.initial_hyperplane(&prepared)?,
+                vectors: vec![Vector::zeros(dim); t_count],
+                history: Vec::new(),
+                cccp_rounds: 0,
+                cccp_converged: false,
+                cutting_rounds: 0,
+                constraints_added: 0,
             },
-            None => ResumePoint::Fresh,
         };
 
-        let mut cutting_rounds = 0usize;
-        let mut constraints_added = 0usize;
-
-        let cccp = Cccp { tol: self.config.cccp_tol, max_rounds: self.config.max_cccp_rounds };
-        let (mut w0, mut w_ts, mut history, cccp_round_count, cccp_converged, refine_start) =
-            match resume {
-                ResumePoint::MidRefine(st, rounds_done) => {
-                    // CCCP already finished when the snapshot was taken; its
-                    // `vectors` hold the per-user hyperplanes mid-refinement.
-                    let st = *st;
-                    cutting_rounds = st.cutting_rounds as usize;
-                    constraints_added = st.constraints_added as usize;
-                    (
-                        st.w0,
-                        st.vectors,
-                        History::from_values(st.history),
-                        st.cccp_rounds as usize,
-                        st.cccp_converged,
-                        rounds_done as usize,
-                    )
+        let refine_start = match st.phase {
+            // CCCP finished before the snapshot: `vectors` hold the per-user
+            // hyperplanes `w_t` mid-refinement.
+            CentralizedPhase::Refine { rounds_done } => rounds_done as usize,
+            // CCCP (step 7), with `vectors` holding the biases `v_t`. Rounds
+            // a resumed snapshot already completed count against the cap,
+            // and a history that converged before the kill takes no round.
+            CentralizedPhase::Cccp => {
+                let tol = self.config.cccp_tol;
+                let converged = |h: &[f64]| History::from_values(h.to_vec()).converged(tol);
+                while !converged(&st.history) && st.history.len() < self.config.max_cccp_rounds {
+                    // Linearize the concave terms around w_t = w0 + v_t
+                    // (Eq. 10); on a fresh start v_t = 0.
+                    let signs = pool.par_map(&prepared.users, |t, u| {
+                        problem::compute_signs(u, &(&st.w0 + &st.vectors[t]))
+                    });
+                    let solution = self.cutting_planes(&prepared, &signs, &mut st)?;
+                    let objective =
+                        problem::objective(&prepared, &solution.w0, &solution.vs, &self.config);
+                    st.w0 = solution.w0;
+                    st.vectors = solution.vs;
+                    st.history.push(objective);
+                    st.cccp_rounds = wire_u32(st.history.len());
+                    plos_obs::emit(
+                        "cccp_round",
+                        &[("round", st.history.len().into()), ("objective", objective.into())],
+                    );
+                    if let Some(sess) = session.as_mut() {
+                        sess.save(&st.encode())?;
+                    }
                 }
-                other => {
-                    let (init, prior) = match other {
-                        ResumePoint::MidCccp(st) => {
-                            let st = *st;
-                            cutting_rounds = st.cutting_rounds as usize;
-                            constraints_added = st.constraints_added as usize;
-                            // Signs are not checkpointed: re-derive the
-                            // linearization point exactly as the round closure
-                            // does at the end of every CCCP round.
-                            let signs: Vec<Vec<f64>> = pool.par_map(&prepared.users, |t, u| {
-                                problem::compute_signs(u, &(&st.w0 + &st.vectors[t]))
-                            });
-                            (
-                                CccpState { w0: st.w0, vs: st.vectors, signs },
-                                History::from_values(st.history),
-                            )
-                        }
-                        _ => {
-                            // Initialization of w'(0): a global SVM over all
-                            // observed labels gives the sign pattern CCCP
-                            // linearizes around first.
-                            let w0_init = self.initial_hyperplane(&prepared)?;
-                            let init_signs: Vec<Vec<f64>> = pool
-                                .par_map(&prepared.users, |_t, u| {
-                                    problem::compute_signs(u, &w0_init)
-                                });
-                            (
-                                CccpState {
-                                    w0: w0_init,
-                                    vs: vec![Vector::zeros(dim); t_count],
-                                    signs: init_signs,
-                                },
-                                History::new(),
-                            )
-                        }
-                    };
-                    let result = self.run_cccp_loop(
-                        &cccp,
-                        init,
-                        prior,
-                        &prepared,
-                        fingerprint,
-                        &mut session,
-                        &mut cutting_rounds,
-                        &mut constraints_added,
-                    )?;
-                    let w0 = result.state.w0;
-                    let w_ts: Vec<Vector> = result.state.vs.iter().map(|v| &w0 + v).collect();
-                    let rounds = result.history.len();
-                    (w0, w_ts, result.history, rounds, result.converged, 0usize)
-                }
-            };
+                st.cccp_converged = converged(&st.history);
+                // Refinement works on the per-user hyperplanes w_t = w0 + v_t.
+                st.vectors = st.vectors.iter().map(|v| &st.w0 + v).collect();
+                st.phase = CentralizedPhase::Refine { rounds_done: 0 };
+                0
+            }
+        };
         // Refinement: block-coordinate descent on the true objective with
         // multi-start per-user CCCP. Each user step exactly minimizes its
         // block `(λ/T)‖w_t − w0‖² + loss_t(w_t)` over the candidate local
@@ -261,13 +216,14 @@ impl CentralizedPlos {
             // are independent; per-user seeds are derived from (round, t)
             // exactly as in the sequential schedule.
             let updates = pool.par_map_indexed(&prepared.users, |t, user| {
-                let base_signs = problem::compute_signs(user, &w_ts[t]);
+                let w_t = &st.vectors[t];
+                let base_signs = problem::compute_signs(user, w_t);
                 let seed = self.config.seed.wrapping_add(
                     0x5851_f42d_4c95_7f2d_u64.wrapping_mul((round * t_count + t + 1) as u64),
                 );
                 let sol = crate::prox::prox_cccp_multistart(
                     user,
-                    &w0,
+                    &st.w0,
                     mu,
                     base_signs,
                     seed,
@@ -275,180 +231,114 @@ impl CentralizedPlos {
                 )?;
                 // Keep the incumbent when no candidate beats it — this is
                 // what makes the refinement pass monotone.
-                let incumbent = crate::prox::prox_objective(user, &w0, mu, &w_ts[t], &self.config);
+                let incumbent = crate::prox::prox_objective(user, &st.w0, mu, w_t, &self.config);
                 Ok::<Option<Vector>, CoreError>((sol.objective < incumbent).then_some(sol.w))
             })?;
-            for (w_t, update) in w_ts.iter_mut().zip(updates) {
+            for (w_t, update) in st.vectors.iter_mut().zip(updates) {
                 if let Some(w) = update {
                     *w_t = w;
                 }
             }
             // Closed-form w0 block update.
             let mut mean = Vector::zeros(dim);
-            for w_t in &w_ts {
+            for w_t in &st.vectors {
                 mean += w_t;
             }
             mean.scale_mut(1.0 / t_count as f64);
-            w0 = mean.scaled(self.config.lambda / (1.0 + self.config.lambda));
-            let vs: Vec<Vector> = w_ts.iter().map(|w_t| w_t - &w0).collect();
-            let objective = problem::objective(&prepared, &w0, &vs, &self.config);
-            history.push(objective);
+            st.w0 = mean.scaled(self.config.lambda / (1.0 + self.config.lambda));
+            let vs: Vec<Vector> = st.vectors.iter().map(|w_t| w_t - &st.w0).collect();
+            let objective = problem::objective(&prepared, &st.w0, &vs, &self.config);
+            st.history.push(objective);
             plos_obs::emit(
                 "refine_round",
                 &[("round", (round + 1).into()), ("objective", objective.into())],
             );
+            st.phase = CentralizedPhase::Refine { rounds_done: wire_u32(round + 1) };
             if let Some(sess) = session.as_mut() {
-                let snapshot = CentralizedState {
-                    fingerprint,
-                    phase: CentralizedPhase::Refine { rounds_done: wire_u32(round + 1) },
-                    w0: w0.clone(),
-                    vectors: w_ts.clone(),
-                    history: history.values().to_vec(),
-                    cccp_rounds: wire_u32(cccp_round_count),
-                    cccp_converged,
-                    cutting_rounds: cutting_rounds as u64,
-                    constraints_added: constraints_added as u64,
-                };
-                sess.save(&snapshot.encode())?;
+                sess.save(&st.encode())?;
             }
         }
-        let vs: Vec<Vector> = w_ts.iter().map(|w_t| w_t - &w0).collect();
+        let vs: Vec<Vector> = st.vectors.iter().map(|w_t| w_t - &st.w0).collect();
 
-        let model = PersonalizedModel::new(w0, vs, self.config.bias);
+        let model = PersonalizedModel::new(st.w0, vs, self.config.bias);
         // The run completed: drop the snapshot so the next run starts fresh.
         if let Some(sess) = &session {
             sess.clear()?;
         }
         Ok(CentralizedFit {
             model,
-            cccp_rounds: cccp_round_count,
-            history,
-            cutting_rounds,
-            constraints_added,
-            converged: cccp_converged,
+            history: History::from_values(st.history),
+            cccp_rounds: st.cccp_rounds as usize,
+            cutting_rounds: st.cutting_rounds as usize,
+            constraints_added: st.constraints_added as usize,
+            converged: st.cccp_converged,
         })
     }
 
-    /// The CCCP outer loop with per-round checkpointing. `prior` carries the
-    /// objective history of rounds a previous (interrupted) process already
-    /// completed; with an empty prior this is the uninterrupted path.
-    // Allowed: per-user buffers are indexed by `t` over `prepared.users`,
-    // all sized `t_count` by construction (see `fit_detailed`).
-    #[allow(clippy::indexing_slicing, clippy::too_many_arguments)]
-    fn run_cccp_loop(
+    /// The cutting-plane inner loop (steps 4–6) for one sign pattern: grow
+    /// the per-user working sets with the most violated constraints
+    /// (Eq. 14) and re-solve the dual (Eq. 16) until no constraint is
+    /// violated by more than `ε`. Counts its rounds and constraints into
+    /// `st`.
+    // Allowed: `signs` and the solution's `vs`/`xis` hold one entry per user
+    // of `prepared`, and `t` ranges over `prepared.users`.
+    #[allow(clippy::indexing_slicing)]
+    fn cutting_planes(
         &self,
-        cccp: &Cccp,
-        init: CccpState,
-        prior: History,
         prepared: &Prepared,
-        fingerprint: u64,
-        session: &mut Option<crate::checkpoint::CkptSession>,
-        cutting_rounds: &mut usize,
-        constraints_added: &mut usize,
-    ) -> Result<plos_opt::CccpResult<CccpState>, CoreError> {
-        let t_count = prepared.users.len();
-        let dim = prepared.dim;
+        signs: &[Vec<f64>],
+        st: &mut CentralizedState,
+    ) -> Result<DualSolution, CoreError> {
         let pool = plos_exec::Pool::current();
-        // The CCCP driver's closure cannot propagate errors; park the first
-        // failure here and report a flat objective so the driver stops at
-        // its convergence check, then surface the error after the run.
-        let mut solve_err: Option<CoreError> = None;
-        let mut saved_history: Vec<f64> = prior.values().to_vec();
-        let result = cccp.run_with_history(init, prior, |state| {
-            if solve_err.is_some() {
-                return (state.clone(), 0.0);
+        // Fresh working sets: constraints depend on the sign pattern.
+        // The hard class-balance constraints are installed first — they
+        // rule out the degenerate all-on-one-side margin solutions.
+        let mut solver = DualSolver::new(self.config.lambda, prepared.users.len(), prepared.dim);
+        for (t, user) in prepared.users.iter().enumerate() {
+            for k in problem::balance_constraints(user, self.config.balance) {
+                solver.add_hard_constraint(t, k);
             }
-            // Fresh working sets: constraints depend on the sign pattern.
-            // The hard class-balance constraints are installed first — they
-            // rule out the degenerate all-on-one-side margin solutions.
-            let mut solver = DualSolver::new(self.config.lambda, t_count, dim);
-            for (t, user) in prepared.users.iter().enumerate() {
-                for k in problem::balance_constraints(user, self.config.balance) {
-                    solver.add_hard_constraint(t, k);
-                }
-            }
-            let mut solution = match solver.solve(&self.config.qp) {
-                Ok(s) => s,
-                Err(e) => {
-                    solve_err = Some(e);
-                    return (state.clone(), 0.0);
-                }
-            };
-            for round in 0..self.config.max_cutting_rounds {
-                *cutting_rounds += 1;
-                let mut any_added = false;
-                let mut max_violation = 0.0_f64;
-                // Per-user most-violated-constraint search (Eq. 14) is
-                // independent given the current iterate — fan it out, then
-                // install the findings in user order.
-                let searched = pool.par_map(&prepared.users, |t, user| {
-                    let w_t = &solution.w0 + &solution.vs[t];
-                    problem::most_violated_constraint(
-                        user,
-                        &state.signs[t],
-                        &w_t,
-                        solution.xis[t],
-                        &self.config,
-                    )
-                });
-                for (t, (constraint, violation)) in searched.into_iter().enumerate() {
-                    max_violation = max_violation.max(violation);
-                    if violation > self.config.eps {
-                        solver.add_constraint(t, constraint);
-                        *constraints_added += 1;
-                        any_added = true;
-                    }
-                }
-                plos_obs::emit(
-                    "cutting_round",
-                    &[
-                        ("round", (round + 1).into()),
-                        ("working_set", solver.num_constraints().into()),
-                        ("max_violation", max_violation.into()),
-                    ],
-                );
-                if !any_added {
-                    break;
-                }
-                solution = match solver.solve(&self.config.qp) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        solve_err = Some(e);
-                        return (state.clone(), 0.0);
-                    }
-                };
-            }
-
-            // Refresh the linearization point and report the true objective.
-            let new_signs: Vec<Vec<f64>> = pool.par_map(&prepared.users, |t, u| {
-                problem::compute_signs(u, &(&solution.w0 + &solution.vs[t]))
-            });
-            let objective = problem::objective(prepared, &solution.w0, &solution.vs, &self.config);
-            saved_history.push(objective);
-            if let Some(sess) = session.as_mut() {
-                let snapshot = CentralizedState {
-                    fingerprint,
-                    phase: CentralizedPhase::Cccp,
-                    w0: solution.w0.clone(),
-                    vectors: solution.vs.clone(),
-                    history: saved_history.clone(),
-                    cccp_rounds: wire_u32(saved_history.len()),
-                    // Convergence is re-derived from the history on resume.
-                    cccp_converged: false,
-                    cutting_rounds: *cutting_rounds as u64,
-                    constraints_added: *constraints_added as u64,
-                };
-                if let Err(e) = sess.save(&snapshot.encode()) {
-                    solve_err = Some(e);
-                    return (state.clone(), 0.0);
-                }
-            }
-            (CccpState { w0: solution.w0, vs: solution.vs, signs: new_signs }, objective)
-        });
-        if let Some(e) = solve_err {
-            return Err(e);
         }
-        Ok(result)
+        let mut solution = solver.solve(&self.config.qp)?;
+        for round in 0..self.config.max_cutting_rounds {
+            st.cutting_rounds += 1;
+            let mut any_added = false;
+            let mut max_violation = 0.0_f64;
+            // Per-user most-violated-constraint search (Eq. 14) is
+            // independent given the current iterate — fan it out, then
+            // install the findings in user order.
+            let searched = pool.par_map(&prepared.users, |t, user| {
+                let w_t = &solution.w0 + &solution.vs[t];
+                problem::most_violated_constraint(
+                    user,
+                    &signs[t],
+                    &w_t,
+                    solution.xis[t],
+                    &self.config,
+                )
+            });
+            for (t, (constraint, violation)) in searched.into_iter().enumerate() {
+                max_violation = max_violation.max(violation);
+                if violation > self.config.eps {
+                    solver.add_constraint(t, constraint);
+                    st.constraints_added += 1;
+                    any_added = true;
+                }
+            }
+            plos_obs::emit(
+                "cutting_round",
+                &[
+                    ("round", (round + 1).into()),
+                    ("working_set", solver.num_constraints().into()),
+                    ("max_violation", max_violation.into()),
+                ],
+            );
+            if !any_added {
+                break;
+            }
+            solution = solver.solve(&self.config.qp)?;
+        }
+        Ok(solution)
     }
 
     /// Global-SVM initialization over all observed labels; falls back to a
@@ -710,5 +600,67 @@ mod tests {
             "expected a checkpoint context error, got {resumed:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cccp_stops_at_the_round_cap_unconverged() {
+        let dataset = small_synthetic(3, 2, 0.3);
+        let config = PlosConfig { max_cccp_rounds: 1, cccp_tol: 0.0, ..PlosConfig::fast() };
+        let fit = CentralizedPlos::try_new(config.clone()).unwrap().fit_detailed(&dataset).unwrap();
+        assert_eq!(fit.cccp_rounds, 1);
+        assert!(!fit.converged);
+        assert_eq!(fit.history.len(), 1 + config.refine_rounds);
+    }
+
+    /// Writes a CCCP-phase snapshot with the given objective history through
+    /// the trainer's own session and fingerprint, as a run killed after
+    /// `history.len()` rounds would have left it, then resumes from it.
+    fn resume_cccp_snapshot(tag: &str, config: PlosConfig, history: Vec<f64>) -> CentralizedFit {
+        use crate::checkpoint::CheckpointPolicy;
+        let dataset = small_synthetic(3, 2, 0.3);
+        let dir =
+            std::env::temp_dir().join(format!("plos-centralized-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let trainer = CentralizedPlos::try_new(config.clone()).unwrap();
+        let prepared = problem::prepare(&dataset, config.bias);
+        let (t_count, dim) = (prepared.users.len(), prepared.dim);
+        let snapshot = CentralizedState {
+            fingerprint: checkpoint::run_fingerprint(KIND_CENTRALIZED, t_count, dim, &config),
+            phase: CentralizedPhase::Cccp,
+            w0: trainer.initial_hyperplane(&prepared).unwrap(),
+            vectors: vec![Vector::zeros(dim); t_count],
+            cccp_rounds: wire_u32(history.len()),
+            history,
+            cccp_converged: false,
+            cutting_rounds: 7,
+            constraints_added: 11,
+        };
+        CheckpointPolicy::new(&dir).session("centralized").save(&snapshot.encode()).unwrap();
+        let fit =
+            trainer.with_checkpointing(CheckpointPolicy::new(&dir)).fit_detailed(&dataset).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        // No cutting-plane round ran after the restore.
+        assert_eq!((fit.cutting_rounds, fit.constraints_added), (7, 11));
+        fit
+    }
+
+    #[test]
+    fn resumed_converged_history_takes_no_further_cccp_round() {
+        let config = PlosConfig::fast();
+        let fit = resume_cccp_snapshot("converged", config.clone(), vec![0.5, 0.5]);
+        assert_eq!(fit.cccp_rounds, 2);
+        assert!(fit.converged);
+        assert_eq!(fit.history.values()[..2], [0.5, 0.5]);
+        assert_eq!(fit.history.len(), 2 + config.refine_rounds);
+    }
+
+    #[test]
+    fn restored_rounds_count_against_the_cap() {
+        let config = PlosConfig { max_cccp_rounds: 3, cccp_tol: 0.0, ..PlosConfig::fast() };
+        let fit = resume_cccp_snapshot("capped", config.clone(), vec![3.0, 2.0, 1.0]);
+        assert_eq!(fit.cccp_rounds, 3);
+        assert!(!fit.converged);
+        assert_eq!(fit.history.values()[..3], [3.0, 2.0, 1.0]);
+        assert_eq!(fit.history.len(), 3 + config.refine_rounds);
     }
 }

@@ -138,6 +138,9 @@ pub(crate) fn run_fingerprint(kind: u8, t_count: usize, dim: usize, config: &Plo
     }
     h.write_f64(config.qp.tol);
     h.write_u64(config.qp.max_sweeps as u64);
+    h.write_u64(config.qp.stall_dim as u64);
+    h.write_u64(config.qp.stall_every as u64);
+    h.write_f64(config.qp.stall_rel_tol);
     h.write_f64(config.rho);
     h.write_f64(config.eps_abs);
     h.write_u64(config.max_admm_iters as u64);
@@ -168,6 +171,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
 
     use super::*;
+    use plos_opt::QpSolverOptions;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("plos-core-ckpt-{tag}-{}", std::process::id()));
@@ -185,8 +189,18 @@ mod tests {
         assert_ne!(base, run_fingerprint(1, 4, 11, &cfg), "dimension must matter");
         let other = PlosConfig { seed: cfg.seed + 1, ..cfg.clone() };
         assert_ne!(base, run_fingerprint(1, 4, 10, &other), "seed must matter");
-        let none_bias = PlosConfig { bias: None, ..cfg };
+        let none_bias = PlosConfig { bias: None, ..cfg.clone() };
         assert_ne!(base, run_fingerprint(1, 4, 10, &none_bias), "bias option must matter");
+        // The QP stall cutoff decides when a large dual stops.
+        let stalls = [
+            QpSolverOptions { stall_dim: cfg.qp.stall_dim + 1, ..cfg.qp.clone() },
+            QpSolverOptions { stall_every: cfg.qp.stall_every + 1, ..cfg.qp.clone() },
+            QpSolverOptions { stall_rel_tol: cfg.qp.stall_rel_tol * 2.0, ..cfg.qp.clone() },
+        ];
+        for qp in stalls {
+            let other = PlosConfig { qp, ..cfg.clone() };
+            assert_ne!(base, run_fingerprint(1, 4, 10, &other), "QP stall cutoff must matter");
+        }
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! One server thread (the caller) and `T` virtual devices, multiplexed onto
 //! the pool's workers, communicate only through [`plos_net`] messages; raw
-//! samples never leave the device machines. The server is the consensus
-//! driver of [`crate::consensus`] over this module's barrier gather
-//! strategy; per CCCP round it runs the ADMM loop:
+//! samples never leave the device machines. The server is the crate's one
+//! consensus driver over this module's barrier gather strategy; per CCCP
+//! round it runs the ADMM loop:
 //!
 //! * **scatter** `Broadcast { w0, u_t }` to every device,
-//! * devices solve the local QP of Eq. (22) ([`LocalSolver`]) and **gather**
-//!   back `ClientUpdate { w_t, v_t, ξ_t }`,
+//! * devices solve the local QP of Eq. (22)
+//!   ([`crate::local::LocalSolver`]) and **gather** back
+//!   `ClientUpdate { w_t, v_t, ξ_t }`,
 //! * the server applies the closed-form updates of Eq. (23) and stops the
 //!   loop on the residual criterion of Eq. (24),
 //! * when the objective `L` stops improving the server either advances CCCP

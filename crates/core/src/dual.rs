@@ -19,7 +19,6 @@
 
 use crate::error::CoreError;
 use crate::problem::Constraint;
-use plos_ckpt::{CkptError, DualEntry, DualState};
 use plos_linalg::Vector;
 use plos_opt::{IncrementalQp, OptError, QpSolverOptions};
 
@@ -216,78 +215,6 @@ impl DualSolver {
         Ok(DualSolution { w0, vs, xis, dual_objective: -stats.objective })
     }
 
-    /// Exports the working set and warm start for checkpointing. The QP
-    /// matrix is *not* exported — [`DualSolver::from_state`] recomputes it
-    /// deterministically, keeping checkpoints small and the digest honest.
-    pub fn export_state(&self, fingerprint: u64) -> DualState {
-        DualState {
-            fingerprint,
-            lambda: self.lambda,
-            t_count: self.t_count,
-            dim: self.dim,
-            entries: self
-                .entries
-                .iter()
-                .zip(&self.hard)
-                .map(|((owner, k), hard)| DualEntry {
-                    owner: *owner,
-                    s: k.s.clone(),
-                    c: k.c,
-                    hard: *hard,
-                })
-                .collect(),
-            warm: self.qp.gamma().to_vec(),
-        }
-    }
-
-    /// Rebuilds a solver from a checkpointed state. The QP matrix is
-    /// recomputed through the same `push_entry` path as the original run,
-    /// so a subsequent [`DualSolver::solve`] is bit-identical to one on the
-    /// uninterrupted solver.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Ckpt`] when the state is internally inconsistent
-    /// (bad scalars, out-of-range owner, wrong constraint dimension,
-    /// mismatched warm-start length).
-    pub fn from_state(state: DualState) -> Result<DualSolver, CoreError> {
-        if !(state.lambda > 0.0 && state.lambda.is_finite()) {
-            return Err(CkptError::Malformed { detail: "dual lambda out of range".into() }.into());
-        }
-        if state.t_count == 0 || state.dim == 0 {
-            return Err(CkptError::Malformed { detail: "dual t_count/dim zero".into() }.into());
-        }
-        if state.warm.len() != state.entries.len() {
-            return Err(CkptError::Malformed {
-                detail: "dual warm-start length disagrees with working set".into(),
-            }
-            .into());
-        }
-        let mut solver = DualSolver::new(state.lambda, state.t_count, state.dim);
-        for entry in state.entries {
-            if entry.owner >= state.t_count {
-                return Err(
-                    CkptError::Malformed { detail: "dual owner out of range".into() }.into()
-                );
-            }
-            if entry.s.len() != state.dim {
-                return Err(CkptError::Malformed {
-                    detail: "dual constraint dimension mismatch".into(),
-                }
-                .into());
-            }
-            solver.push_entry(entry.owner, Constraint { s: entry.s, c: entry.c }, entry.hard);
-        }
-        // The warm start is stored verbatim; the next solve projects it to
-        // feasibility once, exactly like a solve on the uninterrupted
-        // solver. A non-finite warm start is surfaced at that solve too,
-        // matching the historical path that validated it there.
-        if let Err(err) = solver.qp.set_warm(&state.warm) {
-            solver.deferred.get_or_insert(err);
-        }
-        Ok(solver)
-    }
-
     /// The PLOS primal objective in the scale of problem (4):
     /// `‖w0‖² + (λ/T)Σ‖v_t‖² + Σξ_t`.
     pub fn primal_objective(&self, sol: &DualSolution) -> f64 {
@@ -413,70 +340,6 @@ mod tests {
         let sol = solver.solve(&opts()).unwrap();
         assert_eq!(solver.num_constraints(), 2);
         assert!(sol.w0.is_finite());
-    }
-
-    #[test]
-    fn export_import_round_trip_preserves_solve_bit_for_bit() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut original = DualSolver::new(2.5, 3, 4);
-        for t in 0..3 {
-            for _ in 0..3 {
-                let s: Vector = (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                original.add_constraint(t, Constraint { s, c: rng.gen_range(0.0..1.0) });
-            }
-        }
-        // A solve populates the warm start that the checkpoint must carry.
-        let _ = original.solve(&opts()).unwrap();
-
-        let state = original.export_state(0xfeed);
-        assert_eq!(state.fingerprint, 0xfeed);
-        let mut restored = DualSolver::from_state(state).unwrap();
-        assert_eq!(restored.num_constraints(), original.num_constraints());
-
-        let a = original.solve(&opts()).unwrap();
-        let b = restored.solve(&opts()).unwrap();
-        let bits = |v: &Vector| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.w0), bits(&b.w0));
-        for (va, vb) in a.vs.iter().zip(&b.vs) {
-            assert_eq!(bits(va), bits(vb));
-        }
-        assert_eq!(a.dual_objective.to_bits(), b.dual_objective.to_bits());
-    }
-
-    #[test]
-    fn inconsistent_dual_states_rejected() {
-        let base = DualSolver::new(1.0, 2, 2);
-        let good = base.export_state(0);
-        assert!(DualSolver::from_state(good.clone()).is_ok());
-
-        let mut bad_owner = good.clone();
-        bad_owner.entries.push(plos_ckpt::DualEntry {
-            owner: 9,
-            s: Vector::zeros(2),
-            c: 0.0,
-            hard: false,
-        });
-        bad_owner.warm.push(0.0);
-        assert!(matches!(DualSolver::from_state(bad_owner), Err(CoreError::Ckpt(_))));
-
-        let mut bad_dim = good.clone();
-        bad_dim.entries.push(plos_ckpt::DualEntry {
-            owner: 0,
-            s: Vector::zeros(5),
-            c: 0.0,
-            hard: false,
-        });
-        bad_dim.warm.push(0.0);
-        assert!(matches!(DualSolver::from_state(bad_dim), Err(CoreError::Ckpt(_))));
-
-        let mut bad_warm = good.clone();
-        bad_warm.warm.push(1.0);
-        assert!(matches!(DualSolver::from_state(bad_warm), Err(CoreError::Ckpt(_))));
-
-        let mut bad_lambda = good;
-        bad_lambda.lambda = f64::NAN;
-        assert!(matches!(DualSolver::from_state(bad_lambda), Err(CoreError::Ckpt(_))));
     }
 
     #[test]

@@ -46,12 +46,6 @@ impl PersonalizedModel {
         &self.w0
     }
 
-    /// The bias-augmentation constant the trainer used, if any — needed to
-    /// serialize a model so a deserialized copy predicts identically.
-    pub fn bias_augmentation(&self) -> Option<f64> {
-        self.bias_aug
-    }
-
     /// All per-user biases, in user order.
     pub fn personal_biases(&self) -> &[Vector] {
         &self.biases

@@ -6,9 +6,9 @@
 //! [`ShardMap`]; each shard is owned by a **regional aggregator** whose
 //! request loop drives the flat star's barrier gather strategy over its
 //! devices and pushes one `PartialSum` frame per round up to the root.
-//! The root is the consensus driver of [`crate::consensus`] over a
-//! tree-root strategy: it folds the partials **in fixed shard order** and
-//! commits the consensus update back down the tree.
+//! The root is the crate's one consensus driver over a tree-root strategy:
+//! it folds the partials **in fixed shard order** and commits the consensus
+//! update back down the tree.
 //!
 //! # Bit-parity with the flat path
 //!

@@ -26,7 +26,7 @@
 //! * **D3 float-fold** — ad-hoc `+=` float reductions in loops must route
 //!   through `linalg::kernels` fixed-order accumulators.
 //! * **C1 lock-order** — consistent lock-acquisition order (engine-level,
-//!   cross-file; see [`crate::lint_files`]).
+//!   cross-file; see [`crate::lint_sources`]).
 //! * **C2 narrowing-cast** — no `as` casts to sub-64-bit integers.
 //! * **C3 counter-arith** — counters/byte totals use saturating arithmetic.
 //! * **U1 unsafe-scope** — `unsafe` only inside `linalg::kernels` SIMD

@@ -1,4 +1,4 @@
-//! Objective-trajectory bookkeeping shared by the iterative drivers.
+//! Objective-trajectory bookkeeping shared by the trainers' CCCP loops.
 
 /// Records a scalar objective trajectory and answers convergence questions.
 ///

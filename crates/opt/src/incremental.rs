@@ -17,10 +17,10 @@
 //!
 //! One-shot solves (the device-local prox dual of Eq. (22)) append their
 //! whole working set to a fresh instance and solve it cold. Every solve runs
-//! the shared [`crate::cd`] core over the leading `n` entries of each row, so
-//! a carried iterate and a from-scratch rebuild warm-started at the same
-//! point produce bit-identical results (property-tested in
-//! `incremental_matches_rebuilt_grouped_qp_bitwise`).
+//! the shared coordinate-descent core (the private `cd` module) over the
+//! leading `n` entries of each row, so a carried iterate and a from-scratch
+//! rebuild warm-started at the same point produce bit-identical results
+//! (property-tested in `incremental_matches_rebuilt_grouped_qp_bitwise`).
 
 use crate::cd;
 use crate::error::OptError;
@@ -228,10 +228,11 @@ impl IncrementalQp {
         self.stride = new_stride;
     }
 
-    /// Replaces the carried iterate, e.g. when restoring from a checkpoint.
-    /// The point is stored as given; the next [`IncrementalQp::solve`]
-    /// projects it to feasibility exactly once (coordinates clamped to
-    /// `≥ 0`, then each over-cap group rescaled onto its cap).
+    /// Replaces the carried iterate, e.g. to reset a benchmark to a cold or
+    /// a chosen warm start. The point is stored as given; the next
+    /// [`IncrementalQp::solve`] projects it to feasibility exactly once
+    /// (coordinates clamped to `≥ 0`, then each over-cap group rescaled
+    /// onto its cap).
     ///
     /// # Errors
     ///

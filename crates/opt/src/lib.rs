@@ -6,26 +6,21 @@
 )]
 //! Optimization substrate for the PLOS reproduction.
 //!
-//! The PLOS paper (ICDCS 2018) builds on these optimization blocks:
+//! The PLOS paper (ICDCS 2018) solves its cutting-plane duals with one
+//! **quadratic-program solver**: Eq. (16) is a PSD QP over `γ ≥ 0` with one
+//! capped-sum constraint per user, and Eq. (22)'s dual has the same shape
+//! with a single cap ([`qp`], [`incremental`]). [`convergence`] records the
+//! objective trajectories the trainers' CCCP loops stop on.
 //!
-//! * a **quadratic-program solver** for the cutting-plane duals — Eq. (16)
-//!   is a PSD QP over `γ ≥ 0` with one capped-sum constraint per user, and
-//!   Eq. (22)'s dual has the same shape with a single cap ([`qp`],
-//!   [`incremental`]);
-//! * the **concave–convex procedure** (CCCP) that repeatedly linearizes the
-//!   concave `|w·x|` terms contributed by unlabeled samples ([`cccp`]).
-//!
-//! Each block is generic: the PLOS-specific objective lives in `plos-core`,
-//! which plugs its closures/impls into these drivers.
+//! The blocks are generic: the PLOS-specific objectives, and the CCCP and
+//! consensus-ADMM loops of Algorithms 1 and 2, live in `plos-core`.
 
-pub mod cccp;
 pub(crate) mod cd;
 pub mod convergence;
 pub mod error;
 pub mod incremental;
 pub mod qp;
 
-pub use cccp::{Cccp, CccpResult};
 pub use convergence::History;
 pub use error::OptError;
 pub use incremental::{IncrementalQp, QpSolveStats};

@@ -30,8 +30,8 @@
 //! * [`obs`] — zero-dependency telemetry: spans, counters, gauges, and
 //!   per-iteration solver trace events, streamed as JSONL when
 //!   `PLOS_TRACE=<path>` is set and free (one atomic load) when not.
-//! * [`opt`] — optimization substrate: grouped QP solver, cutting-plane,
-//!   CCCP, and consensus-ADMM drivers.
+//! * [`opt`] — optimization substrate: the capped-simplex dual QP solver
+//!   and objective-history bookkeeping.
 //! * [`linalg`] — dense vectors/matrices, Cholesky, Jacobi eigensolver.
 //!
 //! # Quickstart

@@ -15,7 +15,7 @@
 //!    run bit-identical to the zero-fault run: perturbed clocks, untouched
 //!    trajectory.
 //!
-//! If a future change routes a clock value into `ModelState`, a round
+//! If a future change routes a clock value into the model, a round
 //! counter, or an aggregation decision, the perturbed run diverges and
 //! these gates fail before the golden digests do.
 

@@ -84,6 +84,48 @@ fn centralized_events_round_trip_through_jsonl() {
 }
 
 #[test]
+fn killed_centralized_run_traces_true_objectives_and_resumes() {
+    let _g = sink_guard();
+    let data = cohort(11);
+    let dir =
+        std::env::temp_dir().join(format!("plos-obs-centralized-kill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let trainer = CentralizedPlos::try_new(PlosConfig::fast()).unwrap();
+    let sink = Arc::new(MemorySink::new());
+    obs::set_sink(Some(sink.clone()));
+    let killed = trainer
+        .clone()
+        .with_checkpointing(CheckpointPolicy::new(&dir).abort_after(1))
+        .fit_detailed(&data);
+    let killed_events = sink.take();
+    let resumed = trainer.with_checkpointing(CheckpointPolicy::new(&dir)).fit_detailed(&data);
+    let resumed_events = sink.take();
+    obs::set_sink(None);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(
+        matches!(killed, Err(plos::core::CoreError::Interrupted { checkpoints: 1 })),
+        "kill switch must fire after the first snapshot, got {killed:?}"
+    );
+    let resumed = resumed.unwrap();
+    // The killed run traced exactly the rounds it checkpointed, with the
+    // objectives the resumed fit carries forward.
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let traced: Vec<f64> = killed_events
+        .iter()
+        .filter(|e| e.name == "cccp_round")
+        .map(|e| e.field_f64("objective").unwrap())
+        .collect();
+    assert_eq!(bits(&traced), bits(&resumed.history.values()[..1]));
+    let resume = resumed_events
+        .iter()
+        .find(|e| e.name == "checkpoint_resume")
+        .expect("the resumed fit traces its restore");
+    assert_eq!(resume.field("trainer"), Some(&Value::Str("centralized".into())));
+    assert_eq!(resume.field_u64("cccp_rounds"), Some(1));
+}
+
+#[test]
 fn counters_stay_monotonic_under_the_pool() {
     let _g = sink_guard();
     obs::set_sink(Some(Arc::new(MemorySink::new())));
