@@ -114,7 +114,10 @@ diff "$trace_tmp/dark.txt" "$trace_tmp/nosimd.txt"
 # Resume parity: a run killed at every checkpoint seam and resumed from
 # disk must reproduce the uninterrupted model bit for bit, for the
 # centralized (CCCP) trainer, the flat ADMM server, and the bounded-
-# staleness server at S=0 and S=2 (DESIGN.md §10).
+# staleness server at S=0 and S=2 (DESIGN.md §10). Every trainer snapshots
+# once per CCCP round and once per refinement round, so each leg must die
+# exactly cccp_rounds + refine_rounds times; the binary exits non-zero on
+# a digest mismatch or a wrong kill count.
 echo "==> resume parity (kill at every checkpoint seam, bit-identical models)"
 cargo build -q --release -p plos-bench --bin resume_parity
 ./target/release/resume_parity

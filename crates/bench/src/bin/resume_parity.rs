@@ -7,8 +7,11 @@
 //! threshold of one — the run dies at its *first* checkpoint, is resumed,
 //! dies at the next, and so on until completion. Every checkpoint seam the
 //! run can produce is therefore exercised as an actual kill/resume cycle.
-//! The surviving model's FNV-1a digest must equal the uninterrupted run's;
-//! any divergence exits nonzero and fails `ci.sh`.
+//! The surviving model's FNV-1a digest must equal the uninterrupted run's,
+//! and every trainer snapshots once per CCCP round and once per refinement
+//! round, so the run must die exactly `cccp_rounds + refine_rounds` times
+//! (a trainer that stopped checkpointing would otherwise pass with zero
+//! kills). Either violation exits nonzero and fails `ci.sh`.
 //!
 //! The gate covers fault-free runs only: under fault injection wall-clock
 //! timing feeds retry/eviction decisions, so bit-parity is not defined
@@ -68,20 +71,28 @@ where
     }
 }
 
+/// Kills `fit` at every seam and checks the survivor against the clean
+/// run: the same digest, after exactly `expected` kills.
 fn gate(
     name: &str,
     clean: &PersonalizedModel,
+    expected: usize,
     dir: &std::path::Path,
     fit: impl Fn(CheckpointPolicy) -> Result<PersonalizedModel, CoreError>,
 ) -> Result<bool, CoreError> {
     let (resumed, kills) = run_killing_at_every_seam(dir, fit)?;
     let clean_digest = digest(clean);
     let resumed_digest = digest(&resumed);
-    let verdict = if clean_digest == resumed_digest { "ok" } else { "MISMATCH" };
+    let verdict = match (clean_digest == resumed_digest, kills as usize == expected) {
+        (true, true) => "ok",
+        (false, _) => "MISMATCH",
+        (true, false) => "WRONG CADENCE",
+    };
     println!(
-        "{name} clean {clean_digest:016x} resumed {resumed_digest:016x} kills {kills} {verdict}"
+        "{name} clean {clean_digest:016x} resumed {resumed_digest:016x} kills {kills} \
+         expected {expected} {verdict}"
     );
-    Ok(clean_digest == resumed_digest)
+    Ok(verdict == "ok")
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -90,22 +101,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("plos-resume-parity-{}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
 
-    let central_clean = CentralizedPlos::try_new(config.clone())?.fit(&data)?;
-    let central_ok = gate("centralized", &central_clean, &dir, |policy| {
+    // One snapshot per CCCP round and one per refinement round.
+    let seams = |cccp_rounds: usize| cccp_rounds + config.refine_rounds;
+
+    let central_clean = CentralizedPlos::try_new(config.clone())?.fit_detailed(&data)?;
+    let expected = seams(central_clean.cccp_rounds);
+    let central_ok = gate("centralized", &central_clean.model, expected, &dir, |policy| {
         CentralizedPlos::try_new(config.clone())?.with_checkpointing(policy).fit(&data)
     })?;
 
-    let (dist_clean, _) = DistributedPlos::try_new(config.clone())?.fit(&data)?;
-    let dist_ok = gate("distributed", &dist_clean, &dir, |policy| {
+    let (dist_clean, report) = DistributedPlos::try_new(config.clone())?.fit(&data)?;
+    let expected = seams(report.cccp_rounds);
+    let dist_ok = gate("distributed", &dist_clean, expected, &dir, |policy| {
         DistributedPlos::try_new(config.clone())?
             .with_checkpointing(policy)
             .fit(&data)
             .map(|(model, _report)| model)
     })?;
 
-    // The bounded-staleness server snapshots at CCCP and refinement
-    // boundaries. A generous quiescence window keeps S > 0 pass membership
-    // decided by the seeded straggler process alone, not by host timing.
+    // A generous quiescence window keeps S > 0 pass membership decided by
+    // the seeded straggler process alone, not by host timing.
     let mut async_ok = true;
     for (name, staleness_bound) in [("async-s0", 0), ("async-s2", 2)] {
         let spec = AsyncSpec {
@@ -114,8 +129,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             poll_window: Duration::from_secs(2),
             seed: 5,
         };
-        let (clean, _) = AsyncDistributedPlos::try_new(config.clone(), spec)?.fit(&data)?;
-        async_ok &= gate(name, &clean, &dir, |policy| {
+        let (clean, report) = AsyncDistributedPlos::try_new(config.clone(), spec)?.fit(&data)?;
+        async_ok &= gate(name, &clean, seams(report.cccp_rounds), &dir, |policy| {
             AsyncDistributedPlos::try_new(config.clone(), spec)?
                 .with_checkpointing(policy)
                 .fit(&data)
@@ -125,9 +140,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     std::fs::remove_dir_all(&dir)?;
     if !(central_ok && dist_ok && async_ok) {
-        return Err(
-            "resume parity violated: killed-and-resumed model differs from clean run".into()
-        );
+        return Err("resume parity violated: a killed-and-resumed model differs from its \
+                    clean run, or a trainer missed its checkpoint cadence"
+            .into());
     }
     println!("resume parity OK");
     Ok(())

@@ -27,10 +27,13 @@ use crate::wire::Reader;
 /// File magic identifying a PLOS checkpoint.
 pub const MAGIC: [u8; 8] = *b"PLOSCKPT";
 /// Format version written by this build. Version 2 replaced the three
-/// per-server distributed snapshots with one `ConsensusState`.
-pub const FORMAT_VERSION: u16 = 2;
+/// per-server distributed snapshots with one `ConsensusState`; version 3
+/// dropped its mid-round resume fields (the ADMM phase, the CCCP anchors
+/// and the broadcast replay log), since both fleet servers now snapshot
+/// only at CCCP and refinement boundaries.
+pub const FORMAT_VERSION: u16 = 3;
 /// Oldest format version this build still reads.
-pub const MIN_SUPPORTED_VERSION: u16 = 2;
+pub const MIN_SUPPORTED_VERSION: u16 = 3;
 
 /// An in-memory checkpoint: an ordered list of tagged byte sections.
 ///
@@ -239,13 +242,15 @@ mod tests {
     }
 
     #[test]
-    fn version_one_files_are_rejected() {
-        let mut bytes = sample().encode();
-        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            CheckpointFile::decode(&bytes).unwrap_err(),
-            CkptError::UnsupportedVersion { found: 1, min: 2, max: 2 }
-        );
+    fn retired_versions_are_rejected() {
+        for found in [1u16, 2] {
+            let mut bytes = sample().encode();
+            bytes[8..10].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                CheckpointFile::decode(&bytes).unwrap_err(),
+                CkptError::UnsupportedVersion { found, min: 3, max: 3 }
+            );
+        }
     }
 
     #[test]

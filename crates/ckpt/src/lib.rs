@@ -4,9 +4,8 @@
 //! Long-running PLOS fits (CCCP outer loops centrally, consensus-ADMM
 //! rounds in the distributed deployment) need to survive being killed:
 //! this crate serializes the resumable state — the centralized trainer's
-//! mid-run CCCP or refinement state and the consensus driver's mid-run
-//! ADMM state — into a self-describing binary format and stores it
-//! atomically on disk.
+//! and the consensus driver's state after a CCCP or refinement round —
+//! into a self-describing binary format and stores it atomically on disk.
 //!
 //! Format guarantees (see `DESIGN.md` §10 for the byte-level layout):
 //!

@@ -11,12 +11,12 @@
 //! | 2   | META     | phase, counters, flags, scalars                 |
 //! | 3   | MODEL    | w0 and per-user vector blocks                   |
 //! | 4   | HISTORY  | objective history (+ residuals, consensus)      |
-//! | 5   | FLEET    | per-device slots, roster, replay log (optional) |
+//! | 5   | FLEET    | per-device slots and roster (optional)          |
 //! | 6   | TREE     | shard-map fingerprint and term (optional)       |
 //!
 //! Privacy note: none of these sections ever carry device-local training
 //! data. The consensus state holds only quantities the server already
-//! received over the wire (consensus iterates, duals, slacks, anchors).
+//! received over the wire (consensus iterates, duals, slacks).
 
 use crate::error::CkptError;
 use crate::frame::CheckpointFile;
@@ -205,9 +205,7 @@ impl CentralizedState {
 /// Where a consensus run (Algorithm 2) was when its state was captured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConsensusPhase {
-    /// Inside CCCP round `cccp_round`, after `iters_done` ADMM iterations.
-    Admm,
-    /// Between CCCP rounds: `cccp_round` is the next round to enter.
+    /// Between CCCP rounds: the next round to enter is `cccp_rounds`.
     Boundary,
     /// Inside post-consensus refinement.
     Refine {
@@ -217,7 +215,7 @@ pub enum ConsensusPhase {
 }
 
 /// The server's per-device view of a fleet: the flat star's or the
-/// bounded-staleness server's consensus slots, roster and replay log.
+/// bounded-staleness server's consensus slots and roster.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetSection {
     /// Per-user scaled duals `u_t`.
@@ -228,9 +226,6 @@ pub struct FleetSection {
     pub v_ts: Vec<Vector>,
     /// Last per-user slack totals ξ_t accepted.
     pub xi_ts: Vec<f64>,
-    /// Each device's CCCP anchor: its `w_t` when the current CCCP round
-    /// began (equal to `w_ts` at a boundary or in refinement).
-    pub anchors: Vec<Vector>,
     /// Device liveness flags.
     pub alive: Vec<bool>,
     /// Consecutive missed-round strikes per device.
@@ -247,9 +242,6 @@ pub struct FleetSection {
     pub stale_discards: u64,
     /// Assignments re-issued after their awaited reply went over-stale.
     pub reassignments: u64,
-    /// Broadcasts of the current CCCP round, oldest first: (round, w0,
-    /// per-user `u_t`), replayed on resume to rebuild device state.
-    pub log: Vec<(u32, Vector, Vec<Vector>)>,
 }
 
 /// Binds a tree root's state to the partition and leader term it was
@@ -275,13 +267,6 @@ pub struct ConsensusState {
     pub phase: ConsensusPhase,
     /// Last communication round number used (0 is the init round).
     pub round: u32,
-    /// Current (or, at a boundary, next) zero-based CCCP round.
-    pub cccp_round: u32,
-    /// ADMM iterations applied inside the current CCCP round.
-    pub iters_done: u32,
-    /// True once the current CCCP round's ADMM loop has finished and only
-    /// the objective push remains.
-    pub inner_done: bool,
     /// Total ADMM iterations across all CCCP rounds.
     pub admm_iterations: u64,
     /// CCCP rounds entered.
@@ -307,11 +292,8 @@ impl ConsensusState {
     pub fn fresh(fingerprint: u64, dim: usize) -> Self {
         ConsensusState {
             fingerprint,
-            phase: ConsensusPhase::Admm,
+            phase: ConsensusPhase::Boundary,
             round: 0,
-            cccp_round: 0,
-            iters_done: 0,
-            inner_done: false,
             admm_iterations: 0,
             cccp_rounds: 0,
             converged: false,
@@ -330,16 +312,12 @@ impl ConsensusState {
         file.push_section(SEC_CONTEXT, context_section(KIND_CONSENSUS, self.fingerprint));
         let mut meta = Writer::new();
         let (phase, rounds_done) = match self.phase {
-            ConsensusPhase::Admm => (0, 0),
             ConsensusPhase::Refine { rounds_done } => (1, rounds_done),
             ConsensusPhase::Boundary => (2, 0),
         };
         meta.put_u8(phase);
         meta.put_u32(rounds_done);
         meta.put_u32(self.round);
-        meta.put_u32(self.cccp_round);
-        meta.put_u32(self.iters_done);
-        meta.put_bool(self.inner_done);
         meta.put_u64(self.admm_iterations);
         meta.put_u32(self.cccp_rounds);
         meta.put_bool(self.converged);
@@ -378,7 +356,6 @@ impl ConsensusState {
         let phase_byte = meta.get_u8("phase")?;
         let rounds_done = meta.get_u32("refine rounds done")?;
         let phase = match phase_byte {
-            0 => ConsensusPhase::Admm,
             1 => ConsensusPhase::Refine { rounds_done },
             2 => ConsensusPhase::Boundary,
             other => {
@@ -388,9 +365,6 @@ impl ConsensusState {
             }
         };
         let round = meta.get_u32("round")?;
-        let cccp_round = meta.get_u32("cccp_round")?;
-        let iters_done = meta.get_u32("iters_done")?;
-        let inner_done = meta.get_bool("inner_done")?;
         let admm_iterations = meta.get_u64("admm_iterations")?;
         let cccp_rounds = meta.get_u32("cccp_rounds")?;
         let converged = meta.get_bool("converged")?;
@@ -428,9 +402,6 @@ impl ConsensusState {
             fingerprint,
             phase,
             round,
-            cccp_round,
-            iters_done,
-            inner_done,
             admm_iterations,
             cccp_rounds,
             converged,
@@ -450,7 +421,6 @@ impl FleetSection {
         put_vectors(&mut w, &self.w_ts);
         put_vectors(&mut w, &self.v_ts);
         w.put_f64s(&self.xi_ts);
-        put_vectors(&mut w, &self.anchors);
         put_bools(&mut w, &self.alive);
         w.put_usize(self.missed.len());
         for &m in &self.missed {
@@ -468,12 +438,6 @@ impl FleetSection {
         w.put_u64(self.late_discards);
         w.put_u64(self.stale_discards);
         w.put_u64(self.reassignments);
-        w.put_usize(self.log.len());
-        for (round, w0, us) in &self.log {
-            w.put_u32(*round);
-            w.put_vector(w0);
-            put_vectors(&mut w, us);
-        }
         w.into_bytes()
     }
 
@@ -483,7 +447,6 @@ impl FleetSection {
         let w_ts = get_vectors(&mut r, "hyperplanes")?;
         let v_ts = get_vectors(&mut r, "biases")?;
         let xi_ts = r.get_f64s("slacks")?;
-        let anchors = get_vectors(&mut r, "anchors")?;
         let alive = get_bools(&mut r, "alive flags")?;
         let missed_len = r.get_len(4, "missed strikes")?;
         let mut missed = Vec::with_capacity(missed_len);
@@ -505,20 +468,12 @@ impl FleetSection {
         let late_discards = r.get_u64("late_discards")?;
         let stale_discards = r.get_u64("stale_discards")?;
         let reassignments = r.get_u64("reassignments")?;
-        let log_len = r.get_len(4 + 8 + 8, "broadcast log")?;
-        let mut log = Vec::with_capacity(log_len);
-        for _ in 0..log_len {
-            let round = r.get_u32("log round")?;
-            let w0 = r.get_vector("log w0")?;
-            log.push((round, w0, get_vectors(&mut r, "log duals")?));
-        }
         r.finish("fleet section")?;
         let fleet = FleetSection {
             us,
             w_ts,
             v_ts,
             xi_ts,
-            anchors,
             alive,
             missed,
             evicted,
@@ -527,26 +482,23 @@ impl FleetSection {
             late_discards,
             stale_discards,
             reassignments,
-            log,
         };
         fleet.validate()?;
         Ok(fleet)
     }
 
-    /// Cross-field consistency: every per-device collection, and every
-    /// replay-log entry, must agree on the cohort size.
+    /// Cross-field consistency: every per-device collection must agree on
+    /// the cohort size.
     fn validate(&self) -> Result<(), CkptError> {
         let t = self.us.len();
         let lens = [
             ("w_ts", self.w_ts.len()),
             ("v_ts", self.v_ts.len()),
             ("xi_ts", self.xi_ts.len()),
-            ("anchors", self.anchors.len()),
             ("alive", self.alive.len()),
             ("missed", self.missed.len()),
         ];
-        let logged = self.log.iter().map(|(_, _, us)| ("log duals", us.len()));
-        for (name, len) in lens.into_iter().chain(logged) {
+        for (name, len) in lens {
             if len != t {
                 return Err(CkptError::Malformed {
                     detail: format!("cohort size disagreement: us has {t}, {name} has {len}"),
@@ -595,7 +547,6 @@ mod tests {
             w_ts: vec![vec2(1.0, 2.0), vec2(3.0, 4.0)],
             v_ts: vec![vec2(0.0, -0.0), vec2(f64::MAX, f64::MIN)],
             xi_ts: vec![0.25, 1e-300],
-            anchors: vec![vec2(9.0, 8.0), Vector::zeros(2)],
             alive: vec![true, false],
             missed: vec![0, 3],
             evicted: vec![1],
@@ -604,16 +555,12 @@ mod tests {
             late_discards: 1,
             stale_discards: 5,
             reassignments: 3,
-            log: vec![(6, vec2(0.4, -0.4), vec![vec2(0.0, 0.1), vec2(0.2, 0.3)])],
         }
     }
 
     fn sample_consensus() -> ConsensusState {
         ConsensusState {
-            phase: ConsensusPhase::Admm,
             round: 7,
-            cccp_round: 1,
-            iters_done: 3,
             admm_iterations: 9,
             cccp_rounds: 2,
             history: vec![10.0, 7.5],
@@ -626,12 +573,7 @@ mod tests {
 
     #[test]
     fn consensus_state_round_trips_every_phase_and_section_set() {
-        let phases = [
-            ConsensusPhase::Admm,
-            ConsensusPhase::Boundary,
-            ConsensusPhase::Refine { rounds_done: 3 },
-        ];
-        for phase in phases {
+        for phase in [ConsensusPhase::Boundary, ConsensusPhase::Refine { rounds_done: 3 }] {
             for (fleet, tree) in [(false, false), (true, false), (false, true), (true, true)] {
                 let full = sample_consensus();
                 let state = ConsensusState {
@@ -654,9 +596,9 @@ mod tests {
     fn cohort_size_disagreement_rejected() {
         let mut bad_slots = sample_consensus();
         bad_slots.fleet.as_mut().unwrap().xi_ts.push(0.0);
-        let mut bad_log = sample_consensus();
-        bad_log.fleet.as_mut().unwrap().log[0].2.pop();
-        for state in [bad_slots, bad_log] {
+        let mut bad_roster = sample_consensus();
+        bad_roster.fleet.as_mut().unwrap().missed.pop();
+        for state in [bad_slots, bad_roster] {
             let bytes = state.encode().encode();
             assert!(matches!(
                 ConsensusState::decode(&CheckpointFile::decode(&bytes).unwrap()),

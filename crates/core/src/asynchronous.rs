@@ -49,7 +49,6 @@ use crate::consensus::{self, providers, Driver, Gather, Partial, Reply, Slots};
 use crate::distributed::Fleet;
 use crate::error::CoreError;
 use crate::model::PersonalizedModel;
-use crate::wire_u32;
 use plos_ckpt::{ConsensusState, FleetSection, KIND_CONSENSUS};
 use plos_linalg::{ExactSum, Vector};
 use plos_net::shard::{PHASE_ADMM, PHASE_INIT, PHASE_REFINE};
@@ -426,25 +425,14 @@ impl Gather for Staleness<'_> {
         }
     }
 
-    /// Snapshots happen at CCCP and refinement boundaries only, where the
-    /// server-held `w_t` slots equal each device's own anchor (fault-free),
-    /// so the `Restore` handshake alone re-seats the fleet exactly.
-    fn export(&self, _boundary: bool) -> Option<FleetSection> {
+    fn export(&self) -> Option<FleetSection> {
         Some(FleetSection { reassignments: self.reassignments, ..self.fleet.snapshot(&self.slots) })
     }
 
     fn restore(&mut self, epoch: u32, section: &FleetSection) -> Result<(), CoreError> {
-        self.fleet.restore(section);
         self.slots = Slots::restored(section, self.dim);
         self.reassignments = section.reassignments;
-        let dim = self.dim;
-        let t_count = wire_u32(self.fleet.alive_count());
-        let restore = |t: usize| Message::Restore {
-            round: epoch,
-            t_count,
-            w_t: section.anchors.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-        };
-        self.fleet.send_alive(&restore);
+        let restore = self.fleet.restore(section, epoch, self.dim);
         for (slot, &alive) in self.outstanding.iter_mut().zip(&self.fleet.alive) {
             *slot = alive.then_some(epoch);
         }
@@ -550,7 +538,7 @@ impl AsyncDistributedPlos {
         let (server_out, outcomes, panicked) =
             cohort.run(self.runtime, plan, Some(self.spec), |ends| {
                 let mut server = Staleness::new(Fleet::new(plan.wrap_links(ends)), &self.spec, dim);
-                let driver = Driver::new(&self.config, session, false, fingerprint, dim);
+                let driver = Driver::new(&self.config, session, fingerprint, dim);
                 let consensus = driver.run(&mut server, resume)?;
                 let model =
                     consensus.model(&server.slots.w_ts, &server.fleet.alive, self.config.bias);

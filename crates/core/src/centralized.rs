@@ -293,10 +293,10 @@ impl CentralizedPlos {
         // Fresh working sets: constraints depend on the sign pattern.
         // The hard class-balance constraints are installed first — they
         // rule out the degenerate all-on-one-side margin solutions.
-        let mut solver = DualSolver::new(self.config.lambda, prepared.users.len(), prepared.dim);
+        let mut solver = DualSolver::new(self.config.lambda, prepared.users.len(), prepared.dim)?;
         for (t, user) in prepared.users.iter().enumerate() {
             for k in problem::balance_constraints(user, self.config.balance) {
-                solver.add_hard_constraint(t, k);
+                solver.add_hard_constraint(t, k)?;
             }
         }
         let mut solution = solver.solve(&self.config.qp)?;
@@ -320,7 +320,7 @@ impl CentralizedPlos {
             for (t, (constraint, violation)) in searched.into_iter().enumerate() {
                 max_violation = max_violation.max(violation);
                 if violation > self.config.eps {
-                    solver.add_constraint(t, constraint);
+                    solver.add_constraint(t, constraint)?;
                     st.constraints_added += 1;
                     any_added = true;
                 }

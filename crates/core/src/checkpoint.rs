@@ -3,8 +3,8 @@
 //! Both trainers accept an optional [`CheckpointPolicy`]: when one is set
 //! (explicitly, or via the `PLOS_CKPT_DIR` environment variable) the
 //! centralized trainer snapshots its state after every CCCP and refinement
-//! round, and the distributed server snapshots after every ADMM iteration
-//! and refinement round — server-side state only, never device-local data.
+//! round, and so do the distributed servers — server-side state only, never
+//! device-local data.
 //! A later run with the same policy finds the snapshot, verifies it, and
 //! resumes mid-run with **bit-parity**: the resumed run's final model is
 //! bit-identical to the uninterrupted run's (see `DESIGN.md` §10).

@@ -97,10 +97,10 @@ pub(crate) trait Gather {
     /// Emits the strategy's per-ADMM-round trace event.
     fn round_event(&self, round: u32, primal: f64, dual: f64);
 
-    /// The per-device state a snapshot needs. `boundary` is set when every
-    /// device sits at its own slot (a CCCP boundary or refinement), so no
-    /// broadcast replay is needed to re-seat it.
-    fn export(&self, _boundary: bool) -> Option<FleetSection> {
+    /// The per-device state a snapshot needs. Snapshots are taken at CCCP
+    /// and refinement boundaries only, where each device's own anchor is its
+    /// last accepted `w_t` (fault-free), so the slots alone re-seat it.
+    fn export(&self) -> Option<FleetSection> {
         None
     }
 
@@ -160,10 +160,6 @@ impl Consensus {
 pub(crate) struct Driver<'a> {
     config: &'a PlosConfig,
     session: Option<CkptSession>,
-    /// Snapshot after every ADMM iteration (the barrier server) rather than
-    /// only at CCCP boundaries (the bounded-staleness server, whose devices
-    /// hold in-flight work between boundaries).
-    every_round: bool,
     state: ConsensusState,
     compute: Duration,
 }
@@ -172,14 +168,12 @@ impl<'a> Driver<'a> {
     pub(crate) fn new(
         config: &'a PlosConfig,
         session: Option<CkptSession>,
-        every_round: bool,
         fingerprint: u64,
         dim: usize,
     ) -> Self {
         Driver {
             config,
             session,
-            every_round,
             state: ConsensusState::fresh(fingerprint, dim),
             compute: Duration::ZERO,
         }
@@ -196,8 +190,9 @@ impl<'a> Driver<'a> {
         let c = self.config;
         let mut start_cccp = 0;
         let mut refine_start = 0;
-        // Where a resumed run re-enters its first CCCP round.
-        let mut entry = None;
+        // A resumed run's restore handshake already re-linearized the
+        // devices, so its first CCCP round sends no `CccpAdvance`.
+        let mut resumed = resume.is_some();
         match resume {
             Some((st, section)) => {
                 g.restore(st.round, &section)?;
@@ -206,10 +201,7 @@ impl<'a> Driver<'a> {
                         start_cccp = c.max_cccp_rounds;
                         refine_start = rounds_done as usize;
                     }
-                    phase => {
-                        start_cccp = st.cccp_round as usize;
-                        entry = Some((phase, st.iters_done as usize, st.inner_done));
-                    }
+                    ConsensusPhase::Boundary => start_cccp = st.cccp_rounds as usize,
                 }
                 self.state = st;
             }
@@ -221,17 +213,11 @@ impl<'a> Driver<'a> {
             if self.state.converged {
                 break;
             }
-            let (mut applied, inner_done) = match entry.take() {
-                // Mid-round snapshot: the round was entered before the kill.
-                Some((ConsensusPhase::Admm, iters_done, inner_done)) => (iters_done, inner_done),
-                resumed => {
-                    self.state.cccp_rounds += 1;
-                    g.enter_cccp(wire_u32(cccp_round), cccp_round > 0 && resumed.is_none())?;
-                    (0, false)
-                }
-            };
-            let mut passes = applied;
-            while !inner_done && applied < c.max_admm_iters && passes < pass_cap {
+            self.state.cccp_rounds += 1;
+            g.enter_cccp(wire_u32(cccp_round), cccp_round > 0 && !resumed)?;
+            resumed = false;
+            let (mut applied, mut passes) = (0, 0);
+            while applied < c.max_admm_iters && passes < pass_cap {
                 passes += 1;
                 self.state.round = self.state.round.saturating_add(1);
                 let round = self.state.round;
@@ -267,12 +253,7 @@ impl<'a> Driver<'a> {
                 self.state.residuals.push((round, primal, dual));
                 g.round_event(round, primal, dual);
 
-                let met = dual <= sqrt_2t * c.eps_abs && primal <= sqrt_t * c.eps_abs;
-                if self.every_round {
-                    let done = met || applied == c.max_admm_iters;
-                    self.save(g, ConsensusPhase::Admm, cccp_round, applied, done)?;
-                }
-                if met {
+                if dual <= sqrt_2t * c.eps_abs && primal <= sqrt_t * c.eps_abs {
                     break;
                 }
             }
@@ -289,9 +270,7 @@ impl<'a> Driver<'a> {
             if History::from_values(self.state.history.clone()).converged(c.cccp_tol) {
                 self.state.converged = true;
             }
-            if !self.every_round {
-                self.save(g, ConsensusPhase::Boundary, cccp_round + 1, 0, false)?;
-            }
+            self.save(g, ConsensusPhase::Boundary)?;
             if self.state.converged {
                 break;
             }
@@ -320,8 +299,7 @@ impl<'a> Driver<'a> {
                 "refine_round",
                 &[("round", (refine_round + 1).into()), ("objective", objective.into())],
             );
-            let phase = ConsensusPhase::Refine { rounds_done: wire_u32(refine_round + 1) };
-            self.save(g, phase, c.max_cccp_rounds, 0, true)?;
+            self.save(g, ConsensusPhase::Refine { rounds_done: wire_u32(refine_round + 1) })?;
         }
 
         g.finish()?;
@@ -369,24 +347,11 @@ impl<'a> Driver<'a> {
         Ok(())
     }
 
-    /// Writes a snapshot at the given resume coordinates, when
-    /// checkpointing is on.
-    fn save(
-        &mut self,
-        g: &impl Gather,
-        phase: ConsensusPhase,
-        cccp_round: usize,
-        iters_done: usize,
-        inner_done: bool,
-    ) -> Result<(), CoreError> {
+    /// Writes a boundary snapshot in `phase`, when checkpointing is on.
+    fn save(&mut self, g: &impl Gather, phase: ConsensusPhase) -> Result<(), CoreError> {
         let Some(sess) = self.session.as_mut() else { return Ok(()) };
-        let st = &mut self.state;
-        st.phase = phase;
-        st.cccp_round = wire_u32(cccp_round);
-        st.iters_done = wire_u32(iters_done);
-        st.inner_done = inner_done;
-        let snapshot =
-            ConsensusState { fleet: g.export(phase != ConsensusPhase::Admm), ..st.clone() };
+        self.state.phase = phase;
+        let snapshot = ConsensusState { fleet: g.export(), ..self.state.clone() };
         sess.save(&snapshot.encode())
     }
 }
@@ -418,13 +383,8 @@ pub(crate) fn open(
     // the snapshot to this run; this guards the remaining structural degrees
     // of freedom (vector lengths) before any arithmetic touches them.
     let section = state.fleet.take().filter(|f| {
-        let logged = f.log.iter().flat_map(|(_, w0, us)| std::iter::once(w0).chain(us));
         f.us.len() == t_count
-            && [&f.us, &f.w_ts, &f.v_ts, &f.anchors]
-                .into_iter()
-                .flatten()
-                .chain(logged)
-                .all(|v| v.len() == dim)
+            && [&f.us, &f.w_ts, &f.v_ts].into_iter().flatten().all(|v| v.len() == dim)
     });
     let Some(section) = section.filter(|_| state.w0.len() == dim) else {
         return Err(CoreError::Ckpt(CkptError::Malformed {
@@ -438,7 +398,7 @@ pub(crate) fn open(
         &[
             ("trainer", name.to_string().into()),
             ("round", state.round.into()),
-            ("cccp_round", state.cccp_round.into()),
+            ("cccp_rounds", state.cccp_rounds.into()),
             ("admm_iterations", state.admm_iterations.into()),
         ],
     );
@@ -738,9 +698,9 @@ impl DeviceMachine for Device {
             // Checkpoint resume: adopt the server's recorded CCCP anchor and
             // cohort size, then ack so the server knows this device is
             // repositioned. The ack carries empty vectors — it is a liveness
-            // signal, not an update — and is not cached: the flat server
-            // next replays the broadcast of the restore round itself, which
-            // must run a solve.
+            // signal, not an update — and is not cached: under S > 0 a
+            // device busy in the next round answers from its cache, and an
+            // empty ack must never stand in for a solution.
             Message::Restore { round, t_count, w_t } => {
                 self.solver.restore(w_t, t_count as usize);
                 self.answer = None;
@@ -940,14 +900,22 @@ mod tests {
     }
 
     #[test]
-    fn a_broadcast_of_the_restore_round_runs_a_solve() {
-        let (mut dev, dim) = device(None);
-        let restore = Message::Restore { round: 5, t_count: 3, w_t: Vector::zeros(dim) };
+    fn a_device_busy_after_a_restore_solves_instead_of_answering_from_the_ack() {
+        let spec =
+            AsyncSpec { availability: 0.1, staleness_bound: 2, seed: 3, ..AsyncSpec::default() };
+        let (mut dev, dim) = device(Some(spec));
+        // Snapshots follow the init round, so a restore round is never 0.
+        let round = (1..).find(|&r| spec.busy(0, r + 1)).unwrap();
+        let restore = Message::Restore { round, t_count: 3, w_t: Vector::zeros(dim) };
         let ack = sent(dev.on_message(restore));
-        assert!(matches!(&ack, Message::ClientUpdate { round: 5, w_t, .. } if w_t.is_empty()));
-        // The flat server replays the restore round's own broadcast next.
-        let reply = sent(dev.on_message(broadcast(5, dim)));
-        assert_eq!(dev.fresh, 1, "the replayed broadcast must solve");
-        assert!(matches!(&reply, Message::ClientUpdate { round: 5, w_t, .. } if w_t.len() == dim));
+        assert!(matches!(&ack, Message::ClientUpdate { w_t, .. } if w_t.is_empty()));
+        // Busy in the next round, with nothing but the ack behind it.
+        let reply = sent(dev.on_message(broadcast(round + 1, dim)));
+        assert!(
+            matches!(&reply, Message::ClientUpdate { round: r, w_t, .. }
+                if *r == round + 1 && w_t.len() == dim),
+            "{reply:?}"
+        );
+        assert_eq!(dev.fresh, 1);
     }
 }

@@ -403,8 +403,8 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// The roster and slots in snapshot form, anchored at the slots; a
-    /// strategy adds its own counters, anchors and replay log.
+    /// The roster and slots in snapshot form; a strategy adds its own
+    /// counters.
     pub(crate) fn snapshot(&self, slots: &Slots) -> FleetSection {
         let tally = &self.tally;
         FleetSection {
@@ -412,7 +412,6 @@ impl<'a> Fleet<'a> {
             w_ts: slots.w_ts.clone(),
             v_ts: slots.v_ts.clone(),
             xi_ts: slots.xi_ts.clone(),
-            anchors: slots.w_ts.clone(),
             alive: self.alive.clone(),
             missed: self.missed.clone(),
             evicted: tally.evicted.iter().map(|&t| t as u64).collect(),
@@ -428,12 +427,20 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Adopts the roster a snapshot recorded — liveness flags, strike
-    /// counts and the tally, so the resumed run's report continues the
-    /// interrupted one's — and tells the fresh machines of devices the
+    /// Adopts the roster a boundary snapshot recorded — liveness flags,
+    /// strike counts and the tally, so the resumed run's report continues
+    /// the interrupted one's — and tells the fresh machines of devices the
     /// interrupted run already evicted to exit, or the join at the end of
-    /// the run would hang on them.
-    pub(crate) fn restore(&mut self, section: &FleetSection) {
+    /// the run would hang on them. Then re-seats every survivor with
+    /// `Restore { round }`: it adopts its last accepted `w_t` as its CCCP
+    /// anchor, which at a boundary is its own, and the snapshot's cohort
+    /// size. Returns the message for the re-sends of the ack gather.
+    pub(crate) fn restore<'s>(
+        &mut self,
+        section: &'s FleetSection,
+        round: u32,
+        dim: usize,
+    ) -> impl Fn(usize) -> Message + 's {
         for (flag, &stored) in self.alive.iter_mut().zip(&section.alive) {
             *flag = stored;
         }
@@ -462,6 +469,14 @@ impl<'a> Fleet<'a> {
                 let _ = link.send(&Message::Shutdown);
             }
         }
+        let t_count = wire_u32(self.alive_count());
+        let restore = move |t: usize| Message::Restore {
+            round,
+            t_count,
+            w_t: section.w_ts.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
+        };
+        self.send_alive(&restore);
+        restore
     }
 
     /// One quorum gather: collects the replies to `round` under the retry
@@ -471,11 +486,11 @@ impl<'a> Fleet<'a> {
     /// accumulate a strike and are evicted after `evict_after` consecutive
     /// misses.
     ///
-    /// `record = false` marks a replay gather during checkpoint resume: it
-    /// collects replies under the same retry machinery but leaves the
-    /// participation log and strike counters untouched, because the
-    /// uninterrupted run it reconstructs never had these extra rounds.
-    /// Replies must carry vectors of length `len` ([`Fleet::sweep`]).
+    /// `record = false` marks the `Restore` ack gather of a checkpoint
+    /// resume: it collects the acks under the same retry machinery but
+    /// leaves the participation log and strike counters untouched, because
+    /// the uninterrupted run never had that round. Replies must carry
+    /// vectors of length `len` ([`Fleet::sweep`]).
     ///
     /// # Errors
     ///
@@ -595,38 +610,14 @@ pub(crate) struct Barrier<'a> {
     /// The flat star publishes cohort changes itself; a regional forwards
     /// the root's instead.
     owns_roster: bool,
-    /// Resume support under a checkpoint policy: each device's CCCP anchor
-    /// and the current CCCP round's broadcasts, replayed on resume.
-    checkpointed: bool,
-    anchors: Vec<Vector>,
-    log: Vec<(u32, Vector, Vec<Vector>)>,
     /// Time spent folding partial sums and applying commits.
     pub(crate) compute: Duration,
 }
 
 impl<'a> Barrier<'a> {
-    pub(crate) fn new(
-        fleet: Fleet<'a>,
-        ft: FaultTolerance,
-        dim: usize,
-        owns_roster: bool,
-        checkpointed: bool,
-    ) -> Self {
+    pub(crate) fn new(fleet: Fleet<'a>, ft: FaultTolerance, dim: usize, owns_roster: bool) -> Self {
         let n = fleet.links.len();
-        Barrier {
-            fleet,
-            slots: Slots::new(n, dim),
-            ft,
-            dim,
-            owns_roster,
-            checkpointed,
-            // CCCP round 0 anchors: devices linearize off the incoming w0
-            // while their own w_t is still zero, and `LocalSolver::restore`
-            // with a zero anchor reproduces exactly that state.
-            anchors: vec![Vector::zeros(dim); n],
-            log: Vec::new(),
-            compute: Duration::ZERO,
-        }
+        Barrier { fleet, slots: Slots::new(n, dim), ft, dim, owns_roster, compute: Duration::ZERO }
     }
 
     /// One round of `phase` against `w0`: scatter to the live roster (the
@@ -654,9 +645,6 @@ impl<'a> Barrier<'a> {
                 u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
             },
         };
-        if phase == PHASE_ADMM && self.checkpointed {
-            self.log.push((round, w0.clone(), us.clone()));
-        }
         self.fleet.send_alive(&message);
         let replies = self.fleet.gather(&self.ft, round, true, dim, &message)?;
         if self.owns_roster {
@@ -718,11 +706,6 @@ impl Gather for Barrier<'_> {
             if self.owns_roster {
                 self.fleet.publish_roster();
             }
-            if self.checkpointed {
-                // New linearization: devices re-anchor at their own w_t.
-                self.anchors.clone_from(&self.slots.w_ts);
-                self.log.clear();
-            }
         }
         Ok(())
     }
@@ -745,46 +728,15 @@ impl Gather for Barrier<'_> {
         }
     }
 
-    fn export(&self, boundary: bool) -> Option<FleetSection> {
-        let mut section = self.fleet.snapshot(&self.slots);
-        if !boundary {
-            section.anchors.clone_from(&self.anchors);
-            section.log.clone_from(&self.log);
-        }
-        Some(section)
+    fn export(&self) -> Option<FleetSection> {
+        Some(self.fleet.snapshot(&self.slots))
     }
 
     fn restore(&mut self, round: u32, section: &FleetSection) -> Result<(), CoreError> {
-        self.fleet.restore(section);
         self.slots = Slots::restored(section, self.dim);
-        self.anchors.clone_from(&section.anchors);
-        self.log.clone_from(&section.log);
-        // Reposition the survivors: each adopts its CCCP anchor and the
-        // checkpointed cohort size, then acks (unrecorded — the
-        // uninterrupted run never had these rounds).
-        let dim = self.dim;
-        let t_count = wire_u32(self.fleet.alive_count());
-        let anchors = &section.anchors;
-        let restore = |t: usize| Message::Restore {
-            round,
-            t_count,
-            w_t: anchors.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-        };
-        self.fleet.send_alive(&restore);
-        // The acks carry no vectors.
+        let restore = self.fleet.restore(section, round, self.dim);
+        // The acks carry no vectors; the round goes unrecorded.
         self.fleet.gather(&self.ft, round, false, 0, &restore)?;
-        // Replay the interrupted CCCP round's broadcasts so each device
-        // rebuilds its working set bit for bit. Replies are discarded: the
-        // checkpointed server state is authoritative.
-        for (round, w0, us) in &section.log {
-            let scatter = |t: usize| Message::Broadcast {
-                round: *round,
-                w0: w0.clone(),
-                u_t: us.get(t).cloned().unwrap_or_else(|| Vector::zeros(dim)),
-            };
-            self.fleet.send_alive(&scatter);
-            self.fleet.gather(&self.ft, *round, false, dim, &scatter)?;
-        }
         Ok(())
     }
 
@@ -845,7 +797,7 @@ impl DistributedPlos {
     }
 
     /// Enables server-side checkpointing under `policy`: the server snapshots
-    /// its consensus state after every ADMM iteration and refinement round,
+    /// its consensus state after every CCCP round and every refinement round,
     /// and a later run with the same policy resumes from the snapshot with
     /// bit-parity (fault-free runs). Only server-held quantities are written —
     /// device-local training data never reaches the checkpoint.
@@ -948,13 +900,12 @@ impl DistributedPlos {
         let policy = self.ckpt.clone().or_else(CheckpointPolicy::from_env);
         let fingerprint = checkpoint::run_fingerprint(KIND_CONSENSUS, t_count, dim, &self.config);
         let (session, resume) = consensus::open(policy, "distributed", fingerprint, t_count, dim)?;
-        let checkpointed = session.is_some();
 
         let (server_out, outcomes, panicked) = cohort.run(self.runtime, plan, None, |ends| {
             let fleet = Fleet::new(plan.wrap_links(ends));
             let ft = self.fault_tolerance.clone();
-            let mut star = Barrier::new(fleet, ft, dim, true, checkpointed);
-            let driver = Driver::new(&self.config, session, true, fingerprint, dim);
+            let mut star = Barrier::new(fleet, ft, dim, true);
+            let driver = Driver::new(&self.config, session, fingerprint, dim);
             let consensus = driver.run(&mut star, resume)?;
             let model = consensus.model(&star.slots.w_ts, &star.fleet.alive, self.config.bias);
             Ok::<_, CoreError>((model, consensus, star.fleet.tally, star.compute))
@@ -1147,12 +1098,11 @@ mod tests {
             std::env::temp_dir().join(format!("plos-distributed-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Three seams: mid-ADMM, right at the inner-loop/objective boundary,
-        // and after the final refinement snapshot (everything done but the
-        // model assembly). Checkpoints are one per ADMM iteration plus one
-        // per refinement round.
-        let admm = ref_report.admm_iterations as u32;
-        for kill_after in [2, admm, admm + 1] {
+        // Three seams: the first CCCP boundary, the last one, and the final
+        // refinement snapshot (everything done but the model assembly).
+        // Checkpoints are one per CCCP round plus one per refinement round.
+        let cccp = ref_report.cccp_rounds as u32;
+        for kill_after in [1, cccp, cccp + 1] {
             let killed = DistributedPlos::try_new(config.clone())
                 .unwrap()
                 .with_checkpointing(CheckpointPolicy::new(&dir).abort_after(kill_after))
@@ -1297,7 +1247,7 @@ mod tests {
         net.clients[1].send(&reply(1, dim - 1)).unwrap();
         let plan = FaultPlan::none();
         let fleet = Fleet::new(plan.wrap_links(&net.server));
-        let mut star = Barrier::new(fleet, FaultTolerance::fast(), dim, true, false);
+        let mut star = Barrier::new(fleet, FaultTolerance::fast(), dim, true);
         let partial = star.collect(PHASE_ADMM, 1, &Vector::zeros(dim)).unwrap();
         assert_eq!(partial.n, 2);
         assert_eq!(star.fleet.tally.protocol_errors, 1);

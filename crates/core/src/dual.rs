@@ -20,7 +20,7 @@
 use crate::error::CoreError;
 use crate::problem::Constraint;
 use plos_linalg::Vector;
-use plos_opt::{IncrementalQp, OptError, QpSolverOptions};
+use plos_opt::{IncrementalQp, QpSolverOptions};
 
 /// Incremental solver for the Eq. (16) dual over growing working sets.
 ///
@@ -44,10 +44,6 @@ pub struct DualSolver {
     /// Persistent QP: one capped-sum group per user, grown one variable per
     /// appended constraint.
     qp: IncrementalQp,
-    /// First append the QP rejected (non-finite data, or an absurd `λ` whose
-    /// cap overflows). Surfaced at the next [`DualSolver::solve`], matching
-    /// the historical build-at-solve validation.
-    deferred: Option<OptError>,
 }
 
 /// Primal variables recovered from a dual solve.
@@ -66,37 +62,29 @@ pub struct DualSolution {
 impl DualSolver {
     /// Creates an empty solver for `t_count` users in dimension `dim`.
     ///
+    /// # Errors
+    ///
+    /// [`CoreError::Opt`] when the per-user dual cap `T/2λ` overflows (a
+    /// subnormal `λ`).
+    ///
     /// # Panics
     ///
     /// Panics if `lambda <= 0`, `t_count == 0`, or `dim == 0`.
-    pub fn new(lambda: f64, t_count: usize, dim: usize) -> Self {
+    pub fn new(lambda: f64, t_count: usize, dim: usize) -> Result<Self, CoreError> {
         assert!(lambda > 0.0, "lambda must be positive");
         assert!(t_count > 0, "need at least one user");
         assert!(dim > 0, "dimension must be positive");
         // One capped-sum group per user: Σ_k γ_kt ≤ T/2λ.
         let cap = t_count as f64 / (2.0 * lambda);
-        let mut deferred = None;
-        let qp = IncrementalQp::new(vec![cap; t_count]).unwrap_or_else(|err| {
-            // `T/2λ` overflowed to infinity (λ subnormal). Keep a zero-cap
-            // placeholder so the solver shape stays intact and surface the
-            // error at the first solve, like the historical path that built
-            // the QP per solve.
-            deferred = Some(OptError::Linalg(err));
-            match IncrementalQp::new(vec![0.0; t_count]) {
-                Ok(qp) => qp,
-                Err(_) => unreachable!("zero caps are always valid"),
-            }
-        });
-        DualSolver {
+        Ok(DualSolver {
             lambda,
             t_count,
             dim,
             coupling: lambda / t_count as f64,
             entries: Vec::new(),
             hard: Vec::new(),
-            qp,
-            deferred,
-        }
+            qp: IncrementalQp::new(vec![cap; t_count])?,
+        })
     }
 
     /// Number of constraints accumulated so far.
@@ -107,27 +95,36 @@ impl DualSolver {
     /// Appends one cutting-plane constraint owned by user `t` (soft: shares
     /// the user's slack `ξ_t` and counts toward the dual cap).
     ///
+    /// # Errors
+    ///
+    /// [`CoreError::Opt`] when the constraint carries non-finite data; the
+    /// solver is left unchanged.
+    ///
     /// # Panics
     ///
     /// Panics if `t` is out of range or the constraint has the wrong
     /// dimension.
-    pub fn add_constraint(&mut self, t: usize, k: Constraint) {
-        self.push_entry(t, k, false);
+    pub fn add_constraint(&mut self, t: usize, k: Constraint) -> Result<(), CoreError> {
+        self.push_entry(t, k, false)
     }
 
     /// Appends one *hard* constraint for user `t` — no slack and an
     /// unbounded (non-negative) dual multiplier. Used for the class-balance
     /// constraints `±x̄·w_t ≥ −ℓ`.
     ///
+    /// # Errors
+    ///
+    /// As [`DualSolver::add_constraint`].
+    ///
     /// # Panics
     ///
     /// Panics if `t` is out of range or the constraint has the wrong
     /// dimension.
-    pub fn add_hard_constraint(&mut self, t: usize, k: Constraint) {
-        self.push_entry(t, k, true);
+    pub fn add_hard_constraint(&mut self, t: usize, k: Constraint) -> Result<(), CoreError> {
+        self.push_entry(t, k, true)
     }
 
-    fn push_entry(&mut self, t: usize, k: Constraint, hard: bool) {
+    fn push_entry(&mut self, t: usize, k: Constraint, hard: bool) -> Result<(), CoreError> {
         assert!(t < self.t_count, "user index out of range");
         assert_eq!(k.s.len(), self.dim, "constraint dimension mismatch");
         // The O(n·d) row of the new constraint against every existing one —
@@ -150,16 +147,12 @@ impl DualSolver {
         // Hard constraints (class balance) carry no slack, so they join no
         // capped-sum group — only γ ≥ 0 applies.
         let group = if hard { None } else { Some(t) };
-        if let Err(err) = self.qp.append(group, k.c, &row) {
-            // Non-finite data: keep the QP in lock step with a zero row and
-            // surface the error at the next solve, like the historical
-            // build-at-solve validation did.
-            self.deferred.get_or_insert(err);
-            let zeros = vec![0.0; self.entries.len() + 1];
-            let _ = self.qp.append(group, 0.0, &zeros);
-        }
+        // The QP validates the row before it mutates, so a rejected
+        // constraint leaves the solver as it was.
+        self.qp.append(group, k.c, &row)?;
         self.entries.push((t, k));
         self.hard.push(hard);
+        Ok(())
     }
 
     /// Solves the dual over the current working sets and recovers the primal
@@ -168,8 +161,8 @@ impl DualSolver {
     ///
     /// # Errors
     ///
-    /// Propagates QP construction and solver failures (non-finite inputs,
-    /// shape mismatches) as [`CoreError::Opt`].
+    /// None in practice: every append was validated. Solver entry points
+    /// return `Result` all the same (lint R3).
     // Allowed: `vs`, `w_ts`, and `xis` are sized `t_count` with every owner
     // index checked against `t_count` on insertion, so all indices below are
     // in bounds by construction.
@@ -183,9 +176,6 @@ impl DualSolver {
                 xis: vec![0.0; self.t_count],
                 dual_objective: 0.0,
             });
-        }
-        if let Some(err) = &self.deferred {
-            return Err(err.clone().into());
         }
         // The QP state persists across rounds; this re-solve starts from the
         // carried iterate — no Q rebuild, no warm-start clone, no projection.
@@ -235,7 +225,7 @@ mod tests {
 
     #[test]
     fn empty_solver_returns_trivial_solution() {
-        let mut solver = DualSolver::new(1.0, 3, 2);
+        let mut solver = DualSolver::new(1.0, 3, 2).unwrap();
         let sol = solver.solve(&opts()).unwrap();
         assert_eq!(sol.w0, Vector::zeros(2));
         assert_eq!(sol.vs.len(), 3);
@@ -248,8 +238,8 @@ mod tests {
         // T = 1, λ = 1: coupling = 1, cap = 0.5.
         // One constraint s = (1, 0), c = 1.
         // Q = (1 + 1)·1 = 2, b = 1 ⇒ unconstrained γ* = 0.5, exactly at cap.
-        let mut solver = DualSolver::new(1.0, 1, 2);
-        solver.add_constraint(0, Constraint { s: Vector::from(vec![1.0, 0.0]), c: 1.0 });
+        let mut solver = DualSolver::new(1.0, 1, 2).unwrap();
+        solver.add_constraint(0, Constraint { s: Vector::from(vec![1.0, 0.0]), c: 1.0 }).unwrap();
         let sol = solver.solve(&opts()).unwrap();
         // w0 = coupling·γ·s = 0.5·(1,0)·1 = (0.5, 0); v0 = γ·s = (0.5, 0).
         assert!((sol.w0[0] - 0.5).abs() < 1e-6);
@@ -266,12 +256,12 @@ mod tests {
             let t_count = rng.gen_range(1..4);
             let dim = rng.gen_range(1..4);
             let lambda = rng.gen_range(0.5..4.0);
-            let mut solver = DualSolver::new(lambda, t_count, dim);
+            let mut solver = DualSolver::new(lambda, t_count, dim).unwrap();
             for t in 0..t_count {
                 for _ in 0..rng.gen_range(1..4) {
                     let s: Vector = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
                     let c = rng.gen_range(0.0..1.5);
-                    solver.add_constraint(t, Constraint { s, c });
+                    solver.add_constraint(t, Constraint { s, c }).unwrap();
                 }
             }
             let sol = solver.solve(&opts()).unwrap();
@@ -292,9 +282,9 @@ mod tests {
         // Same constraint for two users; large λ forces w_t ≈ w0.
         let k = Constraint { s: Vector::from(vec![1.0]), c: 1.0 };
         let solve_with = |lambda: f64| {
-            let mut solver = DualSolver::new(lambda, 2, 1);
-            solver.add_constraint(0, k.clone());
-            solver.add_constraint(1, k.clone());
+            let mut solver = DualSolver::new(lambda, 2, 1).unwrap();
+            solver.add_constraint(0, k.clone()).unwrap();
+            solver.add_constraint(1, k.clone()).unwrap();
             solver.solve(&opts()).unwrap()
         };
         let tight = solve_with(1000.0);
@@ -311,13 +301,13 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(33);
         let (lambda, t_count) = (2.0, 2usize);
-        let mut solver = DualSolver::new(lambda, t_count, 3);
+        let mut solver = DualSolver::new(lambda, t_count, 3).unwrap();
         let mut constraints = Vec::new();
         for i in 0..5 {
             let s: Vector = (0..3).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let k = Constraint { s, c: 0.5 };
             constraints.push(k.clone());
-            solver.add_constraint(i % 2, k);
+            solver.add_constraint(i % 2, k).unwrap();
         }
         // Q_ij = (λ/T + [same user])·⟨s_i, s_j⟩, maintained one row (plus
         // mirrored column) per append.
@@ -333,10 +323,10 @@ mod tests {
 
     #[test]
     fn warm_start_grows_with_constraints() {
-        let mut solver = DualSolver::new(1.0, 1, 1);
-        solver.add_constraint(0, Constraint { s: Vector::from(vec![1.0]), c: 1.0 });
+        let mut solver = DualSolver::new(1.0, 1, 1).unwrap();
+        solver.add_constraint(0, Constraint { s: Vector::from(vec![1.0]), c: 1.0 }).unwrap();
         let _ = solver.solve(&opts()).unwrap();
-        solver.add_constraint(0, Constraint { s: Vector::from(vec![0.5]), c: 0.2 });
+        solver.add_constraint(0, Constraint { s: Vector::from(vec![0.5]), c: 0.2 }).unwrap();
         let sol = solver.solve(&opts()).unwrap();
         assert_eq!(solver.num_constraints(), 2);
         assert!(sol.w0.is_finite());
@@ -345,14 +335,35 @@ mod tests {
     #[test]
     #[should_panic(expected = "user index out of range")]
     fn bad_user_index_rejected() {
-        let mut solver = DualSolver::new(1.0, 1, 1);
-        solver.add_constraint(5, Constraint { s: Vector::from(vec![1.0]), c: 1.0 });
+        let mut solver = DualSolver::new(1.0, 1, 1).unwrap();
+        solver.add_constraint(5, Constraint { s: Vector::from(vec![1.0]), c: 1.0 }).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "constraint dimension mismatch")]
     fn bad_dimension_rejected() {
-        let mut solver = DualSolver::new(1.0, 1, 2);
-        solver.add_constraint(0, Constraint { s: Vector::from(vec![1.0]), c: 1.0 });
+        let mut solver = DualSolver::new(1.0, 1, 2).unwrap();
+        solver.add_constraint(0, Constraint { s: Vector::from(vec![1.0]), c: 1.0 }).unwrap();
+    }
+
+    #[test]
+    fn a_non_finite_constraint_is_rejected_and_the_rest_still_solves() {
+        let mut solver = DualSolver::new(1.0, 1, 2).unwrap();
+        solver.add_constraint(0, Constraint { s: Vector::from(vec![1.0, 0.0]), c: 1.0 }).unwrap();
+        let kept = solver.solve(&opts()).unwrap();
+        let bad = Constraint { s: Vector::from(vec![f64::NAN, 0.0]), c: 1.0 };
+        assert!(matches!(solver.add_constraint(0, bad), Err(CoreError::Opt(_))));
+        let bad = Constraint { s: Vector::from(vec![1.0, 0.0]), c: f64::INFINITY };
+        assert!(matches!(solver.add_hard_constraint(0, bad), Err(CoreError::Opt(_))));
+        assert_eq!(solver.num_constraints(), 1);
+        let again = solver.solve(&opts()).unwrap();
+        assert_eq!(again.w0, kept.w0);
+        assert_eq!(again.xis, kept.xis);
+    }
+
+    #[test]
+    fn a_subnormal_lambda_whose_cap_overflows_is_rejected() {
+        // T/2λ = 1/(2·5e-324) overflows to infinity.
+        assert!(matches!(DualSolver::new(5e-324, 1, 2), Err(CoreError::Opt(_))));
     }
 }

@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn from_impls_preserve_sources() {
         use std::error::Error;
-        let o = CoreError::from(OptError::Linalg(LinalgError::Singular));
+        let o = CoreError::from(OptError::Linalg(LinalgError::NoConvergence { iterations: 3 }));
         assert!(o.source().is_some());
         let m = CoreError::from(MlError::BadLabel { index: 3 });
         assert!(m.source().is_some());

@@ -90,8 +90,8 @@ impl LocalSolver {
     /// adopts the checkpointed CCCP anchor `w_t` and cohort size, and clears
     /// the working set and sign pattern so the next solve re-derives them
     /// from the anchor — exactly the state a device is in right after
-    /// [`LocalSolver::advance_cccp`]. Replaying the interrupted CCCP round's
-    /// broadcasts then reproduces the pre-kill state bit for bit.
+    /// [`LocalSolver::advance_cccp`], so the CCCP round a boundary snapshot
+    /// resumes into runs bit for bit as it would have uninterrupted.
     pub fn restore(&mut self, w_t: Vector, t_count: usize) {
         let dim = self.user.features.first().map_or(0, Vector::len);
         if w_t.len() == dim {
@@ -365,7 +365,7 @@ mod tests {
         let expected = continuous.solve(&w0_3, &u).unwrap();
 
         // Killed device: a fresh process restored from the round-2 anchor
-        // replays round 2's broadcasts.
+        // at the CCCP boundary receives round 2's broadcasts.
         let mut resumed = LocalSolver::new(labeled_user(), config(), 3);
         resumed.restore(anchor, 3);
         let _ = resumed.solve(&w0_2, &u).unwrap();

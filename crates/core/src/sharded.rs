@@ -525,7 +525,7 @@ fn region_loop(
         .zip(ends.iter())
         .map(|(&t, end)| FaultyEndpoint::new(end, plan.link_faults(t)))
         .collect();
-    let mut region = Barrier::new(Fleet::with_ids(links, devices.clone()), ft, dim, false, false);
+    let mut region = Barrier::new(Fleet::with_ids(links, devices.clone()), ft, dim, false);
     // Idempotent replay caches: a failed-over leader re-issues the round it
     // was killed in, and the cached reply must be byte-identical.
     let mut last_partial: Option<(u32, Message)> = None;
@@ -707,7 +707,7 @@ pub(crate) fn fit_sharded(
                     fingerprint,
                     shard_fingerprint,
                 );
-                let driver = Driver::new(&trainer.config, None, false, fingerprint, dim);
+                let driver = Driver::new(&trainer.config, None, fingerprint, dim);
                 Ok::<_, CoreError>((driver.run(&mut root, None)?, root.tally))
             })
         })?;

@@ -21,13 +21,6 @@ pub enum LinalgError {
         /// Number of columns of the offending matrix.
         cols: usize,
     },
-    /// A factorization requiring positive definiteness hit a non-positive pivot.
-    NotPositiveDefinite {
-        /// Index of the pivot that failed.
-        pivot: usize,
-    },
-    /// A linear system was singular (or numerically so).
-    Singular,
     /// An iterative routine failed to converge within its iteration budget.
     NoConvergence {
         /// Number of iterations performed before giving up.
@@ -65,10 +58,6 @@ impl fmt::Display for LinalgError {
             LinalgError::NotSquare { rows, cols } => {
                 write!(f, "matrix must be square, got {rows}x{cols}")
             }
-            LinalgError::NotPositiveDefinite { pivot } => {
-                write!(f, "matrix is not positive definite (pivot {pivot})")
-            }
-            LinalgError::Singular => write!(f, "matrix is singular"),
             LinalgError::NoConvergence { iterations } => {
                 write!(f, "no convergence after {iterations} iterations")
             }
@@ -94,8 +83,6 @@ mod tests {
         let cases: Vec<LinalgError> = vec![
             LinalgError::DimensionMismatch { op: "dot", expected: 3, actual: 2 },
             LinalgError::NotSquare { rows: 2, cols: 3 },
-            LinalgError::NotPositiveDefinite { pivot: 1 },
-            LinalgError::Singular,
             LinalgError::NoConvergence { iterations: 100 },
             LinalgError::Empty { op: "mean" },
             LinalgError::OutOfRange { op: "percentile", value: 101.0 },

@@ -27,22 +27,18 @@
 //! assert_eq!(x.as_slice(), &[2.0, 3.0]);
 //! ```
 
-pub mod cholesky;
 pub mod eigen;
 pub mod error;
 pub mod exact;
 pub mod kernels;
 pub mod matrix;
-pub mod solve;
 pub mod stats;
 pub mod vector;
 
-pub use cholesky::Cholesky;
 pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use exact::{ExactSum, ExactVecSum};
 pub use matrix::Matrix;
-pub use solve::solve_linear_system;
 pub use vector::Vector;
 
 /// Result alias used across the crate.

@@ -76,7 +76,7 @@ mod tests {
     #[test]
     fn display_covers_all_variants() {
         let cases: Vec<MlError> = vec![
-            MlError::Linalg(LinalgError::Singular),
+            MlError::Linalg(LinalgError::NoConvergence { iterations: 3 }),
             MlError::Empty { what: "samples" },
             MlError::LengthMismatch { what: "labels", expected: 3, actual: 2 },
             MlError::BadLabel { index: 0 },

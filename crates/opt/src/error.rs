@@ -49,7 +49,7 @@ mod tests {
     #[test]
     fn display_covers_all_variants() {
         let cases: Vec<OptError> = vec![
-            OptError::Linalg(LinalgError::Singular),
+            OptError::Linalg(LinalgError::NoConvergence { iterations: 3 }),
             OptError::NonFinite { what: "warm start" },
         ];
         for c in cases {
@@ -61,7 +61,7 @@ mod tests {
     #[test]
     fn from_linalg_preserves_source() {
         use std::error::Error;
-        let e = OptError::from(LinalgError::Singular);
+        let e = OptError::from(LinalgError::NoConvergence { iterations: 3 });
         assert!(e.source().is_some());
     }
 }

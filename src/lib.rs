@@ -32,7 +32,7 @@
 //!   `PLOS_TRACE=<path>` is set and free (one atomic load) when not.
 //! * [`opt`] — optimization substrate: the capped-simplex dual QP solver
 //!   and objective-history bookkeeping.
-//! * [`linalg`] — dense vectors/matrices, Cholesky, Jacobi eigensolver.
+//! * [`linalg`] — dense vectors/matrices, Jacobi eigensolver, exact sums.
 //!
 //! # Quickstart
 //!

@@ -3,10 +3,9 @@
 //! Two families of properties back the format's headline guarantees:
 //!
 //! * **Bit-exact round trips** — arbitrary centralized and consensus
-//!   states (including zero-user cohorts, empty histories and replay logs,
-//!   and extreme-but-finite `f64`s like `-0.0`, subnormals, and
-//!   `f64::MAX`) survive encode → bytes → decode with byte-identical
-//!   re-encodings.
+//!   states (including zero-user cohorts, empty histories and rosters, and
+//!   extreme-but-finite `f64`s like `-0.0`, subnormals, and `f64::MAX`)
+//!   survive encode → bytes → decode with byte-identical re-encodings.
 //! * **Corruption is always a typed error** — truncating a valid encoding
 //!   at any point, or flipping any single bit anywhere in it, makes the
 //!   decode chain return a [`CkptError`]; it never panics and never yields
@@ -94,7 +93,6 @@ fn consensus_state(rng: &mut StdRng, fleet: bool, tree: bool) -> ConsensusState 
         w_ts: rvecs(rng, t_count, dim),
         v_ts: rvecs(rng, t_count, dim),
         xi_ts: (0..t_count).map(|_| finite_f64(rng)).collect(),
-        anchors: rvecs(rng, t_count, dim),
         alive: (0..t_count).map(|_| rng.gen_bool(0.8)).collect(),
         missed: (0..t_count).map(|_| rng.gen_range(0..4)).collect(),
         evicted: (0..rng.gen_range(0..3)).map(|_| rng.gen_range(0..8)).collect(),
@@ -105,23 +103,17 @@ fn consensus_state(rng: &mut StdRng, fleet: bool, tree: bool) -> ConsensusState 
         late_discards: rng.gen_range(0..4),
         stale_discards: rng.gen(),
         reassignments: rng.gen(),
-        log: (0..rng.gen_range(0..3))
-            .map(|_| (rng.gen_range(0..64), rvec(rng, dim), rvecs(rng, t_count, dim)))
-            .collect(),
     });
     let tree =
         tree.then(|| TreeSection { shard_fingerprint: rng.gen(), term: rng.gen_range(0..8) });
     ConsensusState {
         fingerprint: rng.gen(),
-        phase: match rng.gen_range(0..3) {
-            0 => ConsensusPhase::Admm,
-            1 => ConsensusPhase::Boundary,
-            _ => ConsensusPhase::Refine { rounds_done: rng.gen_range(0..4) },
+        phase: if rng.gen_bool(0.5) {
+            ConsensusPhase::Boundary
+        } else {
+            ConsensusPhase::Refine { rounds_done: rng.gen_range(0..4) }
         },
         round: rng.gen_range(0..64),
-        cccp_round: rng.gen_range(0..8),
-        iters_done: rng.gen_range(0..16),
-        inner_done: rng.gen_bool(0.5),
         admm_iterations: rng.gen_range(0..64),
         cccp_rounds: rng.gen_range(0..8),
         converged: rng.gen_bool(0.5),
@@ -243,17 +235,20 @@ fn every_truncation_point_of_every_kind_is_rejected() {
 
 #[test]
 fn version_one_files_get_a_typed_rejection() {
-    // A well-formed file of the retired version 1 — trailer digest and all —
-    // must be refused by version, never half-decoded.
-    for mut bytes in sample_encodings(7) {
-        assert_eq!(FORMAT_VERSION, 2);
-        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
-        let body = bytes.len() - 8;
-        let trailer = fnv1a(&bytes[..body]).to_le_bytes();
-        bytes[body..].copy_from_slice(&trailer);
-        assert_eq!(
-            CheckpointFile::decode(&bytes).unwrap_err(),
-            CkptError::UnsupportedVersion { found: 1, min: 2, max: 2 }
-        );
+    // A well-formed file of a retired version (1, or 2 with its mid-round
+    // resume fields) — trailer digest and all — must be refused by version,
+    // never half-decoded.
+    assert_eq!(FORMAT_VERSION, 3);
+    for found in [1u16, 2] {
+        for mut bytes in sample_encodings(7) {
+            bytes[8..10].copy_from_slice(&found.to_le_bytes());
+            let body = bytes.len() - 8;
+            let trailer = fnv1a(&bytes[..body]).to_le_bytes();
+            bytes[body..].copy_from_slice(&trailer);
+            assert_eq!(
+                CheckpointFile::decode(&bytes).unwrap_err(),
+                CkptError::UnsupportedVersion { found, min: 3, max: 3 }
+            );
+        }
     }
 }

@@ -126,6 +126,53 @@ fn killed_centralized_run_traces_true_objectives_and_resumes() {
 }
 
 #[test]
+fn killed_consensus_run_resumes_from_its_first_cccp_boundary() {
+    let _g = sink_guard();
+    let data = cohort(11);
+    let dir =
+        std::env::temp_dir().join(format!("plos-obs-distributed-kill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let trainer = DistributedPlos::try_new(PlosConfig::fast()).unwrap();
+    let sink = Arc::new(MemorySink::new());
+    obs::set_sink(Some(sink.clone()));
+    let killed =
+        trainer.clone().with_checkpointing(CheckpointPolicy::new(&dir).abort_after(1)).fit(&data);
+    let killed_events = sink.take();
+    let resumed = trainer.with_checkpointing(CheckpointPolicy::new(&dir)).fit(&data);
+    let resumed_events = sink.take();
+    obs::set_sink(None);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(
+        matches!(killed, Err(plos::core::CoreError::Interrupted { checkpoints: 1 })),
+        "kill switch must fire after the first snapshot, got {killed:?}"
+    );
+    let (_, report) = resumed.unwrap();
+    // The first snapshot closes CCCP round 1: the killed run traced that
+    // round's objective, which the resumed fit carries forward.
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let traced: Vec<f64> = killed_events
+        .iter()
+        .filter(|e| e.name == "cccp_round")
+        .map(|e| e.field_f64("objective").unwrap())
+        .collect();
+    assert_eq!(bits(&traced), bits(&report.history.values()[..1]));
+    let rounds: Vec<u64> = killed_events
+        .iter()
+        .filter(|e| e.name == "admm_round")
+        .map(|e| e.field_u64("round").unwrap())
+        .collect();
+    let resume = resumed_events
+        .iter()
+        .find(|e| e.name == "checkpoint_resume")
+        .expect("the resumed fit traces its restore");
+    assert_eq!(resume.field("trainer"), Some(&Value::Str("distributed".into())));
+    assert_eq!(resume.field_u64("cccp_rounds"), Some(1));
+    assert_eq!(resume.field_u64("admm_iterations"), Some(rounds.len() as u64));
+    assert_eq!(resume.field_u64("round"), rounds.last().copied());
+}
+
+#[test]
 fn counters_stay_monotonic_under_the_pool() {
     let _g = sink_guard();
     obs::set_sink(Some(Arc::new(MemorySink::new())));

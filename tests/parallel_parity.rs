@@ -104,7 +104,7 @@ fn dual_q_rows_and_solve_are_bit_identical_across_pool_sizes() {
     let users = 5;
     let build_and_solve = |threads: usize| {
         plos::exec::with_threads(threads, || {
-            let mut solver = DualSolver::new(3.0, users, dim);
+            let mut solver = DualSolver::new(3.0, users, dim).unwrap();
             let mut state = 0xabcd_u64;
             let mut next = || {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -116,9 +116,9 @@ fn dual_q_rows_and_solve_are_bit_identical_across_pool_sizes() {
                 let s = Vector::from((0..dim).map(|_| next()).collect::<Vec<_>>());
                 let c = next().abs();
                 if i % 7 == 0 {
-                    solver.add_hard_constraint(i % users, Constraint { s, c });
+                    solver.add_hard_constraint(i % users, Constraint { s, c }).unwrap();
                 } else {
-                    solver.add_constraint(i % users, Constraint { s, c });
+                    solver.add_constraint(i % users, Constraint { s, c }).unwrap();
                 }
             }
             let sol = solver.solve(&QpSolverOptions::default()).expect("dual solve succeeds");

@@ -33,11 +33,11 @@ proptest! {
         lambda in 0.5..5.0f64,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut solver = DualSolver::new(lambda, t_count, dim);
+        let mut solver = DualSolver::new(lambda, t_count, dim).unwrap();
         for t in 0..t_count {
             for _ in 0..rng.gen_range(1..3) {
                 let s: Vector = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                solver.add_constraint(t, Constraint { s, c: rng.gen_range(0.0..1.0) });
+                solver.add_constraint(t, Constraint { s, c: rng.gen_range(0.0..1.0) }).unwrap();
             }
         }
         let sol = solver.solve(&QpSolverOptions::default()).unwrap();
