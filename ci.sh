@@ -53,24 +53,27 @@ else
     echo "==> ThreadSanitizer: opt-in, rerun with PLOS_TSAN=1"
 fi
 
+# Each test binary runs once per environment. This step runs every facade
+# test at default parallelism, among them the golden-model digest diff
+# (tests/golden_models.rs), the mux and shard parity matrices
+# (tests/mux_parity.rs, tests/shard_parity.rs) and the pool parity suite
+# (tests/parallel_parity.rs).
 echo "==> cargo test -q"
 cargo test -q
 
 # `cargo test -q` at the root runs only the facade package; the unit tests
-# of the first-party crates (the QP solver, the device runner, the trainers,
-# the lint fixture corpus, ...) need their own -p flags. The vendored shims
-# are left out.
+# of the first-party crates (the QP solver, the device runner, the trainers
+# and their kill-at-every-seam resume chains, the lint fixture corpus, ...)
+# need their own -p flags. The vendored shims are left out.
 echo "==> cargo test -q -p <first-party crates> (crate unit tests)"
 cargo test -q -p plos-bench -p plos-ckpt -p plos-core -p plos-exec -p plos-linalg \
     -p plos-lint -p plos-ml -p plos-net -p plos-obs -p plos-opt -p plos-sensing -p xtask
 
 # The parity suite proves the fork-join pool leaves training output
-# bit-identical; run it pinned to one thread and at default parallelism.
+# bit-identical; `cargo test -q` ran it at default parallelism, this runs it
+# pinned to one thread.
 echo "==> PLOS_THREADS=1 cargo test -q --test parallel_parity"
 PLOS_THREADS=1 cargo test -q --test parallel_parity
-
-echo "==> cargo test -q --test parallel_parity (default threads)"
-cargo test -q --test parallel_parity
 
 # The chaos suite drives distributed training through seeded fault
 # injection (drops, delays, corruption, dead devices); pinning the seed
@@ -81,7 +84,9 @@ PLOS_FAULT_SEED=2024 cargo test -q --test fault_tolerance
 # Trace parity: telemetry must not perturb training. The same seeded runs,
 # once dark and once under PLOS_TRACE, must print bit-identical model
 # digests — and the traced run must actually produce the per-iteration
-# events the observability layer promises (DESIGN.md §9).
+# events the observability layer promises (DESIGN.md §9). trace_parity is
+# the one parity binary: PLOS_TRACE, PLOS_THREADS and PLOS_NO_SIMD are each
+# read once per process, so each setting needs a process of its own.
 echo "==> trace parity (PLOS_TRACE on/off, bit-identical models)"
 trace_tmp="$(mktemp -d)"
 trap 'rm -rf "$trace_tmp"' EXIT
@@ -95,10 +100,11 @@ for event in cccp_round cutting_round admm_round qp_solve span; do
         || { echo "trace missing $event events"; exit 1; }
 done
 
-# Thread parity: the same seeded fits at a 1-thread and an 8-thread pool
-# must print identical model digests. The parallel_parity tests pin this
-# via with_threads; this leg exercises the PLOS_THREADS env path end to
-# end through the same digest binary.
+# Thread parity: the same seeded fits — the quick scale sweep's 20-user
+# cohort among them — at a 1-thread and an 8-thread pool must print
+# identical model digests. The parallel_parity tests pin this via
+# with_threads; this leg exercises the PLOS_THREADS env path end to end
+# through the same digest binary.
 echo "==> thread parity (PLOS_THREADS=1 vs 8, bit-identical models)"
 PLOS_THREADS=1 ./target/release/trace_parity > "$trace_tmp/threads1.txt"
 PLOS_THREADS=8 ./target/release/trace_parity > "$trace_tmp/threads8.txt"
@@ -110,45 +116,6 @@ diff "$trace_tmp/threads1.txt" "$trace_tmp/threads8.txt"
 echo "==> SIMD parity (PLOS_NO_SIMD=1 vs dispatched, bit-identical models)"
 PLOS_NO_SIMD=1 ./target/release/trace_parity > "$trace_tmp/nosimd.txt"
 diff "$trace_tmp/dark.txt" "$trace_tmp/nosimd.txt"
-
-# Resume parity: a run killed at every checkpoint seam and resumed from
-# disk must reproduce the uninterrupted model bit for bit, for the
-# centralized (CCCP) trainer, the flat ADMM server, and the bounded-
-# staleness server at S=0 and S=2 (DESIGN.md §10). Every trainer snapshots
-# once per CCCP round and once per refinement round, so each leg must die
-# exactly cccp_rounds + refine_rounds times; the binary exits non-zero on
-# a digest mismatch or a wrong kill count.
-echo "==> resume parity (kill at every checkpoint seam, bit-identical models)"
-cargo build -q --release -p plos-bench --bin resume_parity
-./target/release/resume_parity
-
-# Async parity: the bounded-staleness server at S=0 must degenerate to the
-# synchronous protocol bit for bit — clean, and under a seeded sub-window
-# delay plan (DESIGN.md §13). The binary self-checks and exits non-zero on
-# any digest mismatch.
-echo "==> async parity (S=0 vs synchronous, bit-identical models)"
-cargo build -q --release -p plos-bench --bin async_parity
-PLOS_FAULT_SEED=2024 ./target/release/async_parity
-
-# Mux parity: how the virtual-device scheduler packs devices onto workers
-# must never reach the model — the same cohorts trained under the default
-# runtime (K = 1) and at K devices per pool worker, across pool sizes, must
-# print bit-identical model digests for sync ADMM, async S=0, and async S=4
-# under seeded delays (DESIGN.md §14). The binary self-checks and exits
-# non-zero.
-echo "==> mux parity (default runtime vs K devices per worker, bit-identical models)"
-cargo build -q --release -p plos-bench --bin mux_parity
-PLOS_FAULT_SEED=2024 ./target/release/mux_parity
-
-# Shard parity: the hierarchical aggregation tree must be a pure topology
-# substitution — flat star vs sharded tree at shards ∈ {1,2,4,8}, over
-# two multiplexing factors, with an empty-shard assignment, under seeded
-# delays, and across root-leader failovers (the replicated root's digest
-# gate) — all bit-identical to the flat reference (DESIGN.md §15). The
-# binary self-checks and exits non-zero.
-echo "==> shard parity (flat star vs sharded tree + root failover)"
-cargo build -q --release -p plos-bench --bin shard_parity
-PLOS_FAULT_SEED=2024 ./target/release/shard_parity
 
 # Benchmark ledger: a standalone package that imports the trainers' public
 # API (reports, topology, checkpoint policy, wire messages). Building and
@@ -168,24 +135,15 @@ for workload in central_t16 star_t16 fleet_t64 tree_t64; do
         > "$trace_tmp/ledger_$workload.json"
 done
 
-# Scale smoke: one 1000-user distributed point through the mux runner,
-# with the OS thread count bounded by the pool instead of the fleet, must
-# train end to end. Writes BENCH_scale_quick.json, never the full-sweep
-# record.
+# Scale smoke: the quick Sec. VI-E sweep plus one 1000-user distributed
+# point through the mux runner, with the OS thread count bounded by the
+# pool instead of the fleet, must train end to end. A quick run prints its
+# tables and writes no file.
 echo "==> scale smoke (scale_suite --quick, 1000-user mux point)"
 cargo build -q --release -p plos-bench --bin scale_suite
 ./target/release/scale_suite --quick > "$trace_tmp/scale_quick.txt"
-grep -q "1000" "$trace_tmp/scale_quick.txt" \
+grep -Eq '^ +1000 ' "$trace_tmp/scale_quick.txt" \
     || { echo "scale smoke missing the 1000-user mux point"; exit 1; }
-grep -q '"event":"shard_point"' results/BENCH_scale_quick.json \
-    || { echo "scale smoke missing the sharded shard_point record"; exit 1; }
-
-# Golden models: retrain every method at the pinned seeds and diff the
-# digests against tests/fixtures/golden_digests.json, so silent numerical
-# drift fails here instead of shipping. (Also part of `cargo test -q`;
-# repeated explicitly so a drift is named in the CI log.)
-echo "==> golden model digests"
-cargo test -q --test golden_models
 
 echo "==> cargo test -q --features strict-invariants"
 cargo test -q --features strict-invariants

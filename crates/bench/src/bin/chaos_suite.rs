@@ -6,12 +6,11 @@
 //! participation, and eviction counts per point. All plans share one seed,
 //! so the injected schedule — and the whole table — is reproducible.
 //!
-//! Besides the table, the suite writes `results/BENCH_chaos.json` built
+//! Besides the table, a full run writes `results/BENCH_chaos.json` built
 //! from `plos-obs` trace events (`chaos_scenario`, one per row) so the
 //! fault-tolerance numbers are machine-readable with the same parser that
-//! reads `PLOS_TRACE` JSONL streams. `--quick` runs write
-//! `results/BENCH_chaos_quick.json` instead, so a smoke run can never
-//! clobber the checked-in full-size numbers.
+//! reads `PLOS_TRACE` JSONL streams. A `--quick` run is a smoke: it prints
+//! the table and writes no file.
 //!
 //! A root-failover scenario exercises the sharded aggregation tree's
 //! replicated root: the leader is killed mid-round on top of background
@@ -260,9 +259,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for e in std::iter::once(&header).chain(&events) {
         emit_event(e);
     }
-    // Quick (smoke) runs land in their own file: the checked-in
-    // full-size numbers must survive `--quick` invocations untouched.
-    let out = results_path(if opts.quick { "BENCH_chaos_quick.json" } else { "BENCH_chaos.json" });
+    if opts.quick {
+        return Ok(());
+    }
+    let out = results_path("BENCH_chaos.json");
     if let Some(dir) = out.parent() {
         std::fs::create_dir_all(dir)?;
     }

@@ -19,9 +19,8 @@ const FIGURES: &[&str] = &[
     "fig08_synth_rotation",
     "fig09_synth_labelers",
     "fig10_synth_rate",
-    "fig11_dist_accuracy",
-    "fig12_runtime",
-    "fig13_overhead",
+    // Figs. 11–13: one sweep over the number of users, three tables.
+    "scale_suite",
     "fig_ablation",
 ];
 

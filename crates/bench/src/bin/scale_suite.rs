@@ -1,27 +1,27 @@
-//! Combined runner for the Sec. VI-E scalability experiments: one sweep
-//! over the user counts, three tables — Fig. 11 (accuracy parity), Fig. 12
-//! (running time), Fig. 13 (message overhead). Equivalent to running the
-//! three individual binaries but 3× cheaper, since they share the sweep.
+//! Runner for the Sec. VI-E scalability experiments: one sweep over the
+//! user counts, three tables — Fig. 11 (accuracy parity), Fig. 12 (running
+//! time), Fig. 13 (message overhead) — plus one 1000-user distributed point
+//! through the virtual-device mux, whose worker count stays bounded by the
+//! pool instead of the fleet.
 //!
-//! After the main sweep, a thread sweep retrains each cohort's centralized
-//! model at 1/4/8/16 pool threads and *requires* the FNV-1a model digests
-//! to agree across pool sizes — the fork-join pool's bit-parity contract,
-//! enforced on real training workloads every suite run.
-//!
-//! Besides the human-readable tables on stdout, the suite writes a
+//! Besides the human-readable tables on stdout, a full run writes a
 //! machine-readable `results/BENCH_scale.json` built from `plos-obs` trace
-//! events (`scale_point` per sweep position, `thread_point` per thread-sweep
-//! cell), so perf regressions can be tracked with the same parser that
-//! reads `PLOS_TRACE` JSONL streams.
+//! events (`scale_point` per sweep position, `mux_scale_point` for the mux
+//! point), so the same parser that reads `PLOS_TRACE` JSONL streams reads
+//! the record. A `--quick` run is a smoke: it prints the tables and writes
+//! no file. Either run mirrors its events into `PLOS_TRACE` when set. The
+//! sweep times each point once, whatever `--trials` says.
 
 use plos_bench::{
-    emit_event, mux_scale_users, render_suite_json, results_path, run_mux_scale_point,
-    run_scale_point, run_shard_scale_point, run_thread_point, scale_sweep, shard_scale_users,
-    thread_sweep_users, MuxScalePoint, RunOptions, ScalePoint, ShardScalePoint, ThreadPoint,
-    THREAD_SWEEP,
+    emit_event, render_suite_json, results_path, run_mux_scale_point, run_scale_point, scale_sweep,
+    MuxScalePoint, RunOptions, ScalePoint,
 };
 use plos_obs::Event;
 use std::time::Instant;
+
+/// Cohort size of the mux point: an order of magnitude past where
+/// thread-per-device stopped scaling.
+const MUX_USERS: usize = 1000;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = RunOptions::from_args();
@@ -31,48 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into_iter()
         .map(|users| run_scale_point(users, &opts))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut thread_points: Vec<ThreadPoint> = Vec::new();
-    for users in thread_sweep_users(&opts) {
-        for pool in THREAD_SWEEP {
-            thread_points.push(run_thread_point(users, pool, &opts)?);
-        }
-    }
-    let mux_points = mux_scale_users(&opts)
-        .into_iter()
-        .map(|users| run_mux_scale_point(users, &opts))
-        .collect::<Result<Vec<_>, _>>()?;
-    let shard_points = shard_scale_users(&opts)
-        .into_iter()
-        .map(|users| run_shard_scale_point(users, &opts))
-        .collect::<Result<Vec<_>, _>>()?;
+    let mux = run_mux_scale_point(MUX_USERS, &opts)?;
     let total_wall_clock_s = sweep_started.elapsed().as_secs_f64();
-
-    // The tree's bit-parity contract at scale: the sharded leg must train
-    // the exact same model as the flat star. A divergence is a correctness
-    // bug, not a data point — fail the suite.
-    for p in &shard_points {
-        if p.digest_sharded != p.digest_flat {
-            return Err(format!(
-                "shard-parity violation at {} users: flat {:016x} vs sharded {:016x}",
-                p.users, p.digest_flat, p.digest_sharded
-            )
-            .into());
-        }
-    }
-
-    // The pool's bit-parity contract: every thread count must train the
-    // exact same model. A divergence is a correctness bug, not a data
-    // point — fail the suite.
-    for users in thread_sweep_users(&opts) {
-        let digests: Vec<u64> =
-            thread_points.iter().filter(|p| p.users == users).map(|p| p.model_digest).collect();
-        if digests.windows(2).any(|w| w.first() != w.last()) {
-            return Err(format!(
-                "thread-parity violation at {users} users: digests {digests:016x?}"
-            )
-            .into());
-        }
-    }
 
     println!("\n=== Figure 11: accuracy difference (centralized - distributed), percent ===");
     println!("{:>8} {:>14} {:>14} {:>12}", "# users", "central acc %", "dist acc %", "diff (pp)");
@@ -104,25 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{:>8} {:>14.2} {:>10}", p.users, p.kb_per_user, p.admm_iterations);
     }
 
-    println!("\n=== Thread sweep: centralized time (s) by pool size ===");
-    print!("{:>8}", "# users");
-    for pool in THREAD_SWEEP {
-        print!(" {:>9}", format!("{pool} thr"));
-    }
-    println!(" {:>18}", "model digest");
-    for users in thread_sweep_users(&opts) {
-        print!("{users:>8}");
-        let mut digest = 0u64;
-        for pool in THREAD_SWEEP {
-            if let Some(p) = thread_points.iter().find(|p| p.users == users && p.threads == pool) {
-                print!(" {:>9.3}", p.time_centralized_s);
-                digest = p.model_digest;
-            }
-        }
-        println!("   {digest:016x}");
-    }
-
-    println!("\n=== Virtual-device sweep: distributed training past the thread wall ===");
+    println!("\n=== Virtual-device point: distributed training past the thread wall ===");
     println!(
         "{:>8} {:>9} {:>7} {:>14} {:>12} {:>12} {:>10}",
         "# users",
@@ -133,59 +75,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "KB per user",
         "ADMM iters"
     );
-    for p in &mux_points {
-        println!(
-            "{:>8} {:>9} {:>7} {:>14.3} {:>12.2} {:>12.2} {:>10}",
-            p.users,
-            p.devices_per_worker,
-            p.workers,
-            p.wall_clock_s,
-            p.acc_distributed * 100.0,
-            p.kb_per_user,
-            p.admm_iterations
-        );
-    }
-
-    println!("\n=== Sharded aggregation: flat star vs 8-shard tree (wall clock, s) ===");
     println!(
-        "{:>8} {:>7} {:>9} {:>10} {:>13} {:>18}",
-        "# users", "shards", "flat (s)", "tree (s)", "tree / flat", "model digest"
+        "{:>8} {:>9} {:>7} {:>14.3} {:>12.2} {:>12.2} {:>10}",
+        mux.users,
+        mux.devices_per_worker,
+        mux.workers,
+        mux.wall_clock_s,
+        mux.acc_distributed * 100.0,
+        mux.kb_per_user,
+        mux.admm_iterations
     );
-    for p in &shard_points {
-        println!(
-            "{:>8} {:>7} {:>9.3} {:>10.3} {:>13.2} {:>18}",
-            p.users,
-            p.shards,
-            p.wall_clock_flat_s,
-            p.wall_clock_sharded_s,
-            p.wall_clock_sharded_s / p.wall_clock_flat_s,
-            format!("{:016x}", p.digest_sharded)
-        );
-    }
 
     let header = Event {
         name: "scale_suite",
         fields: vec![
             ("quick", opts.quick.into()),
-            ("trials", opts.trials.into()),
             ("seed", opts.seed.into()),
             ("threads", threads.into()),
             ("total_wall_clock_s", total_wall_clock_s.into()),
         ],
     };
-    let events: Vec<Event> = points
-        .iter()
-        .map(point_event)
-        .chain(thread_points.iter().map(thread_event))
-        .chain(mux_points.iter().map(mux_event))
-        .chain(shard_points.iter().map(shard_event))
-        .collect();
+    let events: Vec<Event> =
+        points.iter().map(point_event).chain(std::iter::once(mux_event(&mux))).collect();
     for e in std::iter::once(&header).chain(&events) {
         emit_event(e);
     }
-    // Quick smoke runs get their own file so they can't clobber the
-    // full-sweep record that regression tracking diffs against.
-    let out = results_path(if opts.quick { "BENCH_scale_quick.json" } else { "BENCH_scale.json" });
+    if opts.quick {
+        return Ok(());
+    }
+    let out = results_path("BENCH_scale.json");
     if let Some(dir) = out.parent() {
         std::fs::create_dir_all(dir)?;
     }
@@ -194,24 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// One `thread_point` event per (user count, pool size) cell of the thread
-/// sweep. The digest is the FNV-1a model fingerprint — identical across
-/// pool sizes by the parity check above, recorded so regressions show up
-/// in the JSON diff too.
-fn thread_event(p: &ThreadPoint) -> Event {
-    Event {
-        name: "thread_point",
-        fields: vec![
-            ("users", p.users.into()),
-            ("threads", p.threads.into()),
-            ("time_centralized_s", p.time_centralized_s.into()),
-            ("model_digest", format!("{:016x}", p.model_digest).into()),
-        ],
-    }
-}
-
-/// One `mux_scale_point` event per virtual-device sweep position: cohorts
-/// past the thread-per-device wall, with the worker count recorded so the
+/// The `mux_scale_point` event, with the worker count recorded so the
 /// thread-boundedness claim is auditable from the JSON alone.
 fn mux_event(p: &MuxScalePoint) -> Event {
     Event {
@@ -226,25 +127,6 @@ fn mux_event(p: &MuxScalePoint) -> Event {
             ("kb_per_user", p.kb_per_user.into()),
             ("admm_iterations", p.admm_iterations.into()),
             ("model_digest", format!("{:016x}", p.model_digest).into()),
-        ],
-    }
-}
-
-/// One `shard_point` event per sharded sweep position: the flat star and
-/// the 8-shard tree on the same cohort, wall-clocks side by side, with
-/// the (parity-checked) digest recorded so regressions show up in the
-/// JSON diff too.
-fn shard_event(p: &ShardScalePoint) -> Event {
-    Event {
-        name: "shard_point",
-        fields: vec![
-            ("users", p.users.into()),
-            ("shards", p.shards.into()),
-            ("devices_per_worker", p.devices_per_worker.into()),
-            ("wall_clock_flat_s", p.wall_clock_flat_s.into()),
-            ("wall_clock_sharded_s", p.wall_clock_sharded_s.into()),
-            ("admm_iterations", p.admm_iterations.into()),
-            ("model_digest", format!("{:016x}", p.digest_sharded).into()),
         ],
     }
 }

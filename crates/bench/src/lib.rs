@@ -6,10 +6,12 @@
 )]
 //! Figure-reproduction harness for the PLOS paper.
 //!
-//! One binary per figure of the paper's evaluation section (the paper has
-//! no result tables); each prints the same series the figure plots. Shared
-//! machinery lives here: dataset construction per experiment, method
-//! sweeps, trial averaging, and plain-text series output.
+//! One binary per accuracy figure of the paper's evaluation section (the
+//! paper has no result tables), plus `scale_suite`, whose one sweep over
+//! the number of users prints Figs. 11–13; each prints the same series the
+//! figure plots. Shared machinery lives here: dataset construction per
+//! experiment, method sweeps, trial averaging, and plain-text series
+//! output.
 //!
 //! Run everything with reduced sizes:
 //!
@@ -336,8 +338,8 @@ pub fn scale_sweep(opts: &RunOptions) -> Vec<usize> {
     }
 }
 
-/// One point of the virtual-device scale sweep: the distributed trainer at
-/// cohort sizes far past the thread-per-device wall, run on the
+/// The virtual-device point of the scale suite: the distributed trainer at
+/// a cohort size far past the thread-per-device wall, run on the
 /// [`plos_net::MuxNetwork`] scheduler so the OS thread count stays bounded
 /// by the pool size instead of the fleet size.
 #[derive(Debug, Clone)]
@@ -360,16 +362,6 @@ pub struct MuxScalePoint {
     pub admm_iterations: usize,
     /// FNV-1a digest of the trained model — the cross-run parity currency.
     pub model_digest: u64,
-}
-
-/// The virtual-device sweep's cohort sizes: one and two thousand devices,
-/// an order of magnitude past where thread-per-device stops scaling.
-pub fn mux_scale_users(opts: &RunOptions) -> Vec<usize> {
-    if opts.quick {
-        vec![1000]
-    } else {
-        vec![1000, 2000]
-    }
 }
 
 /// Runs the distributed trainer on a `users`-device cohort under the mux
@@ -423,185 +415,6 @@ pub fn run_mux_scale_point(users: usize, opts: &RunOptions) -> Result<MuxScalePo
         wall_clock_s,
         kb_per_user: report.mean_user_kb(),
         admm_iterations: report.admm_iterations,
-        model_digest: model_digest(model.global_hyperplane(), model.personal_biases()),
-    })
-}
-
-/// One point of the sharded-aggregation sweep: the same cohort trained
-/// flat and through the hierarchical tree, with both wall-clocks and both
-/// digests — the digests must agree (the tree's bit-parity contract).
-#[derive(Debug, Clone)]
-pub struct ShardScalePoint {
-    /// Number of users (virtual devices).
-    pub users: usize,
-    /// Regional aggregators in the tree leg.
-    pub shards: usize,
-    /// Virtual devices per mux worker (K), which sets the worker count.
-    pub devices_per_worker: usize,
-    /// Flat-star wall-clock, seconds.
-    pub wall_clock_flat_s: f64,
-    /// Sharded-tree wall-clock, seconds.
-    pub wall_clock_sharded_s: f64,
-    /// Total ADMM iterations (identical across both legs by parity).
-    pub admm_iterations: usize,
-    /// FNV-1a digest of the flat model.
-    pub digest_flat: u64,
-    /// FNV-1a digest of the sharded model — must equal `digest_flat`.
-    pub digest_sharded: u64,
-}
-
-/// The sharded sweep's cohort sizes (mirrors [`mux_scale_users`]).
-pub fn shard_scale_users(opts: &RunOptions) -> Vec<usize> {
-    mux_scale_users(opts)
-}
-
-/// Trains a `users`-device cohort twice under the mux runtime — once flat,
-/// once through an 8-shard aggregation tree — and records both wall-clocks
-/// plus both model digests. The caller is expected to fail on a digest
-/// mismatch; this function only measures.
-///
-/// # Errors
-///
-/// Propagates a training failure from either leg.
-pub fn run_shard_scale_point(
-    users: usize,
-    opts: &RunOptions,
-) -> Result<ShardScalePoint, CoreError> {
-    use plos_ckpt::model_digest;
-    use plos_core::{DistributedPlos, FaultTolerance, RetryPolicy, ShardSpec, Topology};
-    use plos_net::DeviceRuntime;
-    use plos_sensing::synthetic::{generate_synthetic, SyntheticSpec};
-    use std::time::{Duration, Instant};
-
-    let shards = 8;
-    let points = if opts.quick { 10 } else { 20 };
-    let spec = SyntheticSpec {
-        num_users: users,
-        points_per_class: points,
-        max_rotation: std::f64::consts::FRAC_PI_2,
-        flip_prob: 0.1,
-    };
-    let providers = (users / 2).max(1);
-    let base = generate_synthetic(&spec, opts.seed);
-    let data = mask(&base, providers, 0.2, opts, 0);
-
-    let pool = plos_exec::Pool::current().threads();
-    let devices_per_worker = users.div_ceil(pool.max(1));
-    let runtime = DeviceRuntime::Multiplexed { devices_per_worker };
-
-    // Simulation-host deadline: one mux worker sweeps the whole fleet in
-    // index order, so the *last* shard's first reply lands only after the
-    // preceding shards' devices have all been stepped — on an expensive
-    // round (CCCP boundary, cold cutting-plane solves) that tail latency
-    // alone can exceed the production `round_deadline` and a healthy
-    // regional would report a bogus quorum loss. Widen the windows for
-    // both legs equally; in a fault-free run every reply still arrives,
-    // so the trained bits are unaffected and the parity check stands.
-    let ft = FaultTolerance {
-        retry: RetryPolicy {
-            recv_timeout: Duration::from_secs(10),
-            backoff_base: Duration::from_secs(1),
-            round_deadline: Duration::from_secs(90),
-            ..RetryPolicy::default()
-        },
-        ..FaultTolerance::default()
-    };
-
-    let started = Instant::now();
-    let (flat_model, _) = DistributedPlos::try_new(quick_plos_config())?
-        .try_with_fault_tolerance(ft.clone())?
-        .with_runtime(runtime)
-        .fit(&data)?;
-    let wall_clock_flat_s = started.elapsed().as_secs_f64();
-
-    let started = Instant::now();
-    let (tree_model, tree_report) = DistributedPlos::try_new(quick_plos_config())?
-        .try_with_fault_tolerance(ft)?
-        .with_runtime(runtime)
-        .with_topology(Topology::Sharded(ShardSpec::new(shards)))
-        .fit(&data)?;
-    let wall_clock_sharded_s = started.elapsed().as_secs_f64();
-
-    Ok(ShardScalePoint {
-        users,
-        shards,
-        devices_per_worker,
-        wall_clock_flat_s,
-        wall_clock_sharded_s,
-        admm_iterations: tree_report.admm_iterations,
-        digest_flat: model_digest(flat_model.global_hyperplane(), flat_model.personal_biases()),
-        digest_sharded: model_digest(tree_model.global_hyperplane(), tree_model.personal_biases()),
-    })
-}
-
-/// One point of the thread sweep: the centralized trainer at a fixed
-/// cohort size under an explicit pool size.
-#[derive(Debug, Clone)]
-pub struct ThreadPoint {
-    /// Number of users.
-    pub users: usize,
-    /// Pool size the fit ran under.
-    pub threads: usize,
-    /// Centralized training wall-clock, seconds.
-    pub time_centralized_s: f64,
-    /// FNV-1a digest of the trained model (`w0` then biases) — must be
-    /// identical across every thread count (the pool's bit-parity
-    /// contract).
-    pub model_digest: u64,
-}
-
-/// The pool sizes of the thread sweep.
-pub const THREAD_SWEEP: [usize; 4] = [1, 4, 8, 16];
-
-/// The user counts the thread sweep re-fits at each pool size (the
-/// centralized-path scaling region; the 200-user point stays in the main
-/// sweep so the thread sweep's cost is bounded).
-pub fn thread_sweep_users(opts: &RunOptions) -> Vec<usize> {
-    if opts.quick {
-        vec![10, 20]
-    } else {
-        vec![10, 20, 40, 70, 100]
-    }
-}
-
-/// Runs the centralized trainer on the scale-point cohort under an
-/// explicit pool size and digests the resulting model.
-///
-/// # Errors
-///
-/// Propagates a training failure.
-pub fn run_thread_point(
-    users: usize,
-    threads: usize,
-    opts: &RunOptions,
-) -> Result<ThreadPoint, CoreError> {
-    use plos_ckpt::model_digest;
-    use plos_core::CentralizedPlos;
-    use plos_sensing::synthetic::{generate_synthetic, SyntheticSpec};
-    use std::time::Instant;
-
-    let points = if opts.quick { 40 } else { 100 };
-    let spec = SyntheticSpec {
-        num_users: users,
-        points_per_class: points,
-        max_rotation: std::f64::consts::FRAC_PI_2,
-        flip_prob: 0.1,
-    };
-    let providers = (users / 2).max(1);
-    let base = generate_synthetic(&spec, opts.seed);
-    let data = mask(&base, providers, 0.05, opts, 0);
-    let plos_cfg = if opts.quick { quick_plos_config() } else { figure_plos_config() };
-
-    let (model, time_centralized_s) = plos_exec::with_threads(threads, || {
-        let started = Instant::now();
-        let model = CentralizedPlos::try_new(plos_cfg.clone()).and_then(|t| t.fit(&data));
-        (model, started.elapsed().as_secs_f64())
-    });
-    let model = model?;
-    Ok(ThreadPoint {
-        users,
-        threads,
-        time_centralized_s,
         model_digest: model_digest(model.global_hyperplane(), model.personal_biases()),
     })
 }
@@ -706,13 +519,6 @@ mod tests {
         assert!(missing.contains("requires a value"), "{missing}");
         let malformed = RunOptions::try_from_iter(argv(&["--seed", "many"])).unwrap_err();
         assert!(malformed.contains("must be an integer"), "{malformed}");
-    }
-
-    #[test]
-    fn mux_sweep_scales_with_mode() {
-        let quick = RunOptions { quick: true, ..RunOptions::default() };
-        assert_eq!(mux_scale_users(&quick), vec![1000]);
-        assert_eq!(mux_scale_users(&RunOptions::default()), vec![1000, 2000]);
     }
 
     #[test]

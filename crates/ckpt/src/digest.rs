@@ -77,9 +77,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Bit-exact digest of a personalized model: the global hyperplane's
 /// coefficients followed by every user's personal bias, in user order.
 ///
-/// This is the canonical digest printed by the `trace_parity` and
-/// `resume_parity` gates and pinned by the golden-model fixtures; any
-/// change to its fold order is a format break.
+/// This is the canonical digest printed by the `trace_parity` gate and
+/// pinned by the golden-model fixtures; any change to its fold order is a
+/// format break.
 #[must_use]
 pub fn model_digest(global: &Vector, biases: &[Vector]) -> u64 {
     let mut h = Fnv1a::new();

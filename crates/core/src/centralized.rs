@@ -534,44 +534,25 @@ mod tests {
 
     #[test]
     fn killed_and_resumed_run_matches_uninterrupted_bit_for_bit() {
-        use crate::checkpoint::CheckpointPolicy;
+        use crate::checkpoint::tests::kill_at_every_seam;
         let dataset = small_synthetic(3, 2, 0.3);
         let config = PlosConfig::fast();
         let reference =
             CentralizedPlos::try_new(config.clone()).unwrap().fit_detailed(&dataset).unwrap();
 
-        let dir =
-            std::env::temp_dir().join(format!("plos-centralized-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Kill the run after each possible checkpoint count and resume it;
-        // every seam must reproduce the reference model exactly.
-        for kill_after in 1..=2u32 {
-            let killed = CentralizedPlos::try_new(config.clone())
-                .unwrap()
-                .with_checkpointing(CheckpointPolicy::new(&dir).abort_after(kill_after))
-                .fit_detailed(&dataset);
-            assert!(
-                matches!(killed, Err(CoreError::Interrupted { .. })),
-                "kill switch must fire, got {killed:?}"
-            );
-            let resumed = CentralizedPlos::try_new(config.clone())
-                .unwrap()
-                .with_checkpointing(CheckpointPolicy::new(&dir))
+        // One snapshot per CCCP round and one per refinement round: a chain
+        // killed at every one of them must die exactly that often and still
+        // reproduce the reference model exactly.
+        let (resumed, kills) = kill_at_every_seam("centralized-resume", |policy| {
+            CentralizedPlos::try_new(config.clone())?
+                .with_checkpointing(policy)
                 .fit_detailed(&dataset)
-                .unwrap();
-            assert_eq!(
-                model_bits(&resumed.model),
-                model_bits(&reference.model),
-                "resume after {kill_after} checkpoint(s) diverged"
-            );
-            assert_eq!(resumed.history.values(), reference.history.values());
-            assert_eq!(resumed.cccp_rounds, reference.cccp_rounds);
-            assert_eq!(resumed.converged, reference.converged);
-            // Successful completion clears the snapshot for the next seam.
-            assert!(!dir.join("centralized.ckpt").exists());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        });
+        assert_eq!(kills, reference.cccp_rounds + config.refine_rounds);
+        assert_eq!(model_bits(&resumed.model), model_bits(&reference.model));
+        assert_eq!(resumed.history.values(), reference.history.values());
+        assert_eq!(resumed.cccp_rounds, reference.cccp_rounds);
+        assert_eq!(resumed.converged, reference.converged);
     }
 
     #[test]

@@ -165,7 +165,7 @@ pub(crate) fn check_fingerprint(found: u64, expected: u64) -> Result<(), CoreErr
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     // Unit tests assert by panicking on failure; the workspace-wide
     // panic-free lint set is for library code paths, so tests opt back in.
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
@@ -177,6 +177,32 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("plos-core-ckpt-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Runs `fit` in `tmpdir(tag)` to completion while killing it at every
+    /// checkpoint seam: each leg aborts right after its first snapshot and
+    /// the next leg resumes from it. Returns the finishing leg's result and
+    /// the number of kills. The finished run must leave no snapshot behind.
+    pub(crate) fn kill_at_every_seam<T>(
+        tag: &str,
+        fit: impl Fn(CheckpointPolicy) -> Result<T, CoreError>,
+    ) -> (T, usize) {
+        let dir = tmpdir(tag);
+        // Every trainer snapshots a bounded number of times per fit; more
+        // legs than this means a resume that does not progress.
+        for kills in 0..64 {
+            match fit(CheckpointPolicy::new(&dir).abort_after(1)) {
+                Ok(done) => {
+                    let left = std::fs::read_dir(&dir).map_or(0, Iterator::count);
+                    assert_eq!(left, 0, "a finished run left its snapshot behind");
+                    let _ = std::fs::remove_dir_all(&dir);
+                    return (done, kills);
+                }
+                Err(CoreError::Interrupted { checkpoints: 1 }) => {}
+                Err(e) => panic!("leg {kills} failed: {e}"),
+            }
+        }
+        panic!("no leg finished after 64 kills");
     }
 
     #[test]

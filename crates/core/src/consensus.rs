@@ -20,8 +20,9 @@
 //! Every server-side reduction is an exact superaccumulator fold, which is
 //! associative over any grouping of its addends, so the strategies produce
 //! the same bits wherever their schedules coincide: the `S = 0` bounded-
-//! staleness server equals the barrier server (`async_parity`), and the
-//! tree equals the flat star at any shard count (`shard_parity`).
+//! staleness server equals the barrier server (`tests/fault_tolerance.rs`),
+//! and the tree equals the flat star at any shard count
+//! (`tests/shard_parity.rs`).
 
 use crate::asynchronous::AsyncSpec;
 use crate::checkpoint::{self, CheckpointPolicy, CkptSession};
@@ -557,9 +558,15 @@ struct Answer {
 ///   `S = 0` it never does.
 /// * A re-sent round gets the cached reply again, byte for byte, so a retry
 ///   or a duplicated frame never advances the working set twice.
+/// * A `Broadcast` or `Refine` whose vectors are not the model dimension is
+///   dropped: it runs no solve and caches nothing, so the server's re-send
+///   of the round gets a fresh solve, and a device that only ever sees
+///   such frames is struck out like a silent one.
 struct Device {
     t: usize,
     user: u32,
+    /// Model dimension every `w0` and `u_t` must have.
+    dim: usize,
     solver: LocalSolver,
     spec: Option<AsyncSpec>,
     /// The last answer; cleared when the linearization changes.
@@ -573,10 +580,17 @@ struct Device {
 }
 
 impl Device {
-    fn new(t: usize, solver: LocalSolver, plan: &FaultPlan, spec: Option<AsyncSpec>) -> Self {
+    fn new(
+        t: usize,
+        dim: usize,
+        solver: LocalSolver,
+        plan: &FaultPlan,
+        spec: Option<AsyncSpec>,
+    ) -> Self {
         Device {
             t,
             user: wire_u32(t),
+            dim,
             solver,
             spec,
             answer: None,
@@ -637,6 +651,10 @@ impl DeviceMachine for Device {
     #[allow(clippy::panic)]
     fn on_message(&mut self, message: Message) -> DeviceStep {
         match message {
+            Message::Broadcast { w0, u_t, .. } if w0.len() != self.dim || u_t.len() != self.dim => {
+                DeviceStep::NeedRecv
+            }
+            Message::Refine { w0, .. } if w0.len() != self.dim => DeviceStep::NeedRecv,
             Message::Broadcast { round, w0, u_t } => {
                 if self.panic_at.is_some_and(|at| round >= at) {
                     panic!("planned chaos: device {} crashed at round {round}", self.user);
@@ -793,7 +811,8 @@ impl Cohort {
         let DeviceRuntime::Multiplexed { devices_per_worker } = runtime;
         let (out, exits) = MuxNetwork::new(network, devices_per_worker).run(server, |t| {
             let solver = self.solvers.lock().get_mut(t).and_then(Option::take);
-            Device::new(t, solver.expect("each device slot is taken exactly once"), plan, spec)
+            let solver = solver.expect("each device slot is taken exactly once");
+            Device::new(t, self.dim, solver, plan, spec)
         });
         let mut panicked = Vec::new();
         let outcomes = exits
@@ -828,7 +847,7 @@ mod tests {
         let plan = FaultPlan::none();
         let cohort = prepare(&PlosConfig::fast(), &data, &plan).unwrap();
         let solver = cohort.solvers.lock()[0].take().unwrap();
-        (Device::new(0, solver, &plan, spec), cohort.dim)
+        (Device::new(0, cohort.dim, solver, &plan, spec), cohort.dim)
     }
 
     fn broadcast(round: u32, dim: usize) -> Message {
@@ -897,6 +916,28 @@ mod tests {
         assert_eq!(again.encode(), first.encode());
         assert_eq!(dev.fresh, 1);
         assert_eq!(dev.solver.working_set_len(), working_set);
+    }
+
+    #[test]
+    fn a_frame_of_the_wrong_dimension_is_dropped_and_the_good_one_is_solved() {
+        let (mut dev, dim) = device(None);
+        sent(dev.on_message(broadcast(0, dim)));
+        let short = Message::Broadcast {
+            round: 1,
+            w0: Vector::from(vec![0.5; dim - 1]),
+            u_t: Vector::zeros(dim - 1),
+        };
+        assert!(matches!(dev.on_message(short), DeviceStep::NeedRecv));
+        let long = Message::Refine { round: 1, w0: Vector::from(vec![0.5; dim + 3]) };
+        assert!(matches!(dev.on_message(long), DeviceStep::NeedRecv));
+        assert_eq!(dev.fresh, 0, "a dropped frame runs no solve");
+        // Nothing was cached for round 1, so its good frame is solved.
+        let reply = sent(dev.on_message(broadcast(1, dim)));
+        assert!(
+            matches!(&reply, Message::ClientUpdate { round: 1, w_t, .. } if w_t.len() == dim),
+            "{reply:?}"
+        );
+        assert_eq!(dev.fresh, 1);
     }
 
     #[test]

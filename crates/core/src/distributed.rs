@@ -259,7 +259,6 @@ impl<'a> Fleet<'a> {
                 "eviction",
                 &[("device", global.into()), ("alive", self.alive_count().into())],
             );
-            plos_obs::counter_add("distributed.evictions", 1);
         }
     }
 
@@ -375,7 +374,6 @@ impl<'a> Fleet<'a> {
                         ("staleness", staleness.into()),
                     ],
                 );
-                plos_obs::counter_add("async.stale_discards", 1);
             }
         }
         arrived
@@ -724,7 +722,6 @@ impl Gather for Barrier<'_> {
                     ("retries", part.map_or(0, |p| p.retries).into()),
                 ],
             );
-            plos_obs::counter_add("distributed.admm_rounds", 1);
         }
     }
 
@@ -1088,50 +1085,27 @@ mod tests {
 
     #[test]
     fn killed_and_resumed_distributed_run_matches_uninterrupted_bit_for_bit() {
-        use crate::checkpoint::CheckpointPolicy;
+        use crate::checkpoint::tests::kill_at_every_seam;
         let data = dataset(3, 2);
         let config = PlosConfig::fast();
         let (reference, ref_report) =
             DistributedPlos::try_new(config.clone()).unwrap().fit(&data).unwrap();
 
-        let dir =
-            std::env::temp_dir().join(format!("plos-distributed-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Three seams: the first CCCP boundary, the last one, and the final
-        // refinement snapshot (everything done but the model assembly).
-        // Checkpoints are one per CCCP round plus one per refinement round.
-        let cccp = ref_report.cccp_rounds as u32;
-        for kill_after in [1, cccp, cccp + 1] {
-            let killed = DistributedPlos::try_new(config.clone())
-                .unwrap()
-                .with_checkpointing(CheckpointPolicy::new(&dir).abort_after(kill_after))
-                .fit(&data);
-            assert!(
-                matches!(killed, Err(CoreError::Interrupted { .. })),
-                "kill switch must fire at {kill_after}, got {killed:?}"
-            );
-            let (resumed, report) = DistributedPlos::try_new(config.clone())
-                .unwrap()
-                .with_checkpointing(CheckpointPolicy::new(&dir))
-                .fit(&data)
-                .unwrap();
-            assert_eq!(
-                model_bits(&resumed),
-                model_bits(&reference),
-                "resume after {kill_after} checkpoint(s) diverged"
-            );
-            assert_eq!(report.history.values(), ref_report.history.values());
-            assert_eq!(report.admm_iterations, ref_report.admm_iterations);
-            assert_eq!(report.cccp_rounds, ref_report.cccp_rounds);
-            assert_eq!(report.converged, ref_report.converged);
-            assert_eq!(report.residuals, ref_report.residuals);
-            assert_eq!(report.participation, ref_report.participation);
-            assert!(!report.degraded);
-            // Successful completion clears the snapshot for the next seam.
-            assert!(!dir.join("distributed.ckpt").exists());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        // One snapshot per CCCP round and one per refinement round: a chain
+        // killed at every one of them must die exactly that often and still
+        // reproduce the reference model and report exactly.
+        let ((resumed, report), kills) = kill_at_every_seam("distributed-resume", |policy| {
+            DistributedPlos::try_new(config.clone())?.with_checkpointing(policy).fit(&data)
+        });
+        assert_eq!(kills, ref_report.cccp_rounds + config.refine_rounds);
+        assert_eq!(model_bits(&resumed), model_bits(&reference));
+        assert_eq!(report.history.values(), ref_report.history.values());
+        assert_eq!(report.admm_iterations, ref_report.admm_iterations);
+        assert_eq!(report.cccp_rounds, ref_report.cccp_rounds);
+        assert_eq!(report.converged, ref_report.converged);
+        assert_eq!(report.residuals, ref_report.residuals);
+        assert_eq!(report.participation, ref_report.participation);
+        assert!(!report.degraded);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::error::CoreError;
 use crate::problem::Constraint;
-use plos_linalg::Vector;
+use plos_linalg::{LinalgError, Vector};
 use plos_opt::{IncrementalQp, QpSolverOptions};
 
 /// Incremental solver for the Eq. (16) dual over growing working sets.
@@ -64,16 +64,17 @@ impl DualSolver {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Opt`] when the per-user dual cap `T/2λ` overflows (a
-    /// subnormal `λ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda <= 0`, `t_count == 0`, or `dim == 0`.
+    /// [`CoreError::InvalidConfig`] when `lambda` is not positive (NaN
+    /// included), `t_count == 0` or `dim == 0`; [`CoreError::Opt`] when the
+    /// per-user dual cap `T/2λ` overflows (a subnormal `λ`).
     pub fn new(lambda: f64, t_count: usize, dim: usize) -> Result<Self, CoreError> {
-        assert!(lambda > 0.0, "lambda must be positive");
-        assert!(t_count > 0, "need at least one user");
-        assert!(dim > 0, "dimension must be positive");
+        let invalid = |detail: String| Err(CoreError::InvalidConfig { detail });
+        if lambda.is_nan() || lambda <= 0.0 {
+            return invalid(format!("dual lambda must be positive, got {lambda}"));
+        }
+        if t_count == 0 || dim == 0 {
+            return invalid(format!("dual needs users and a dimension, got {t_count} x {dim}"));
+        }
         // One capped-sum group per user: Σ_k γ_kt ≤ T/2λ.
         let cap = t_count as f64 / (2.0 * lambda);
         Ok(DualSolver {
@@ -97,13 +98,9 @@ impl DualSolver {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Opt`] when the constraint carries non-finite data; the
-    /// solver is left unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of range or the constraint has the wrong
-    /// dimension.
+    /// [`CoreError::InvalidConfig`] when `t` is not a user of this solver,
+    /// and [`CoreError::Opt`] when the constraint has the wrong dimension or
+    /// carries non-finite data; the solver is left unchanged.
     pub fn add_constraint(&mut self, t: usize, k: Constraint) -> Result<(), CoreError> {
         self.push_entry(t, k, false)
     }
@@ -115,18 +112,24 @@ impl DualSolver {
     /// # Errors
     ///
     /// As [`DualSolver::add_constraint`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of range or the constraint has the wrong
-    /// dimension.
     pub fn add_hard_constraint(&mut self, t: usize, k: Constraint) -> Result<(), CoreError> {
         self.push_entry(t, k, true)
     }
 
     fn push_entry(&mut self, t: usize, k: Constraint, hard: bool) -> Result<(), CoreError> {
-        assert!(t < self.t_count, "user index out of range");
-        assert_eq!(k.s.len(), self.dim, "constraint dimension mismatch");
+        if t >= self.t_count {
+            return Err(CoreError::InvalidConfig {
+                detail: format!("constraint owner {t} is not one of {} users", self.t_count),
+            });
+        }
+        if k.s.len() != self.dim {
+            return Err(LinalgError::DimensionMismatch {
+                op: "dual constraint",
+                expected: self.dim,
+                actual: k.s.len(),
+            }
+            .into());
+        }
         // The O(n·d) row of the new constraint against every existing one —
         // Q_ij = (λ/T + [same user])·⟨s_i, s_j⟩, the same expression the
         // historical per-solve rebuild used — costs `dim` multiply-adds per
@@ -332,18 +335,49 @@ mod tests {
         assert!(sol.w0.is_finite());
     }
 
-    #[test]
-    #[should_panic(expected = "user index out of range")]
-    fn bad_user_index_rejected() {
-        let mut solver = DualSolver::new(1.0, 1, 1).unwrap();
-        solver.add_constraint(5, Constraint { s: Vector::from(vec![1.0]), c: 1.0 }).unwrap();
+    fn rejected(r: Result<DualSolver, CoreError>) -> bool {
+        matches!(r, Err(CoreError::InvalidConfig { .. }))
     }
 
     #[test]
-    #[should_panic(expected = "constraint dimension mismatch")]
+    fn a_lambda_that_is_not_positive_is_rejected() {
+        assert!(rejected(DualSolver::new(0.0, 1, 2)));
+        assert!(rejected(DualSolver::new(-1.0, 1, 2)));
+        assert!(rejected(DualSolver::new(f64::NAN, 1, 2)));
+    }
+
+    #[test]
+    fn zero_users_are_rejected() {
+        assert!(rejected(DualSolver::new(1.0, 0, 2)));
+    }
+
+    #[test]
+    fn zero_dimension_is_rejected() {
+        assert!(rejected(DualSolver::new(1.0, 1, 0)));
+    }
+
+    #[test]
+    fn bad_user_index_rejected() {
+        let mut solver = DualSolver::new(1.0, 1, 1).unwrap();
+        let k = Constraint { s: Vector::from(vec![1.0]), c: 1.0 };
+        let err = solver.add_constraint(5, k.clone());
+        assert!(matches!(err, Err(CoreError::InvalidConfig { .. })), "{err:?}");
+        let err = solver.add_hard_constraint(1, k);
+        assert!(matches!(err, Err(CoreError::InvalidConfig { .. })), "{err:?}");
+        assert_eq!(solver.num_constraints(), 0);
+    }
+
+    #[test]
     fn bad_dimension_rejected() {
         let mut solver = DualSolver::new(1.0, 1, 2).unwrap();
-        solver.add_constraint(0, Constraint { s: Vector::from(vec![1.0]), c: 1.0 }).unwrap();
+        let short = Constraint { s: Vector::from(vec![1.0]), c: 1.0 };
+        let err = solver.add_constraint(0, short);
+        assert!(matches!(err, Err(CoreError::Opt(_))), "{err:?}");
+        let long = Constraint { s: Vector::from(vec![1.0; 3]), c: 1.0 };
+        let err = solver.add_hard_constraint(0, long);
+        assert!(matches!(err, Err(CoreError::Opt(_))), "{err:?}");
+        assert_eq!(solver.num_constraints(), 0);
+        assert_eq!(solver.solve(&opts()).unwrap().w0, Vector::zeros(2));
     }
 
     #[test]

@@ -161,15 +161,11 @@ impl LocalSolver {
     ///
     /// # Errors
     ///
-    /// Propagates QP failures from the cutting-plane solves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w0`/`u_t` dimensions don't match the data.
+    /// [`CoreError::Protocol`] when `w0` or `u_t` is not the data's
+    /// dimension; propagates QP failures from the cutting-plane solves.
     pub fn solve(&mut self, w0: &Vector, u_t: &Vector) -> Result<LocalUpdate, CoreError> {
-        let dim = self.user.features.first().map_or(0, Vector::len);
-        assert_eq!(w0.len(), dim, "w0 dimension mismatch");
-        assert_eq!(u_t.len(), dim, "u_t dimension mismatch");
+        self.check_dim("w0", w0)?;
+        self.check_dim("u_t", u_t)?;
 
         // Lazily (re-)derive the sign pattern: on the very first solve the
         // linearization point is the incoming global hyperplane, afterwards
@@ -206,13 +202,24 @@ impl LocalSolver {
         // finite, or the ADMM aggregate silently corrupts every peer.
         #[cfg(feature = "strict-invariants")]
         debug_assert!(
-            w.len() == dim
-                && v_t.len() == dim
+            w.len() == w0.len()
+                && v_t.len() == w0.len()
                 && xi_t.is_finite()
                 && w.iter().all(|c| c.is_finite()),
             "local update violates the dimension/finiteness contract"
         );
         Ok(LocalUpdate { w_t: w, v_t, xi_t })
+    }
+
+    /// Rejects a server vector that is not the data's dimension.
+    fn check_dim(&self, name: &str, v: &Vector) -> Result<(), CoreError> {
+        let dim = self.user.features.first().map_or(0, Vector::len);
+        if v.len() != dim {
+            return Err(CoreError::Protocol {
+                detail: format!("{name} has dimension {}, the data {dim}", v.len()),
+            });
+        }
+        Ok(())
     }
 
     /// Deterministic per-device seed for refinement round `round` (the
@@ -228,8 +235,10 @@ impl LocalSolver {
     ///
     /// # Errors
     ///
-    /// Propagates QP failures from the multi-start CCCP runs.
+    /// [`CoreError::Protocol`] when `w0` is not the data's dimension;
+    /// propagates QP failures from the multi-start CCCP runs.
     pub fn refine(&mut self, w0: &Vector, seed: u64) -> Result<LocalUpdate, CoreError> {
+        self.check_dim("w0", w0)?;
         let mu = 2.0 * self.config.lambda / self.t_count as f64;
         let anchor_for_signs = if self.w_t.norm() == 0.0 { w0 } else { &self.w_t };
         let base_signs = problem::compute_signs(&self.user, anchor_for_signs);
@@ -389,9 +398,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "w0 dimension mismatch")]
-    fn dimension_mismatch_panics() {
+    fn a_server_vector_of_the_wrong_dimension_is_a_protocol_error() {
         let mut solver = LocalSolver::new(labeled_user(), config(), 2);
-        let _ = solver.solve(&Vector::zeros(3), &Vector::zeros(3)).unwrap();
+        let protocol =
+            |r: Result<LocalUpdate, CoreError>| matches!(r, Err(CoreError::Protocol { .. }));
+        assert!(protocol(solver.solve(&Vector::zeros(3), &Vector::zeros(3))));
+        assert!(protocol(solver.solve(&Vector::zeros(2), &Vector::zeros(1))));
+        assert!(protocol(solver.refine(&Vector::zeros(5), 7)));
+        assert_eq!(solver.working_set_len(), 0, "a rejected call changes nothing");
+        assert!(solver.solve(&Vector::zeros(2), &Vector::zeros(2)).is_ok());
     }
 }

@@ -17,8 +17,8 @@
 //! associative over any grouping of its addends. A regional partial sum
 //! followed by a root-side merge is therefore *the same bits* as the flat
 //! loop, at any shard count — including empty and singleton shards. The
-//! `shard_parity` test battery and the `shard_parity` CI gate enforce
-//! this with model-digest equality.
+//! `tests/shard_parity.rs` battery enforces this with model-digest
+//! equality.
 //!
 //! # Replicated root
 //!
@@ -397,7 +397,6 @@ impl<'a> Root<'a> {
                 ("to", next.into()),
             ],
         );
-        plos_obs::counter_add("sharded.failovers", 1);
         if let Some(bytes) = self.replicas.get(next).and_then(|r| r.state.as_deref()) {
             let st = ConsensusState::decode(&CheckpointFile::decode(bytes)?)?;
             checkpoint::check_fingerprint(st.fingerprint, self.fingerprint)?;
@@ -554,6 +553,15 @@ fn region_loop(
             Err(TransportError::Disconnected) => break,
         };
         let (cache, round, reply) = match msg {
+            // A request whose `w0` is not the model dimension never reaches
+            // the shard: counted, dropped, and left to the root's re-send.
+            Message::ShardBroadcast { w0, .. } | Message::ShardCommit { w0, .. }
+                if w0.len() != dim =>
+            {
+                let tally = &mut region.fleet.tally;
+                tally.protocol_errors = tally.protocol_errors.saturating_add(1);
+                continue;
+            }
             Message::ShardBroadcast { round, phase, w0 } => {
                 if replay(&last_partial, round, uplink) {
                     continue;
@@ -808,5 +816,21 @@ mod tests {
         );
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "no snapshot may be written");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_regional_counts_a_short_broadcast_and_forwards_nothing() {
+        let (root, uplink) = Endpoint::pair();
+        let (server, device) = Endpoint::pair();
+        let short = Message::ShardBroadcast { round: 1, phase: PHASE_ADMM, w0: Vector::zeros(2) };
+        root.send(&short).unwrap();
+        root.send(&Message::Shutdown).unwrap();
+        let plan = FaultPlan::none();
+        let done = region_loop(&uplink, 0, vec![0], vec![server], &plan, FaultTolerance::fast(), 3)
+            .unwrap();
+        assert_eq!(done.tally.protocol_errors, 1);
+        // The shard only ever saw the shutdown.
+        assert_eq!(device.recv_timeout(Duration::from_millis(100)).unwrap(), Message::Shutdown);
+        assert!(device.recv_timeout(Duration::from_millis(10)).is_err());
     }
 }

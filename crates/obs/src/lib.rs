@@ -9,9 +9,9 @@
 //! The paper's evaluation depends on seeing *inside* the training loops:
 //! per-CCCP-iteration objectives (Eq. 10–11), cutting-plane working-set
 //! growth (Eq. 12–15), and ADMM primal/dual residuals (Eq. 24). This crate
-//! is the single funnel for that visibility — spans with wall-clock timers,
-//! monotonic counters, gauges, and structured per-iteration trace events —
-//! with two hard guarantees:
+//! is the single funnel for that visibility — spans with wall-clock timers
+//! and structured per-iteration trace events, every count riding on the
+//! event that reports it — with two hard guarantees:
 //!
 //! 1. **Near-zero overhead when disabled.** Every entry point checks one
 //!    relaxed atomic load and returns immediately when no sink is
@@ -41,7 +41,6 @@
 
 pub mod json;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -51,7 +50,7 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-/// One telemetry field value. Numeric variants cover every counter and
+/// One telemetry field value. Numeric variants cover every count and
 /// residual the solvers emit; `Str` is reserved for identifiers (span
 /// names, scenario labels) so constructing events stays allocation-light.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,17 +171,6 @@ fn sink_slot() -> &'static RwLock<Option<Arc<dyn Sink>>> {
     SLOT.get_or_init(|| RwLock::new(None))
 }
 
-/// Counter / gauge registries. `BTreeMap` keeps snapshots deterministic.
-fn counter_registry() -> &'static Mutex<BTreeMap<&'static str, u64>> {
-    static REG: OnceLock<Mutex<BTreeMap<&'static str, u64>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn gauge_registry() -> &'static Mutex<BTreeMap<&'static str, f64>> {
-    static REG: OnceLock<Mutex<BTreeMap<&'static str, f64>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
 fn init_from_env() {
     INIT.get_or_init(|| {
         if let Ok(path) = std::env::var("PLOS_TRACE") {
@@ -232,47 +220,6 @@ pub fn emit(name: &'static str, fields: &[(&'static str, Value)]) {
     if let Some(sink) = guard.as_deref() {
         sink.record(&event);
     }
-}
-
-/// Adds `delta` to the named monotonic counter (saturating, so multi-day
-/// chaos runs cannot wrap into nonsense telemetry). No-op when disabled.
-pub fn counter_add(name: &'static str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = counter_registry().lock();
-    let slot = reg.entry(name).or_insert(0);
-    *slot = slot.saturating_add(delta);
-}
-
-/// Current value of a counter (0 if never touched).
-pub fn counter_get(name: &str) -> u64 {
-    counter_registry().lock().get(name).copied().unwrap_or(0)
-}
-
-/// Snapshot of every counter, sorted by name.
-pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
-    counter_registry().lock().iter().map(|(k, v)| (*k, *v)).collect()
-}
-
-/// Sets the named gauge to `value`. No-op when disabled.
-pub fn gauge_set(name: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    gauge_registry().lock().insert(name, value);
-}
-
-/// Current value of a gauge, if it has ever been set.
-pub fn gauge_get(name: &str) -> Option<f64> {
-    gauge_registry().lock().get(name).copied()
-}
-
-/// Clears all counters and gauges. Test hook: the registries are
-/// process-global, so tests that assert exact counts reset first.
-pub fn reset_metrics() {
-    counter_registry().lock().clear();
-    gauge_registry().lock().clear();
 }
 
 /// A wall-clock span. Construction stamps the clock (only when telemetry is
@@ -379,8 +326,8 @@ impl Sink for MemorySink {
 mod tests {
     use super::*;
 
-    // The sink slot and registries are process-global; tests that install
-    // sinks serialize on this lock so they cannot observe each other.
+    // The sink slot is process-global; tests that install sinks serialize
+    // on this lock so they cannot observe each other.
     fn global_guard() -> parking_lot::MutexGuard<'static, ()> {
         static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
         GUARD.get_or_init(|| Mutex::new(())).lock()
@@ -407,37 +354,6 @@ mod tests {
         assert_eq!(events[0].name, "a");
         assert_eq!(events[1].field_f64("x"), Some(2.5));
         assert_eq!(events[1].field("ok"), Some(&Value::Bool(true)));
-    }
-
-    #[test]
-    fn counters_saturate_and_snapshot_sorted() {
-        let _g = global_guard();
-        let sink = Arc::new(MemorySink::new());
-        set_sink(Some(sink));
-        reset_metrics();
-        counter_add("z_last", 2);
-        counter_add("a_first", u64::MAX - 1);
-        counter_add("a_first", 5);
-        assert_eq!(counter_get("a_first"), u64::MAX, "saturates instead of wrapping");
-        let snap = counters_snapshot();
-        assert_eq!(snap[0].0, "a_first");
-        assert_eq!(snap[1], ("z_last", 2));
-        reset_metrics();
-        set_sink(None);
-    }
-
-    #[test]
-    fn gauges_hold_last_value() {
-        let _g = global_guard();
-        let sink = Arc::new(MemorySink::new());
-        set_sink(Some(sink));
-        reset_metrics();
-        gauge_set("rho", 1.0);
-        gauge_set("rho", 0.25);
-        assert_eq!(gauge_get("rho"), Some(0.25));
-        assert_eq!(gauge_get("missing"), None);
-        reset_metrics();
-        set_sink(None);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! * [`exec`] — deterministic fork-join runtime: the scoped thread pool the
 //!   solver hot paths fan out on (`PLOS_THREADS` override, bit-identical
 //!   results across pool sizes).
-//! * [`obs`] — zero-dependency telemetry: spans, counters, gauges, and
-//!   per-iteration solver trace events, streamed as JSONL when
+//! * [`obs`] — zero-dependency telemetry: spans and per-iteration
+//!   solver trace events, streamed as JSONL when
 //!   `PLOS_TRACE=<path>` is set and free (one atomic load) when not.
 //! * [`opt`] — optimization substrate: the capped-simplex dual QP solver
 //!   and objective-history bookkeeping.

@@ -1,6 +1,6 @@
 //! Cross-crate integration: the `plos-obs` telemetry layer against the real
-//! solvers — schema round-trips, counter monotonicity under the fork-join
-//! pool, residual-event fidelity, and the no-perturbation guarantee.
+//! solvers — schema round-trips, residual-event fidelity, and the
+//! no-perturbation guarantee.
 
 // Tests assert by panicking; the panic-free gate applies to library code
 // only (see [workspace.lints] in the root Cargo.toml).
@@ -173,25 +173,6 @@ fn killed_consensus_run_resumes_from_its_first_cccp_boundary() {
 }
 
 #[test]
-fn counters_stay_monotonic_under_the_pool() {
-    let _g = sink_guard();
-    obs::set_sink(Some(Arc::new(MemorySink::new())));
-    obs::reset_metrics();
-    // Hammer one counter from the fork-join pool: with relaxed-atomic or
-    // lost-update bugs the total would come up short.
-    let items: Vec<u64> = (0..64).collect();
-    let pool = plos::exec::Pool::current();
-    let _ = pool.par_map(&items, |_, _| {
-        for _ in 0..100 {
-            obs::counter_add("test.concurrent_increments", 1);
-        }
-    });
-    assert_eq!(obs::counter_get("test.concurrent_increments"), 6400);
-    obs::reset_metrics();
-    obs::set_sink(None);
-}
-
-#[test]
 fn distributed_residual_events_match_the_report() {
     let _g = sink_guard();
     let sink = Arc::new(MemorySink::new());
@@ -219,7 +200,6 @@ fn async_events_match_the_report() {
     let _g = sink_guard();
     let sink = Arc::new(MemorySink::new());
     obs::set_sink(Some(sink.clone()));
-    obs::reset_metrics();
     // A tight staleness bound under low availability forces server-side
     // discards, so every event family of the async server fires.
     let trainer = AsyncDistributedPlos::try_new(
@@ -228,16 +208,12 @@ fn async_events_match_the_report() {
     )
     .unwrap();
     let result = trainer.fit(&cohort(21));
-    let rounds_counter = obs::counter_get("async.admm_rounds");
-    let discards_counter = obs::counter_get("async.stale_discards");
-    obs::reset_metrics();
     obs::set_sink(None);
     let (_, report) = result.unwrap();
 
     let events = sink.take();
     let rounds: Vec<_> = events.iter().filter(|e| e.name == "async_round").collect();
     assert_eq!(rounds.len(), report.admm_iterations, "one async_round event per applied ADMM pass");
-    assert_eq!(rounds_counter, report.admm_iterations as u64);
     for event in &rounds {
         assert!(event.field_f64("primal_residual").unwrap().is_finite());
         assert!(event.field_f64("dual_residual").unwrap().is_finite());
@@ -252,7 +228,6 @@ fn async_events_match_the_report() {
         report.stale_discards,
         "one stale_discard event per discarded update"
     );
-    assert_eq!(discards_counter, report.stale_discards);
     assert!(report.stale_discards > 0, "the discard path must actually have fired");
     for event in &discards {
         let epoch = event.field_u64("epoch").unwrap();
