@@ -111,8 +111,8 @@ PLOS_THREADS=8 ./target/release/trace_parity > "$trace_tmp/threads8.txt"
 diff "$trace_tmp/threads1.txt" "$trace_tmp/threads8.txt"
 
 # SIMD parity: forcing the scalar kernel bodies must not change a single
-# bit of any trained model versus the dispatched (SSE2/AVX2 where the
-# host has them) run recorded above in dark.txt.
+# bit of any trained model versus the dispatched (AVX2 where the host has
+# it) run recorded above in dark.txt.
 echo "==> SIMD parity (PLOS_NO_SIMD=1 vs dispatched, bit-identical models)"
 PLOS_NO_SIMD=1 ./target/release/trace_parity > "$trace_tmp/nosimd.txt"
 diff "$trace_tmp/dark.txt" "$trace_tmp/nosimd.txt"
@@ -120,10 +120,12 @@ diff "$trace_tmp/dark.txt" "$trace_tmp/nosimd.txt"
 # Benchmark ledger: a standalone package that imports the trainers' public
 # API (reports, topology, checkpoint policy, wire messages). Building and
 # unit-testing it here makes an API change that breaks the benchmark fail
-# CI instead of the next benchmark run.
-echo "==> benchmark ledger (build + unit tests)"
-cargo build -q --release --manifest-path ledger/Cargo.toml
-cargo test -q --manifest-path ledger/Cargo.toml
+# CI instead of the next benchmark run. `--locked` keeps its frozen
+# `ledger/Cargo.lock`: a change to any library crate's dependency list fails
+# here instead of silently rewriting the benchmark's lock file.
+echo "==> benchmark ledger (build + unit tests, --locked)"
+cargo build -q --release --locked --manifest-path ledger/Cargo.toml
+cargo test -q --locked --manifest-path ledger/Cargo.toml
 
 # Benchmark correctness: one shortest measured run per workload (two passes
 # over the six-cohort panel, ~1 min for all four). The ledger exits non-zero

@@ -158,7 +158,7 @@ fn bench_growth(c: &mut Criterion) {
     group.finish();
 }
 
-/// Dispatched kernels (SSE2/AVX2 where the host has them) against the
+/// Dispatched kernels (AVX2 where the host has it) against the
 /// scalar four-accumulator bodies they must bit-match. The interesting
 /// number is the ratio, not the absolute time.
 fn bench_kernels(c: &mut Criterion) {

@@ -112,13 +112,13 @@ pub struct AccuracyRow {
 ///
 /// # Errors
 ///
-/// Propagates the first training failure of any trial.
+/// Propagates the first training failure of any trial, and returns
+/// [`CoreError::EmptyDataset`] when `trials` is 0.
 pub fn averaged_comparison(
     trials: usize,
     config: &EvalConfig,
     mut make_dataset: impl FnMut(usize) -> MultiUserDataset,
 ) -> Result<MethodScores, CoreError> {
-    assert!(trials > 0, "at least one trial required");
     let mut acc: Option<MethodScores> = None;
     for trial in 0..trials {
         let dataset = make_dataset(trial);
@@ -128,7 +128,6 @@ pub fn averaged_comparison(
             Some(prev) => merge_scores(prev, scores),
         });
     }
-    // `trials > 0` is asserted above, so at least one trial ran.
     let mut total = acc.ok_or(CoreError::EmptyDataset)?;
     scale_scores(&mut total, 1.0 / trials as f64);
     Ok(total)

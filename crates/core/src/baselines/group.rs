@@ -139,6 +139,11 @@ impl GroupBaseline {
 
     /// Predictions for every user's full sample set, using that user's group
     /// classifier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dataset` does not have as many users as the model was
+    /// trained on.
     // Allowed: `assignment` entries are produced by spectral clustering with
     // `num_groups` clusters and `models` has exactly `num_groups` entries, so
     // `self.models[g]` is in bounds by construction.

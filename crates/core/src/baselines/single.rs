@@ -92,6 +92,11 @@ impl SingleBaseline {
     }
 
     /// Predictions for every user's full sample set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dataset` does not have as many users as the model was
+    /// trained on.
     pub fn predict_all(&self, dataset: &MultiUserDataset) -> Vec<UserPredictions> {
         assert_eq!(dataset.num_users(), self.models.len(), "dataset/model user mismatch");
         dataset

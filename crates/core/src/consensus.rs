@@ -561,7 +561,9 @@ struct Answer {
 /// * A `Broadcast` or `Refine` whose vectors are not the model dimension is
 ///   dropped: it runs no solve and caches nothing, so the server's re-send
 ///   of the round gets a fresh solve, and a device that only ever sees
-///   such frames is struck out like a silent one.
+///   such frames is struck out like a silent one. A `Restore` of the wrong
+///   dimension is dropped the same way: no ack, and the solver keeps its
+///   anchor.
 struct Device {
     t: usize,
     user: u32,
@@ -715,12 +717,16 @@ impl DeviceMachine for Device {
             }
             // Checkpoint resume: adopt the server's recorded CCCP anchor and
             // cohort size, then ack so the server knows this device is
-            // repositioned. The ack carries empty vectors — it is a liveness
-            // signal, not an update — and is not cached: under S > 0 a
-            // device busy in the next round answers from its cache, and an
-            // empty ack must never stand in for a solution.
+            // repositioned. An anchor of the wrong dimension is dropped
+            // unacked, so the server's ack gather sees silence and re-sends.
+            // The ack carries empty vectors — it is a liveness signal, not
+            // an update — and is not cached: under S > 0 a device busy in
+            // the next round answers from its cache, and an empty ack must
+            // never stand in for a solution.
             Message::Restore { round, t_count, w_t } => {
-                self.solver.restore(w_t, t_count as usize);
+                if self.solver.restore(w_t, t_count as usize).is_err() {
+                    return DeviceStep::NeedRecv;
+                }
                 self.answer = None;
                 DeviceStep::Send(Message::ClientUpdate {
                     round,
@@ -836,8 +842,10 @@ impl Cohort {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::Fleet;
     use plos_sensing::dataset::LabelMask;
     use plos_sensing::synthetic::{generate_synthetic, SyntheticSpec};
+    use rand::rngs::StdRng;
 
     /// Device 0 of a small cohort, built with `spec`, and the model dimension.
     fn device(spec: Option<AsyncSpec>) -> (Device, usize) {
@@ -938,6 +946,19 @@ mod tests {
             "{reply:?}"
         );
         assert_eq!(dev.fresh, 1);
+
+        // A short anchor is dropped unacked and changes nothing; the good
+        // `Restore` is acked with an empty update.
+        let short = Message::Restore { round: 2, t_count: 2, w_t: Vector::zeros(dim - 1) };
+        assert!(matches!(dev.on_message(short), DeviceStep::NeedRecv));
+        assert_eq!(dev.solver.cohort_size(), 3, "a dropped restore changes nothing");
+        let good = Message::Restore { round: 2, t_count: 2, w_t: Vector::zeros(dim) };
+        let ack = sent(dev.on_message(good));
+        assert!(
+            matches!(&ack, Message::ClientUpdate { round: 2, w_t, .. } if w_t.is_empty()),
+            "{ack:?}"
+        );
+        assert_eq!(dev.solver.cohort_size(), 2);
     }
 
     #[test]
@@ -958,5 +979,154 @@ mod tests {
             "{reply:?}"
         );
         assert_eq!(dev.fresh, 1);
+    }
+
+    /// One random valid message of each of the twelve wire tags: rounds,
+    /// users and counts below 4, vectors 0, `dim − 1`, `dim` or `dim + 1`
+    /// long.
+    fn random_messages(rng: &mut StdRng, dim: usize) -> Vec<Message> {
+        fn vector(rng: &mut StdRng, dim: usize) -> Vector {
+            let len = [0, dim - 1, dim, dim + 1][rng.gen_range(0..4usize)];
+            (0..len).map(|_| rng.gen_range(-2.0..2.0)).collect()
+        }
+        fn sum(rng: &mut StdRng) -> Box<ExactSum> {
+            let mut s = ExactSum::new();
+            s.add(rng.gen_range(-2.0..2.0));
+            Box::new(s)
+        }
+        let small = |rng: &mut StdRng| rng.gen_range(0..4u32);
+        let w = vector(rng, dim);
+        let mut sum_w = ExactVecSum::zeros(w.len());
+        sum_w.add(&w);
+        vec![
+            Message::Broadcast { round: small(rng), w0: vector(rng, dim), u_t: vector(rng, dim) },
+            Message::ClientUpdate {
+                round: small(rng),
+                user: small(rng),
+                w_t: vector(rng, dim),
+                v_t: vector(rng, dim),
+                xi_t: 0.5,
+            },
+            Message::CccpAdvance { cccp_round: small(rng) },
+            Message::Shutdown,
+            Message::Refine { round: small(rng), w0: vector(rng, dim) },
+            Message::RosterUpdate { t_count: small(rng) },
+            Message::Restore { round: small(rng), t_count: small(rng), w_t: vector(rng, dim) },
+            Message::AsyncUpdate {
+                epoch: small(rng),
+                basis: small(rng),
+                user: small(rng),
+                w_t: vector(rng, dim),
+                v_t: vector(rng, dim),
+                xi_t: -0.5,
+            },
+            Message::ShardBroadcast { round: small(rng), phase: 1, w0: vector(rng, dim) },
+            Message::PartialSum { shard: 0, round: small(rng), n: 3, m: 2, sum_w },
+            Message::ShardCommit { round: small(rng), phase: 2, w0: vector(rng, dim) },
+            Message::ShardResidual {
+                shard: 0,
+                round: small(rng),
+                a: sum(rng),
+                b: sum(rng),
+                c: sum(rng),
+            },
+        ]
+    }
+
+    /// Every single-bit flip and every prefix of `frame`, `frame` with a
+    /// trailing byte, and random bodies behind its version and tag bytes.
+    fn mutants(frame: &[u8], rng: &mut StdRng) -> Vec<Vec<u8>> {
+        let mut out: Vec<Vec<u8>> = (0..frame.len() * 8)
+            .map(|bit| {
+                let mut flipped = frame.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                flipped
+            })
+            .collect();
+        out.extend((0..frame.len()).map(|cut| frame[..cut].to_vec()));
+        out.push([frame, &[0]].concat());
+        for _ in 0..50 {
+            let len = rng.gen_range(0..=2 * frame.len());
+            out.push(
+                frame[..2]
+                    .iter()
+                    .copied()
+                    .chain((0..len).map(|_| rng.gen_range(0..=u8::MAX)))
+                    .collect(),
+            );
+        }
+        out
+    }
+
+    /// Sends `message` to a one-device fleet through the device's client
+    /// endpoint and runs one reply sweep owing the message's round. The
+    /// sweep must either accept the message or count it; returns whether
+    /// it was accepted, after checking that an accepted reply is device 0's
+    /// with vectors `dim` long.
+    fn swept(fleet: &mut Fleet<'_>, client: &Endpoint, message: &Message, dim: usize) -> bool {
+        let (round, user, lens) = match message {
+            Message::ClientUpdate { round, user, w_t, v_t, .. } => {
+                (*round, *user, (w_t.len(), v_t.len()))
+            }
+            Message::AsyncUpdate { epoch, user, w_t, v_t, .. } => {
+                (*epoch, *user, (w_t.len(), v_t.len()))
+            }
+            _ => (0, 0, (0, 0)),
+        };
+        let counted = |fleet: &Fleet<'_>| {
+            let tally = &fleet.tally;
+            tally.protocol_errors + tally.late_discards + tally.stale_discards
+        };
+        let before = counted(fleet);
+        let mut accepted = Vec::new();
+        client.send(message).unwrap();
+        fleet.sweep(&mut [Some(round)], round, u32::MAX, dim, &mut accepted);
+        let outcome = (accepted.len(), counted(fleet) - before);
+        let valid = matches!(message, Message::ClientUpdate { .. } | Message::AsyncUpdate { .. })
+            && user == 0
+            && lens == (dim, dim);
+        assert_eq!(outcome, if valid { (1, 0) } else { (0, 1) }, "{message:?}");
+        valid
+    }
+
+    /// Every mutant of a random valid frame that still decodes reaches a
+    /// live device and, through a client endpoint, the reply sweep, and so
+    /// does every device reply. Nothing panics; the device replies only
+    /// with vectors of the model dimension or with the empty ack of a
+    /// `Restore` of the model dimension; the sweep accepts only device 0's
+    /// replies of the model dimension and counts every other frame.
+    #[test]
+    fn decoded_mutants_reach_the_device_and_the_sweep_without_a_panic() {
+        let mut rng = StdRng::seed_from_u64(0xf422);
+        let (mut dev, dim) = device(None);
+        let net = try_star(1).unwrap();
+        let mut fleet = Fleet::new(FaultPlan::none().wrap_links(&net.server));
+        let client = &net.clients[0];
+        let (mut decoded, mut acks, mut accepted) = (0usize, 0usize, 0usize);
+        for _ in 0..4 {
+            for message in random_messages(&mut rng, dim) {
+                for mutant in mutants(&message.encode(), &mut rng) {
+                    let Ok(message) = Message::decode(mutant.into()) else { continue };
+                    decoded += 1;
+                    accepted += usize::from(swept(&mut fleet, client, &message, dim));
+                    let restore_of_dim =
+                        matches!(&message, Message::Restore { w_t, .. } if w_t.len() == dim);
+                    let DeviceStep::Send(reply) = dev.on_message(message.clone()) else {
+                        continue;
+                    };
+                    let lens = match &reply {
+                        Message::ClientUpdate { w_t, v_t, .. }
+                        | Message::AsyncUpdate { w_t, v_t, .. } => (w_t.len(), v_t.len()),
+                        other => panic!("the device sent {other:?}"),
+                    };
+                    let ack = lens == (0, 0) && restore_of_dim;
+                    assert!(lens == (dim, dim) || ack, "{message:?} drew {reply:?}");
+                    acks += usize::from(ack);
+                    accepted += usize::from(swept(&mut fleet, client, &reply, dim));
+                }
+            }
+        }
+        assert!(decoded > 5_000, "only {decoded} mutants decoded");
+        assert!(accepted > 0 && acks > 0, "{accepted} accepted, {acks} acks");
     }
 }

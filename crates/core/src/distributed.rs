@@ -865,9 +865,9 @@ impl DistributedPlos {
     }
 
     /// Trains under injected network faults: `plan` seeds per-link drop,
-    /// delay, duplication, reordering, corruption and permanent-death
-    /// processes, while the trainer's [`FaultTolerance`] policy keeps the
-    /// protocol alive around them.
+    /// delay, corruption, straggler and permanent-death processes, while the
+    /// trainer's [`FaultTolerance`] policy keeps the protocol alive around
+    /// them.
     ///
     /// # Errors
     ///

@@ -134,76 +134,6 @@ pub fn compare_methods(
     Ok(MethodScores { plos, all, group, single })
 }
 
-/// Leave-one-provider-out cross-validation for `λ` (the paper selects
-/// parameters "based on the accuracy reported by leave-one-out
-/// cross-validation", Sec. VI-A).
-///
-/// Each fold hides one provider's labels entirely and measures how well the
-/// model trained with candidate `λ` classifies that user — exactly the
-/// situation PLOS is built for (a user the system has no labels for). The
-/// candidate with the best mean held-out accuracy wins; ties keep the
-/// earlier candidate. `max_folds` caps the number of held-out providers per
-/// candidate to bound cost.
-///
-/// # Errors
-///
-/// Propagates the first training failure among the fold models.
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty or the dataset has no providers.
-pub fn select_lambda(
-    dataset: &MultiUserDataset,
-    candidates: &[f64],
-    base: &PlosConfig,
-    max_folds: usize,
-) -> Result<f64, CoreError> {
-    let _span = plos_obs::Span::enter("select_lambda");
-    assert!(!candidates.is_empty(), "need at least one lambda candidate");
-    let providers = dataset.providers();
-    assert!(!providers.is_empty(), "cross-validation needs at least one provider");
-    let folds: Vec<usize> = providers.into_iter().take(max_folds.max(1)).collect();
-
-    // The grid-search closure cannot propagate errors; park the first
-    // failure here (scoring the candidate -inf so it is never selected) and
-    // surface it after the search.
-    let mut fit_err: Option<CoreError> = None;
-    let (best, _) = plos_ml::crossval::grid_search(candidates, |&lambda| {
-        if fit_err.is_some() {
-            return f64::NEG_INFINITY;
-        }
-        let config = base.clone().with_lambda(lambda);
-        let mut score_sum = 0.0;
-        for &held_out in &folds {
-            // Hide the held-out provider's labels.
-            let mut users = dataset.users().to_vec();
-            if let Some(u) = users.get_mut(held_out) {
-                u.observed.iter_mut().for_each(|l| *l = None);
-            }
-            let fold_data = MultiUserDataset::new(users);
-            let model = match CentralizedPlos::try_new(config.clone())
-                .and_then(|trainer| trainer.fit(&fold_data))
-            {
-                Ok(m) => m,
-                Err(e) => {
-                    fit_err = Some(e);
-                    return f64::NEG_INFINITY;
-                }
-            };
-            let user = fold_data.user(held_out);
-            let preds = model.predict_batch(held_out, &user.features);
-            let correct = preds.iter().zip(&user.truth).filter(|(p, y)| p == y).count();
-            // plos-lint: allow(D3): per-fold scores accumulate in fixed fold order across sequential fits, not over a slice
-            score_sum += correct as f64 / user.num_samples() as f64;
-        }
-        score_sum / folds.len() as f64
-    });
-    match fit_err {
-        Some(e) => Err(e),
-        None => Ok(best),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,27 +191,6 @@ mod tests {
         // baseline on this mild-rotation cohort.
         let plos_overall = scores.plos.overall(2, 2);
         assert!(plos_overall > 0.75, "PLOS overall {plos_overall}");
-    }
-
-    #[test]
-    fn lambda_selection_returns_a_candidate_deterministically() {
-        let spec =
-            SyntheticSpec { num_users: 3, points_per_class: 15, max_rotation: 0.3, flip_prob: 0.0 };
-        let d = generate_synthetic(&spec, 4).mask_labels(&LabelMask::providers(2, 0.3), 0);
-        let candidates = [1.0, 50.0];
-        let cfg = PlosConfig::fast();
-        let a = select_lambda(&d, &candidates, &cfg, 2).unwrap();
-        let b = select_lambda(&d, &candidates, &cfg, 2).unwrap();
-        assert_eq!(a, b, "CV must be deterministic");
-        assert!(candidates.contains(&a));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one lambda candidate")]
-    fn lambda_selection_rejects_empty_grid() {
-        let spec = SyntheticSpec { num_users: 2, points_per_class: 5, ..Default::default() };
-        let d = generate_synthetic(&spec, 0).mask_labels(&LabelMask::providers(1, 0.5), 0);
-        let _ = select_lambda(&d, &[], &PlosConfig::fast(), 1);
     }
 
     #[test]

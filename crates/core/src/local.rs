@@ -92,14 +92,18 @@ impl LocalSolver {
     /// from the anchor — exactly the state a device is in right after
     /// [`LocalSolver::advance_cccp`], so the CCCP round a boundary snapshot
     /// resumes into runs bit for bit as it would have uninterrupted.
-    pub fn restore(&mut self, w_t: Vector, t_count: usize) {
-        let dim = self.user.features.first().map_or(0, Vector::len);
-        if w_t.len() == dim {
-            self.w_t = w_t;
-        }
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Protocol`] when `w_t` is not the data's dimension; the
+    /// solver is left unchanged.
+    pub fn restore(&mut self, w_t: Vector, t_count: usize) -> Result<(), CoreError> {
+        self.check_dim("w_t", &w_t)?;
+        self.w_t = w_t;
         self.signs = None;
         self.working_set.clear();
         self.set_cohort_size(t_count);
+        Ok(())
     }
 
     /// Rescales the cohort size `T` after the server evicted dead devices
@@ -376,7 +380,7 @@ mod tests {
         // Killed device: a fresh process restored from the round-2 anchor
         // at the CCCP boundary receives round 2's broadcasts.
         let mut resumed = LocalSolver::new(labeled_user(), config(), 3);
-        resumed.restore(anchor, 3);
+        resumed.restore(anchor, 3).unwrap();
         let _ = resumed.solve(&w0_2, &u).unwrap();
         let replayed = resumed.solve(&w0_3, &u).unwrap();
 
@@ -387,14 +391,14 @@ mod tests {
     }
 
     #[test]
-    fn restore_ignores_mismatched_dimension_and_zero_cohort() {
+    fn restore_ignores_a_zero_cohort() {
         let mut solver = LocalSolver::new(labeled_user(), config(), 4);
         let _ = solver.solve(&Vector::zeros(2), &Vector::zeros(2)).unwrap();
-        let kept = solver.w_t.clone();
-        solver.restore(Vector::zeros(5), 0);
-        assert_eq!(solver.w_t, kept, "mismatched anchor must be ignored");
+        let anchor = Vector::from(vec![0.3, -0.2]);
+        solver.restore(anchor.clone(), 0).unwrap();
+        assert_eq!(solver.w_t, anchor);
         assert_eq!(solver.cohort_size(), 4, "zero roster must be ignored");
-        assert_eq!(solver.working_set_len(), 0, "working set is always cleared");
+        assert_eq!(solver.working_set_len(), 0, "the working set is cleared");
     }
 
     #[test]
@@ -407,5 +411,14 @@ mod tests {
         assert!(protocol(solver.refine(&Vector::zeros(5), 7)));
         assert_eq!(solver.working_set_len(), 0, "a rejected call changes nothing");
         assert!(solver.solve(&Vector::zeros(2), &Vector::zeros(2)).is_ok());
+
+        // A rejected restore keeps the anchor, the working set and the cohort.
+        let (w_t, working_set) = (solver.w_t.clone(), solver.working_set_len());
+        assert!(working_set > 0);
+        let restore = solver.restore(Vector::zeros(3), 5);
+        assert!(matches!(restore, Err(CoreError::Protocol { .. })), "{restore:?}");
+        assert_eq!(solver.w_t, w_t);
+        assert_eq!(solver.working_set_len(), working_set);
+        assert_eq!(solver.cohort_size(), 2);
     }
 }

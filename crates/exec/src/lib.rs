@@ -130,11 +130,6 @@ impl Pool {
         Pool { threads: threads.max(1) }
     }
 
-    /// The single-threaded pool: runs everything inline.
-    pub fn sequential() -> Self {
-        Pool { threads: 1 }
-    }
-
     /// The ambient pool: [`with_threads`] override, else `PLOS_THREADS`,
     /// else hardware parallelism (both read once per process).
     pub fn current() -> Self {
@@ -390,7 +385,6 @@ mod tests {
     #[test]
     fn sized_clamps_to_one() {
         assert_eq!(Pool::sized(0).threads(), 1);
-        assert_eq!(Pool::sequential().threads(), 1);
     }
 
     #[test]

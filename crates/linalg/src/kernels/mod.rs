@@ -4,21 +4,19 @@
 //! The QP coordinate-descent sweeps and the Gram-row construction in the
 //! dual solver spend nearly all their time in `dot` and `axpy` over dense
 //! `f64` slices. Each kernel has a scalar body using four independent
-//! accumulators / four-way-unrolled loops, plus explicit SSE2/AVX2
-//! variants (in the `x86` submodule) selected once per process by runtime
-//! feature detection.
+//! accumulators / four-way-unrolled loops, plus an explicit AVX2 variant
+//! (in the `x86` submodule) selected once per process by runtime feature
+//! detection. A host without AVX2 runs the scalar bodies.
 //!
 //! # Bit-parity contract
 //!
-//! Every code path — scalar, SSE2, AVX2 — produces **bit-identical**
-//! results:
+//! Both code paths — scalar and AVX2 — produce **bit-identical** results:
 //!
 //! * Reductions use the same fixed partition: lane accumulator `k` sums the
 //!   elements at positions `≡ k (mod 4)`, lanes combine as
 //!   `(acc0 + acc1) + (acc2 + acc3)`, and the non-multiple-of-4 tail is
 //!   folded sequentially on top. A 256-bit register holds exactly the four
-//!   scalar accumulators, so the partition matches by construction; the
-//!   SSE2 variant splits them across two 128-bit registers the same way.
+//!   scalar accumulators, so the partition matches by construction.
 //! * Elementwise updates (`axpy`, `axpy2`) perform one `mul` and one `add`
 //!   per element, individually rounded, in the same order at every width.
 //!   FMA is never used: a fused multiply-add rounds once where `mul`+`add`
@@ -38,13 +36,11 @@ mod x86;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Dispatch levels cached by [`simd_level`]. Scalar is the universal
-/// fallback; on x86-64, SSE2 is baseline and AVX2 is runtime-detected.
+/// fallback; on x86-64, AVX2 is runtime-detected.
 const LEVEL_UNKNOWN: u8 = 0;
 const LEVEL_SCALAR: u8 = 1;
 #[cfg(target_arch = "x86_64")]
-const LEVEL_SSE2: u8 = 2;
-#[cfg(target_arch = "x86_64")]
-const LEVEL_AVX2: u8 = 3;
+const LEVEL_AVX2: u8 = 2;
 
 /// The SIMD level all kernels dispatch on, detected once per process.
 fn simd_level() -> u8 {
@@ -67,12 +63,9 @@ fn detect_level() -> u8 {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            LEVEL_AVX2
-        } else {
-            LEVEL_SSE2
+            return LEVEL_AVX2;
         }
     }
-    #[cfg(not(target_arch = "x86_64"))]
     LEVEL_SCALAR
 }
 
@@ -91,12 +84,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
             // `simd_level`, and the kernel reads nothing outside the slices.
             // plos-lint: allow(U1): runtime-feature-detected SIMD dispatch.
             return unsafe { x86::dot_avx2(a, b) };
-        }
-        if level == LEVEL_SSE2 {
-            // Safety: SSE2 is unconditionally part of the x86-64 baseline,
-            // and the kernel reads nothing outside the slices.
-            // plos-lint: allow(U1): runtime-feature-detected SIMD dispatch.
-            return unsafe { x86::dot_sse2(a, b) };
         }
     }
     dot_scalar(a, b)
@@ -137,12 +124,6 @@ fn axpy_dispatch(y: &mut [f64], alpha: f64, x: &[f64]) {
             // plos-lint: allow(U1): runtime-feature-detected SIMD dispatch.
             return unsafe { x86::axpy_avx2(y, alpha, x) };
         }
-        if level == LEVEL_SSE2 {
-            // Safety: SSE2 is unconditionally part of the x86-64 baseline,
-            // and the kernel writes nothing outside `y`.
-            // plos-lint: allow(U1): runtime-feature-detected SIMD dispatch.
-            return unsafe { x86::axpy_sse2(y, alpha, x) };
-        }
     }
     axpy_scalar(y, alpha, x)
 }
@@ -161,12 +142,6 @@ pub fn axpy_dot(y: &mut [f64], alpha: f64, x: &[f64]) -> f64 {
             // `simd_level`, and the kernel writes nothing outside `y`.
             // plos-lint: allow(U1): runtime-feature-detected SIMD dispatch.
             return unsafe { x86::axpy_dot_avx2(y, alpha, x) };
-        }
-        if level == LEVEL_SSE2 {
-            // Safety: SSE2 is unconditionally part of the x86-64 baseline,
-            // and the kernel writes nothing outside `y`.
-            // plos-lint: allow(U1): runtime-feature-detected SIMD dispatch.
-            return unsafe { x86::axpy_dot_sse2(y, alpha, x) };
         }
     }
     axpy_dot_scalar(y, alpha, x)
@@ -207,12 +182,6 @@ fn axpy2_dispatch(y: &mut [f64], a1: f64, x1: &[f64], a2: f64, x2: &[f64]) {
             // `simd_level`, and the kernel writes nothing outside `y`.
             // plos-lint: allow(U1): runtime-feature-detected SIMD dispatch.
             return unsafe { x86::axpy2_avx2(y, a1, x1, a2, x2) };
-        }
-        if level == LEVEL_SSE2 {
-            // Safety: SSE2 is unconditionally part of the x86-64 baseline,
-            // and the kernel writes nothing outside `y`.
-            // plos-lint: allow(U1): runtime-feature-detected SIMD dispatch.
-            return unsafe { x86::axpy2_sse2(y, a1, x1, a2, x2) };
         }
     }
     axpy2_scalar(y, a1, x1, a2, x2)

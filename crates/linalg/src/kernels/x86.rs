@@ -1,4 +1,4 @@
-//! Explicit SSE2/AVX2 kernel bodies for x86-64.
+//! Explicit AVX2 kernel bodies for x86-64.
 //!
 //! This is the **only** module in the workspace allowed to contain
 //! `unsafe` (lint rule U1): every function here is an intrinsics
@@ -11,7 +11,7 @@
 //! The host may well support FMA, but `_mm256_fmadd_pd` rounds once where
 //! the scalar bodies round twice (`mul` then `add`). Using it would break
 //! the bit-parity contract, so every kernel sticks to separate
-//! `_mm*_mul_pd` / `_mm*_add_pd` steps.
+//! `_mm256_mul_pd` / `_mm256_add_pd` steps.
 //!
 //! # Why the reductions keep one 4-lane accumulator
 //!
@@ -22,9 +22,8 @@
 //! `axpy2`) have no cross-element reduction, so they may unroll freely.
 
 use core::arch::x86_64::{
-    __m128d, __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd,
-    _mm256_setzero_pd, _mm256_storeu_pd, _mm_add_pd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd,
-    _mm_setzero_pd, _mm_storeu_pd,
+    __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
+    _mm256_storeu_pd,
 };
 
 /// Reduces a 256-bit accumulator exactly like the scalar 4-accumulator
@@ -41,24 +40,6 @@ unsafe fn combine4_avx2(acc: __m256d) -> f64 {
     let mut lanes = [0.0_f64; 4];
     _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-}
-
-/// Reduces the two 128-bit accumulators `(acc0, acc1)` and `(acc2, acc3)`
-/// exactly like the scalar combine.
-///
-/// # Safety
-///
-/// SSE2 is part of the x86-64 baseline; callers reach this through the
-/// dispatcher all the same.
-#[target_feature(enable = "sse2")]
-// plos-lint: allow(U1): baseline-SSE2 lane extraction; writes only to
-// local arrays.
-unsafe fn combine4_sse2(acc01: __m128d, acc23: __m128d) -> f64 {
-    let mut lo = [0.0_f64; 2];
-    let mut hi = [0.0_f64; 2];
-    _mm_storeu_pd(lo.as_mut_ptr(), acc01);
-    _mm_storeu_pd(hi.as_mut_ptr(), acc23);
-    (lo[0] + lo[1]) + (hi[0] + hi[1])
 }
 
 /// AVX2 [`super::dot`]: one 4-lane accumulator, scalar tail.
@@ -86,37 +67,6 @@ pub(super) unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
         tail += *pa.add(k) * *pb.add(k);
     }
     combine4_avx2(acc) + tail
-}
-
-/// SSE2 [`super::dot`]: two 2-lane accumulators covering the same
-/// index-mod-4 partition as the scalar body.
-///
-/// # Safety
-///
-/// SSE2 is part of the x86-64 baseline. All pointer arithmetic stays
-/// inside the common slice length.
-#[target_feature(enable = "sse2")]
-// plos-lint: allow(U1): baseline-SSE2 body; every access bounded by the
-// common slice length computed on entry.
-pub(super) unsafe fn dot_sse2(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let quads = n / 4;
-    let pa = a.as_ptr();
-    let pb = b.as_ptr();
-    let mut acc01 = _mm_setzero_pd();
-    let mut acc23 = _mm_setzero_pd();
-    for q in 0..quads {
-        let base = 4 * q;
-        let prod01 = _mm_mul_pd(_mm_loadu_pd(pa.add(base)), _mm_loadu_pd(pb.add(base)));
-        let prod23 = _mm_mul_pd(_mm_loadu_pd(pa.add(base + 2)), _mm_loadu_pd(pb.add(base + 2)));
-        acc01 = _mm_add_pd(acc01, prod01);
-        acc23 = _mm_add_pd(acc23, prod23);
-    }
-    let mut tail = 0.0_f64;
-    for k in (4 * quads)..n {
-        tail += *pa.add(k) * *pb.add(k);
-    }
-    combine4_sse2(acc01, acc23) + tail
 }
 
 /// AVX2 [`super::axpy`]: elementwise `mul`+`add`, unrolled two vectors
@@ -157,35 +107,6 @@ pub(super) unsafe fn axpy_avx2(y: &mut [f64], alpha: f64, x: &[f64]) {
     }
 }
 
-/// SSE2 [`super::axpy`].
-///
-/// # Safety
-///
-/// SSE2 is part of the x86-64 baseline. All pointer arithmetic stays
-/// inside the common slice length.
-#[target_feature(enable = "sse2")]
-// plos-lint: allow(U1): baseline-SSE2 body; every access bounded by the
-// common slice length computed on entry.
-pub(super) unsafe fn axpy_sse2(y: &mut [f64], alpha: f64, x: &[f64]) {
-    let n = y.len().min(x.len());
-    let py = y.as_mut_ptr();
-    let px = x.as_ptr();
-    let va = _mm_set1_pd(alpha);
-    let quads = n / 4;
-    for q in 0..quads {
-        let base = 4 * q;
-        let y0 = _mm_loadu_pd(py.add(base));
-        let y1 = _mm_loadu_pd(py.add(base + 2));
-        let x0 = _mm_loadu_pd(px.add(base));
-        let x1 = _mm_loadu_pd(px.add(base + 2));
-        _mm_storeu_pd(py.add(base), _mm_add_pd(y0, _mm_mul_pd(va, x0)));
-        _mm_storeu_pd(py.add(base + 2), _mm_add_pd(y1, _mm_mul_pd(va, x1)));
-    }
-    for k in (4 * quads)..n {
-        *py.add(k) += alpha * *px.add(k);
-    }
-}
-
 /// AVX2 [`super::axpy_dot`]: one 4-lane accumulator over the *updated* `y`
 /// values, matching the scalar fused body lane-for-lane.
 ///
@@ -217,43 +138,6 @@ pub(super) unsafe fn axpy_dot_avx2(y: &mut [f64], alpha: f64, x: &[f64]) -> f64 
         tail += *yk * *px.add(k);
     }
     combine4_avx2(acc) + tail
-}
-
-/// SSE2 [`super::axpy_dot`].
-///
-/// # Safety
-///
-/// SSE2 is part of the x86-64 baseline. All pointer arithmetic stays
-/// inside the common slice length.
-#[target_feature(enable = "sse2")]
-// plos-lint: allow(U1): baseline-SSE2 body; every access bounded by the
-// common slice length computed on entry.
-pub(super) unsafe fn axpy_dot_sse2(y: &mut [f64], alpha: f64, x: &[f64]) -> f64 {
-    let n = y.len().min(x.len());
-    let quads = n / 4;
-    let py = y.as_mut_ptr();
-    let px = x.as_ptr();
-    let va = _mm_set1_pd(alpha);
-    let mut acc01 = _mm_setzero_pd();
-    let mut acc23 = _mm_setzero_pd();
-    for q in 0..quads {
-        let base = 4 * q;
-        let x0 = _mm_loadu_pd(px.add(base));
-        let x1 = _mm_loadu_pd(px.add(base + 2));
-        let y0 = _mm_add_pd(_mm_loadu_pd(py.add(base)), _mm_mul_pd(va, x0));
-        let y1 = _mm_add_pd(_mm_loadu_pd(py.add(base + 2)), _mm_mul_pd(va, x1));
-        _mm_storeu_pd(py.add(base), y0);
-        _mm_storeu_pd(py.add(base + 2), y1);
-        acc01 = _mm_add_pd(acc01, _mm_mul_pd(y0, x0));
-        acc23 = _mm_add_pd(acc23, _mm_mul_pd(y1, x1));
-    }
-    let mut tail = 0.0_f64;
-    for k in (4 * quads)..n {
-        let yk = py.add(k);
-        *yk += alpha * *px.add(k);
-        tail += *yk * *px.add(k);
-    }
-    combine4_sse2(acc01, acc23) + tail
 }
 
 /// AVX2 [`super::axpy2`]: per element, `y += a1*x1` then `y += a2*x2`,
@@ -288,38 +172,6 @@ pub(super) unsafe fn axpy2_avx2(y: &mut [f64], a1: f64, x1: &[f64], a2: f64, x2:
     }
 }
 
-/// SSE2 [`super::axpy2`].
-///
-/// # Safety
-///
-/// SSE2 is part of the x86-64 baseline. All pointer arithmetic stays
-/// inside the common slice length.
-#[target_feature(enable = "sse2")]
-// plos-lint: allow(U1): baseline-SSE2 body; every access bounded by the
-// common slice length computed on entry.
-pub(super) unsafe fn axpy2_sse2(y: &mut [f64], a1: f64, x1: &[f64], a2: f64, x2: &[f64]) {
-    let n = y.len().min(x1.len()).min(x2.len());
-    let py = y.as_mut_ptr();
-    let p1 = x1.as_ptr();
-    let p2 = x2.as_ptr();
-    let va1 = _mm_set1_pd(a1);
-    let va2 = _mm_set1_pd(a2);
-    let pairs = n / 2;
-    for p in 0..pairs {
-        let base = 2 * p;
-        let mut vy = _mm_loadu_pd(py.add(base));
-        vy = _mm_add_pd(vy, _mm_mul_pd(va1, _mm_loadu_pd(p1.add(base))));
-        vy = _mm_add_pd(vy, _mm_mul_pd(va2, _mm_loadu_pd(p2.add(base))));
-        _mm_storeu_pd(py.add(base), vy);
-    }
-    if n % 2 == 1 {
-        let k = n - 1;
-        let yk = py.add(k);
-        *yk += a1 * *p1.add(k);
-        *yk += a2 * *p2.add(k);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     //! Direct SIMD-vs-scalar bit-parity on this host (when it has the
@@ -339,64 +191,35 @@ mod tests {
 
     #[test]
     fn every_simd_body_bit_matches_scalar_on_this_host() {
-        let have_avx2 = std::arch::is_x86_feature_detected!("avx2");
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
         for n in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33, 63, 64, 65, 130, 257] {
             let a = lcg_data(n, 21);
             let b = lcg_data(n, 22);
-            // Safety: sse2 is baseline; avx2 guarded by the probe above.
+            // Safety: avx2 guarded by the probe above.
             // plos-lint: allow(U1): test-only direct kernel invocation
             // behind an explicit feature probe.
             unsafe {
-                assert_eq!(dot_sse2(&a, &b).to_bits(), dot_scalar(&a, &b).to_bits(), "sse2 n={n}");
-                if have_avx2 {
-                    assert_eq!(
-                        dot_avx2(&a, &b).to_bits(),
-                        dot_scalar(&a, &b).to_bits(),
-                        "avx2 n={n}"
-                    );
-                }
+                assert_eq!(dot_avx2(&a, &b).to_bits(), dot_scalar(&a, &b).to_bits(), "dot n={n}");
 
-                let reference = {
-                    let mut y = lcg_data(n, 23);
-                    axpy_scalar(&mut y, 0.37, &a);
-                    y
-                };
+                let mut want = lcg_data(n, 23);
+                axpy_scalar(&mut want, 0.37, &a);
                 let mut y = lcg_data(n, 23);
-                axpy_sse2(&mut y, 0.37, &a);
-                assert_eq!(y, reference, "axpy sse2 n={n}");
-                if have_avx2 {
-                    let mut y = lcg_data(n, 23);
-                    axpy_avx2(&mut y, 0.37, &a);
-                    assert_eq!(y, reference, "axpy avx2 n={n}");
-                }
+                axpy_avx2(&mut y, 0.37, &a);
+                assert_eq!(y, want, "axpy n={n}");
 
-                let (ref_y, ref_d) = {
-                    let mut y = lcg_data(n, 24);
-                    let d = axpy_dot_scalar(&mut y, -1.1, &b);
-                    (y, d)
-                };
+                let mut want = lcg_data(n, 24);
+                let want_d = axpy_dot_scalar(&mut want, -1.1, &b);
                 let mut y = lcg_data(n, 24);
-                let d = axpy_dot_sse2(&mut y, -1.1, &b);
-                assert_eq!((y, d.to_bits()), (ref_y.clone(), ref_d.to_bits()), "axpy_dot sse2");
-                if have_avx2 {
-                    let mut y = lcg_data(n, 24);
-                    let d = axpy_dot_avx2(&mut y, -1.1, &b);
-                    assert_eq!((y, d.to_bits()), (ref_y, ref_d.to_bits()), "axpy_dot avx2");
-                }
+                let d = axpy_dot_avx2(&mut y, -1.1, &b);
+                assert_eq!((y, d.to_bits()), (want, want_d.to_bits()), "axpy_dot n={n}");
 
-                let ref2 = {
-                    let mut y = lcg_data(n, 25);
-                    axpy2_scalar(&mut y, 0.8, &a, -0.2, &b);
-                    y
-                };
+                let mut want = lcg_data(n, 25);
+                axpy2_scalar(&mut want, 0.8, &a, -0.2, &b);
                 let mut y = lcg_data(n, 25);
-                axpy2_sse2(&mut y, 0.8, &a, -0.2, &b);
-                assert_eq!(y, ref2, "axpy2 sse2 n={n}");
-                if have_avx2 {
-                    let mut y = lcg_data(n, 25);
-                    axpy2_avx2(&mut y, 0.8, &a, -0.2, &b);
-                    assert_eq!(y, ref2, "axpy2 avx2 n={n}");
-                }
+                axpy2_avx2(&mut y, 0.8, &a, -0.2, &b);
+                assert_eq!(y, want, "axpy2 n={n}");
             }
         }
     }

@@ -192,43 +192,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// In-place symmetric rank-1 update `self += alpha · x xᵀ`.
-    ///
-    /// Computes the upper triangle only and mirrors it into the lower
-    /// triangle, halving the flops and memory traffic relative to the dense
-    /// outer-product loop. `self` must already be symmetric (e.g. a Gram
-    /// matrix) — the lower triangle is overwritten with the mirrored upper
-    /// triangle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the matrix is not
-    /// square or `x.len() != nrows()`.
-    pub fn sym_rank1_update(&mut self, alpha: f64, x: &Vector) -> Result<(), LinalgError> {
-        if !self.is_square() || x.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "sym_rank1_update",
-                expected: self.rows,
-                actual: x.len(),
-            });
-        }
-        let n = self.rows;
-        for i in 0..n {
-            let step = alpha * x[i];
-            // Row i, columns i..n: self[i, i..] += (alpha * x[i]) * x[i..].
-            let row_tail = self.row_mut(i).iter_mut().skip(i);
-            for (dst, xj) in row_tail.zip(x.iter().skip(i)) {
-                *dst += step * xj;
-            }
-        }
-        for i in 1..n {
-            for j in 0..i {
-                self[(i, j)] = self[(j, i)];
-            }
-        }
-        Ok(())
-    }
-
     /// Transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -280,16 +243,6 @@ impl Matrix {
         for i in 0..self.rows {
             self[(i, i)] += alpha;
         }
-    }
-
-    /// Quadratic form `xᵀ · self · x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != nrows()` or the matrix is not square.
-    pub fn quadratic_form(&self, x: &Vector) -> f64 {
-        assert!(self.is_square(), "quadratic_form requires a square matrix");
-        x.dot(&self.matvec(x))
     }
 
     /// Flat row-major view of the storage.
@@ -454,35 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn sym_rank1_update_matches_outer_product() {
-        let mut g =
-            Matrix::from_rows(&[vec![4.0, 1.0, 0.5], vec![1.0, 3.0, -1.0], vec![0.5, -1.0, 2.0]])
-                .unwrap();
-        let x = Vector::from(vec![1.0, -2.0, 0.5]);
-        let mut want = g.clone();
-        for i in 0..3 {
-            for j in 0..3 {
-                want[(i, j)] += 0.7 * x[i] * x[j];
-            }
-        }
-        g.sym_rank1_update(0.7, &x).unwrap();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((g[(i, j)] - want[(i, j)]).abs() < 1e-12, "entry ({i},{j})");
-            }
-        }
-        assert!(g.is_symmetric(0.0));
-    }
-
-    #[test]
-    fn sym_rank1_update_rejects_bad_dims() {
-        let mut rect = Matrix::zeros(2, 3);
-        assert!(rect.sym_rank1_update(1.0, &Vector::zeros(2)).is_err());
-        let mut sq = Matrix::zeros(2, 2);
-        assert!(sq.sym_rank1_update(1.0, &Vector::zeros(3)).is_err());
-    }
-
-    #[test]
     fn transpose_round_trip() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
         let t = a.transpose();
@@ -499,13 +423,6 @@ mod tests {
         assert!(!ns.is_symmetric(1e-12));
         let rect = Matrix::zeros(2, 3);
         assert!(!rect.is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn quadratic_form_matches_manual() {
-        let q = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 3.0]]).unwrap();
-        let x = Vector::from(vec![1.0, 2.0]);
-        assert_eq!(q.quadratic_form(&x), 2.0 + 12.0);
     }
 
     #[test]

@@ -133,38 +133,6 @@ pub fn interquartile_range(xs: &[f64]) -> Result<f64, LinalgError> {
     Ok(percentile(xs, 75.0)? - percentile(xs, 25.0)?)
 }
 
-/// Sample Pearson correlation between two equal-length slices.
-///
-/// # Errors
-///
-/// * [`LinalgError::Empty`] if the slices are empty.
-/// * [`LinalgError::DimensionMismatch`] if lengths differ.
-///
-/// Returns `0.0` when either input is constant (zero variance).
-pub fn correlation(xs: &[f64], ys: &[f64]) -> Result<f64, LinalgError> {
-    if xs.len() != ys.len() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "correlation",
-            expected: xs.len(),
-            actual: ys.len(),
-        });
-    }
-    let mx = mean(xs)?;
-    let my = mean(ys)?;
-    let mut num = 0.0;
-    let mut dx = 0.0;
-    let mut dy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        num += (x - mx) * (y - my);
-        dx += (x - mx) * (x - mx);
-        dy += (y - my) * (y - my);
-    }
-    if dx == 0.0 || dy == 0.0 {
-        return Ok(0.0);
-    }
-    Ok(num / (dx.sqrt() * dy.sqrt()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,18 +194,6 @@ mod tests {
     fn iqr_known_value() {
         let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
         assert_eq!(interquartile_range(&xs).unwrap(), 2.0);
-    }
-
-    #[test]
-    fn correlation_behaviour() {
-        let xs = [1.0, 2.0, 3.0];
-        let up = [2.0, 4.0, 6.0];
-        let down = [3.0, 2.0, 1.0];
-        assert!((correlation(&xs, &up).unwrap() - 1.0).abs() < 1e-12);
-        assert!((correlation(&xs, &down).unwrap() + 1.0).abs() < 1e-12);
-        assert_eq!(correlation(&xs, &[5.0, 5.0, 5.0]).unwrap(), 0.0);
-        assert!(correlation(&xs, &[1.0]).is_err());
-        assert!(correlation(&[], &[]).is_err());
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! iterates are all [`Vector`]s. The type is a thin, owned wrapper around
 //! `Vec<f64>` with explicit, dimension-checked arithmetic.
 
-use crate::error::LinalgError;
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
@@ -57,11 +56,6 @@ impl Vector {
         &self.0
     }
 
-    /// Borrows the components as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.0
-    }
-
     /// Consumes the vector, returning the underlying storage.
     pub fn into_inner(self) -> Vec<f64> {
         self.0
@@ -81,27 +75,10 @@ impl Vector {
     ///
     /// # Panics
     ///
-    /// Panics if the dimensions differ; use [`Vector::try_dot`] for a
-    /// fallible variant.
+    /// Panics if the dimensions differ.
     pub fn dot(&self, other: &Vector) -> f64 {
         assert_eq!(self.len(), other.len(), "dot: dimension mismatch");
         crate::kernels::dot(&self.0, &other.0)
-    }
-
-    /// Fallible inner product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when the dimensions differ.
-    pub fn try_dot(&self, other: &Vector) -> Result<f64, LinalgError> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "dot",
-                expected: self.len(),
-                actual: other.len(),
-            });
-        }
-        Ok(self.dot(other))
     }
 
     /// Euclidean norm `‖self‖₂`.
@@ -112,16 +89,6 @@ impl Vector {
     /// Squared Euclidean norm `‖self‖₂²`.
     pub fn norm_squared(&self) -> f64 {
         self.0.iter().map(|a| a * a).sum()
-    }
-
-    /// L1 norm `Σ|xᵢ|`.
-    pub fn norm_l1(&self) -> f64 {
-        self.0.iter().map(|a| a.abs()).sum()
-    }
-
-    /// Maximum absolute component (`‖self‖∞`), or `0.0` for the empty vector.
-    pub fn norm_inf(&self) -> f64 {
-        self.0.iter().fold(0.0_f64, |m, a| m.max(a.abs()))
     }
 
     /// In-place `self += alpha * other` (BLAS `axpy`).
@@ -180,11 +147,6 @@ impl Vector {
     /// Euclidean distance `‖self − other‖`.
     pub fn distance(&self, other: &Vector) -> f64 {
         self.distance_squared(other).sqrt()
-    }
-
-    /// Sets every component to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.0.iter_mut().for_each(|a| *a = 0.0);
     }
 
     /// Returns `true` if every component is finite.
@@ -370,19 +332,10 @@ mod tests {
     }
 
     #[test]
-    fn try_dot_mismatch() {
-        let err = v(&[1.0]).try_dot(&v(&[1.0, 2.0])).unwrap_err();
-        assert_eq!(err, LinalgError::DimensionMismatch { op: "dot", expected: 1, actual: 2 });
-    }
-
-    #[test]
     fn norms() {
         let x = v(&[3.0, -4.0]);
         assert_eq!(x.norm(), 5.0);
         assert_eq!(x.norm_squared(), 25.0);
-        assert_eq!(x.norm_l1(), 7.0);
-        assert_eq!(x.norm_inf(), 4.0);
-        assert_eq!(Vector::zeros(0).norm_inf(), 0.0);
     }
 
     #[test]
@@ -460,12 +413,5 @@ mod tests {
     fn display_is_nonempty() {
         assert_eq!(format!("{}", Vector::zeros(0)), "[]");
         assert!(format!("{}", Vector::from(vec![1.0, 2.0])).contains("1.0"));
-    }
-
-    #[test]
-    fn fill_zero_keeps_len() {
-        let mut a = v(&[1.0, 2.0]);
-        a.fill_zero();
-        assert_eq!(a.as_slice(), &[0.0, 0.0]);
     }
 }

@@ -7,7 +7,7 @@
 //! Classical machine-learning substrate for the PLOS reproduction.
 //!
 //! Everything the paper's *baselines* and evaluation pipeline need, built on
-//! `plos-linalg`/`plos-opt`:
+//! `plos-linalg` (with `plos-exec` for the pairwise similarity matrix):
 //!
 //! * [`svm`] — linear SVM trained by dual coordinate descent (the *All* and
 //!   *Single* baselines, and the initializer for PLOS itself);
@@ -19,18 +19,13 @@
 //! * [`similarity`] — histogram Jaccard similarity `Σ min / Σ max`;
 //! * [`matching`] — Hungarian assignment for evaluating clusterings under
 //!   the best cluster-to-class matching;
-//! * [`metrics`] — accuracy and confusion counts;
-//! * [`scale`] — standard (z-score) feature scaling;
-//! * [`crossval`] — k-fold / leave-one-out splits and grid search, used for
-//!   the paper's parameter selection.
+//! * [`metrics`] — accuracy.
 
-pub mod crossval;
 pub mod error;
 pub mod kmeans;
 pub mod lsh;
 pub mod matching;
 pub mod metrics;
-pub mod scale;
 pub mod similarity;
 pub mod spectral;
 pub mod svm;
@@ -40,7 +35,6 @@ pub use kmeans::{KMeans, KMeansResult};
 pub use lsh::RandomHyperplaneHasher;
 pub use matching::best_matching_accuracy;
 pub use metrics::accuracy;
-pub use scale::StandardScaler;
 pub use similarity::histogram_jaccard;
 pub use spectral::spectral_clustering;
 pub use svm::{LinearSvm, SvmModel, SvmParams};

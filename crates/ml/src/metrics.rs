@@ -1,18 +1,10 @@
-//! Classification metrics reported by the paper's experiments.
-//!
-//! Every ratio here is total: degenerate tallies (empty test sets,
-//! single-class ground truth, a model that predicts only one class) yield a
-//! defined value or a typed [`MlError`] — never a `NaN` that poisons an
-//! averaged experiment table downstream.
-
-use crate::error::MlError;
+//! Classification accuracy, the metric the paper's experiments report.
 
 /// Fraction of positions where `predicted[i] == actual[i]`.
 ///
 /// # Panics
 ///
-/// Panics if the slices are empty or of different lengths; use
-/// [`try_accuracy`] where those cases can occur legitimately.
+/// Panics if the slices are empty or of different lengths.
 ///
 /// ```
 /// use plos_ml::accuracy;
@@ -23,144 +15,6 @@ pub fn accuracy(predicted: &[i8], actual: &[i8]) -> f64 {
     assert_eq!(predicted.len(), actual.len(), "length mismatch");
     let correct = predicted.iter().zip(actual).filter(|(p, a)| p == a).count();
     correct as f64 / predicted.len() as f64
-}
-
-/// Fallible [`accuracy`]: an empty test set or a length mismatch is a typed
-/// error instead of a panic (or a `0/0 = NaN`).
-///
-/// # Errors
-///
-/// [`MlError::Empty`] for an empty test set, [`MlError::LengthMismatch`]
-/// when the slices disagree in length.
-///
-/// ```
-/// use plos_ml::metrics::try_accuracy;
-/// assert!(try_accuracy(&[], &[]).is_err());
-/// assert_eq!(try_accuracy(&[1, -1], &[1, 1]).unwrap(), 0.5);
-/// ```
-pub fn try_accuracy(predicted: &[i8], actual: &[i8]) -> Result<f64, MlError> {
-    if predicted.is_empty() {
-        return Err(MlError::Empty { what: "predictions" });
-    }
-    if predicted.len() != actual.len() {
-        return Err(MlError::LengthMismatch {
-            what: "predictions vs actuals",
-            expected: actual.len(),
-            actual: predicted.len(),
-        });
-    }
-    let correct = predicted.iter().zip(actual).filter(|(p, a)| p == a).count();
-    Ok(correct as f64 / predicted.len() as f64)
-}
-
-/// Binary confusion counts for labels in `{−1, +1}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ConfusionCounts {
-    /// Predicted +1, actual +1.
-    pub true_positive: usize,
-    /// Predicted +1, actual −1.
-    pub false_positive: usize,
-    /// Predicted −1, actual −1.
-    pub true_negative: usize,
-    /// Predicted −1, actual +1.
-    pub false_negative: usize,
-}
-
-impl ConfusionCounts {
-    /// Tallies predictions against ground truth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ or any label is not ±1; use
-    /// [`ConfusionCounts::try_from_predictions`] where malformed input can
-    /// occur legitimately.
-    pub fn from_predictions(predicted: &[i8], actual: &[i8]) -> Self {
-        assert_eq!(predicted.len(), actual.len(), "length mismatch");
-        let mut c = ConfusionCounts::default();
-        for (&p, &a) in predicted.iter().zip(actual) {
-            assert!(p.abs() == 1 && a.abs() == 1, "labels must be ±1");
-            match (p, a) {
-                (1, 1) => c.true_positive += 1,
-                (1, -1) => c.false_positive += 1,
-                (-1, -1) => c.true_negative += 1,
-                (-1, 1) => c.false_negative += 1,
-                _ => unreachable!(),
-            }
-        }
-        c
-    }
-
-    /// Fallible [`ConfusionCounts::from_predictions`]: malformed input is a
-    /// typed error instead of a panic. An empty pair of slices is a valid
-    /// empty tally (every derived ratio of which is a defined `0.0`).
-    ///
-    /// # Errors
-    ///
-    /// [`MlError::LengthMismatch`] when the slices disagree in length, and
-    /// [`MlError::BadLabel`] (with the offending index) for any label
-    /// outside `{−1, +1}`.
-    pub fn try_from_predictions(predicted: &[i8], actual: &[i8]) -> Result<Self, MlError> {
-        if predicted.len() != actual.len() {
-            return Err(MlError::LengthMismatch {
-                what: "predictions vs actuals",
-                expected: actual.len(),
-                actual: predicted.len(),
-            });
-        }
-        let mut c = ConfusionCounts::default();
-        for (index, (&p, &a)) in predicted.iter().zip(actual).enumerate() {
-            match (p, a) {
-                (1, 1) => c.true_positive += 1,
-                (1, -1) => c.false_positive += 1,
-                (-1, -1) => c.true_negative += 1,
-                (-1, 1) => c.false_negative += 1,
-                _ => return Err(MlError::BadLabel { index }),
-            }
-        }
-        Ok(c)
-    }
-
-    /// Total number of samples tallied.
-    pub fn total(&self) -> usize {
-        self.true_positive + self.false_positive + self.true_negative + self.false_negative
-    }
-
-    /// Overall accuracy; 0 for an empty tally.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.true_positive + self.true_negative) as f64 / total as f64
-    }
-
-    /// Precision of the positive class; 0 when nothing was predicted +1.
-    pub fn precision(&self) -> f64 {
-        let denom = self.true_positive + self.false_positive;
-        if denom == 0 {
-            return 0.0;
-        }
-        self.true_positive as f64 / denom as f64
-    }
-
-    /// Recall of the positive class; 0 when nothing was actually +1.
-    pub fn recall(&self) -> f64 {
-        let denom = self.true_positive + self.false_negative;
-        if denom == 0 {
-            return 0.0;
-        }
-        self.true_positive as f64 / denom as f64
-    }
-
-    /// Harmonic mean of precision and recall; 0 when both are 0.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            return 0.0;
-        }
-        2.0 * p * r / (p + r)
-    }
 }
 
 #[cfg(test)]
@@ -184,116 +38,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn accuracy_mismatch_panics() {
         let _ = accuracy(&[1], &[1, -1]);
-    }
-
-    #[test]
-    fn confusion_counts_tally() {
-        let c = ConfusionCounts::from_predictions(&[1, 1, -1, -1, 1], &[1, -1, -1, 1, 1]);
-        assert_eq!(c.true_positive, 2);
-        assert_eq!(c.false_positive, 1);
-        assert_eq!(c.true_negative, 1);
-        assert_eq!(c.false_negative, 1);
-        assert_eq!(c.total(), 5);
-        assert_eq!(c.accuracy(), 0.6);
-    }
-
-    #[test]
-    fn precision_recall_f1() {
-        let c = ConfusionCounts {
-            true_positive: 3,
-            false_positive: 1,
-            true_negative: 4,
-            false_negative: 2,
-        };
-        assert_eq!(c.precision(), 0.75);
-        assert_eq!(c.recall(), 0.6);
-        assert!((c.f1() - 2.0 * 0.75 * 0.6 / 1.35).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degenerate_tallies_return_zero() {
-        let c = ConfusionCounts::default();
-        assert_eq!(c.accuracy(), 0.0);
-        assert_eq!(c.precision(), 0.0);
-        assert_eq!(c.recall(), 0.0);
-        assert_eq!(c.f1(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "labels must be ±1")]
-    fn confusion_rejects_bad_labels() {
-        let _ = ConfusionCounts::from_predictions(&[0], &[1]);
-    }
-
-    #[test]
-    fn try_accuracy_empty_and_mismatch_are_typed_errors() {
-        assert_eq!(try_accuracy(&[], &[]), Err(MlError::Empty { what: "predictions" }));
-        assert_eq!(
-            try_accuracy(&[1], &[1, -1]),
-            Err(MlError::LengthMismatch { what: "predictions vs actuals", expected: 2, actual: 1 })
-        );
-        assert_eq!(try_accuracy(&[1, -1, 1], &[1, 1, 1]), Ok(2.0 / 3.0));
-    }
-
-    #[test]
-    fn try_confusion_reports_offending_label_index() {
-        assert_eq!(
-            ConfusionCounts::try_from_predictions(&[1, 0], &[1, 1]),
-            Err(MlError::BadLabel { index: 1 })
-        );
-        assert_eq!(
-            ConfusionCounts::try_from_predictions(&[1], &[]),
-            Err(MlError::LengthMismatch { what: "predictions vs actuals", expected: 0, actual: 1 })
-        );
-        assert_eq!(
-            ConfusionCounts::try_from_predictions(&[1, -1], &[1, 1]).unwrap(),
-            ConfusionCounts::from_predictions(&[1, -1], &[1, 1])
-        );
-    }
-
-    #[test]
-    fn empty_tally_is_valid_and_nan_free() {
-        let c = ConfusionCounts::try_from_predictions(&[], &[]).unwrap();
-        assert_eq!(c.total(), 0);
-        for value in [c.accuracy(), c.precision(), c.recall(), c.f1()] {
-            assert_eq!(value, 0.0, "degenerate ratio must be a defined 0.0, not NaN");
-        }
-    }
-
-    #[test]
-    fn single_class_test_set_is_nan_free() {
-        // Ground truth is all +1: true negatives are impossible, and a
-        // perfect predictor still has well-defined precision/recall/F1.
-        let perfect = ConfusionCounts::try_from_predictions(&[1, 1, 1], &[1, 1, 1]).unwrap();
-        assert_eq!(perfect.accuracy(), 1.0);
-        assert_eq!(perfect.precision(), 1.0);
-        assert_eq!(perfect.recall(), 1.0);
-        assert_eq!(perfect.f1(), 1.0);
-
-        // The opposite predictor on the same single-class truth: nothing
-        // predicted +1, so precision's denominator is 0 — defined as 0.
-        let inverted = ConfusionCounts::try_from_predictions(&[-1, -1, -1], &[1, 1, 1]).unwrap();
-        for value in [inverted.accuracy(), inverted.precision(), inverted.recall(), inverted.f1()] {
-            assert!(value == 0.0 && !value.is_nan(), "got {value}");
-        }
-    }
-
-    #[test]
-    fn all_one_class_predictions_are_nan_free() {
-        // A degenerate model that always answers +1 against mixed truth:
-        // recall is 1, precision is the positive rate, F1 is finite.
-        let c = ConfusionCounts::try_from_predictions(&[1, 1, 1, 1], &[1, -1, -1, 1]).unwrap();
-        assert_eq!(c.recall(), 1.0);
-        assert_eq!(c.precision(), 0.5);
-        assert!((c.f1() - 2.0 / 3.0).abs() < 1e-12);
-        assert!(!c.f1().is_nan());
-
-        // Always −1: the positive-class metrics collapse to a defined 0.
-        let neg =
-            ConfusionCounts::try_from_predictions(&[-1, -1, -1, -1], &[1, -1, -1, 1]).unwrap();
-        assert_eq!(neg.accuracy(), 0.5);
-        assert_eq!(neg.precision(), 0.0);
-        assert_eq!(neg.recall(), 0.0);
-        assert_eq!(neg.f1(), 0.0);
     }
 }

@@ -136,14 +136,6 @@ impl LinearSvm {
 }
 
 impl SvmModel {
-    /// Builds a model directly from a weight vector (no bias augmentation).
-    ///
-    /// Useful for wrapping hyperplanes produced by other solvers (e.g. the
-    /// PLOS personalized hyperplanes) in the common predict interface.
-    pub fn from_weights(weights: Vector) -> Self {
-        SvmModel { weights, bias: None }
-    }
-
     /// The learned weight vector (including the bias weight as the last
     /// component when bias augmentation was used).
     pub fn weights(&self) -> &Vector {
@@ -253,13 +245,6 @@ mod tests {
         // The flipped point must not dominate: boundary stays near 0.
         assert_eq!(model.predict(&v(&[5.0])), 1);
         assert_eq!(model.predict(&v(&[-5.0])), -1);
-    }
-
-    #[test]
-    fn from_weights_skips_augmentation() {
-        let m = SvmModel::from_weights(v(&[2.0, -1.0]));
-        assert_eq!(m.decision_function(&v(&[1.0, 1.0])), 1.0);
-        assert_eq!(m.predict(&v(&[0.0, 1.0])), -1);
     }
 
     #[test]

@@ -106,11 +106,6 @@ fn ensure(buf: &Bytes, needed: usize) -> Result<(), CodecError> {
     }
 }
 
-/// Serialized size in bytes of a vector payload.
-pub fn vector_wire_len(v: &Vector) -> usize {
-    4 + 8 * v.len()
-}
-
 /// Appends an [`ExactSum`] in its canonical form: flags `u8`, limb count
 /// `u8`, then `count` `(index u8, limb i64 LE)` pairs in strictly
 /// increasing index order. Canonicalization makes the encoding a pure
@@ -149,11 +144,6 @@ pub fn get_exact_sum(buf: &mut Bytes) -> Result<ExactSum, CodecError> {
     }
     ExactSum::from_parts(flags, &parts)
         .map_err(|_| CodecError::Invalid("exact-sum limb list not canonical"))
-}
-
-/// Serialized size in bytes of an [`ExactSum`] payload.
-pub fn exact_sum_wire_len(s: &ExactSum) -> usize {
-    2 + 9 * s.canonical_parts().1.len()
 }
 
 /// Appends an [`ExactVecSum`]: `u32` dimension followed by each
@@ -207,11 +197,6 @@ pub fn get_exact_vec_sum(buf: &mut Bytes) -> Result<ExactVecSum, CodecError> {
         .map_err(|_| CodecError::Invalid("exact-vec-sum limb list not canonical"))
 }
 
-/// Serialized size in bytes of an [`ExactVecSum`] payload.
-pub fn exact_vec_sum_wire_len(v: &ExactVecSum) -> usize {
-    4 + v.canonical_parts().iter().map(|(_, parts)| 2 + 9 * parts.len()).sum::<usize>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +206,7 @@ mod tests {
         let v = Vector::from(vec![1.5, -2.25, 0.0, f64::MAX]);
         let mut buf = BytesMut::new();
         put_vector(&mut buf, &v);
-        assert_eq!(buf.len(), vector_wire_len(&v));
+        assert_eq!(buf.len(), 4 + 8 * v.len());
         let mut bytes = buf.freeze();
         let back = get_vector(&mut bytes).unwrap();
         assert_eq!(back, v);
@@ -294,7 +279,7 @@ mod tests {
         s.add(f64::MIN_POSITIVE / 4.0); // subnormal limb
         let mut buf = BytesMut::new();
         put_exact_sum(&mut buf, &s);
-        assert_eq!(buf.len(), exact_sum_wire_len(&s));
+        assert_eq!(buf.len(), 2 + 9 * s.canonical_parts().1.len());
         let mut bytes = buf.freeze();
         let back = get_exact_sum(&mut bytes).unwrap();
         assert_eq!(back, s);
@@ -343,7 +328,8 @@ mod tests {
         v.add(&Vector::from(vec![1e100, 2.0, -3.0]));
         let mut buf = BytesMut::new();
         put_exact_vec_sum(&mut buf, &v);
-        assert_eq!(buf.len(), exact_vec_sum_wire_len(&v));
+        let limbs: usize = v.canonical_parts().iter().map(|(_, parts)| parts.len()).sum();
+        assert_eq!(buf.len(), 4 + 2 * v.dim() + 9 * limbs);
         let mut bytes = buf.freeze();
         let back = get_exact_vec_sum(&mut bytes).unwrap();
         assert_eq!(back, v);

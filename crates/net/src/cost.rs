@@ -51,12 +51,6 @@ impl DeviceProfile {
         let factor = measured_on.flops_per_sec / self.flops_per_sec;
         Duration::from_secs_f64(measured.as_secs_f64() * factor)
     }
-
-    /// Time this device needs for `flops` floating-point operations.
-    pub fn time_for_flops(&self, flops: f64) -> Duration {
-        assert!(flops >= 0.0, "flops must be non-negative");
-        Duration::from_secs_f64(flops / self.flops_per_sec)
-    }
 }
 
 #[cfg(test)]
@@ -93,12 +87,5 @@ mod tests {
         let there = phone.rescale_from(d, &server);
         let back = server.rescale_from(there, &phone);
         assert!((back.as_secs_f64() - d.as_secs_f64()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_for_flops() {
-        let dev = DeviceProfile { name: "x", flops_per_sec: 1e6 };
-        assert_eq!(dev.time_for_flops(2e6), Duration::from_secs(2));
-        assert_eq!(dev.time_for_flops(0.0), Duration::ZERO);
     }
 }

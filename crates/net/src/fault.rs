@@ -1,13 +1,13 @@
 //! Deterministic, seed-driven fault injection for the simulated network.
 //!
-//! Real mobile fleets lose packets, deliver them late, duplicated, reordered
-//! or corrupted, and phones disappear mid-round. [`FaultyEndpoint`] wraps an
-//! [`Endpoint`] and injects exactly those failure modes, driven by a
-//! [`FaultPlan`]: per-link rates plus a seed, so every chaos run is
-//! reproducible bit-for-bit at the level of *which* frames are harmed. With
-//! the zero plan ([`FaultPlan::none`]) the wrapper is a transparent
-//! pass-through — it never touches its RNG — so fault-free runs are
-//! byte-identical to the plain transport.
+//! Real mobile fleets lose packets, deliver them late or corrupted, and
+//! phones disappear mid-round. [`FaultyEndpoint`] wraps an [`Endpoint`] and
+//! injects exactly those failure modes, driven by a [`FaultPlan`]: per-link
+//! rates plus a seed, so every chaos run is reproducible bit-for-bit at the
+//! level of *which* frames are harmed. With the zero plan
+//! ([`FaultPlan::none`]) the wrapper is a transparent pass-through — it
+//! never touches its RNG — so fault-free runs are byte-identical to the
+//! plain transport.
 //!
 //! The wrapper sits on the **server side** of each link and harms traffic in
 //! both directions: faults rolled on [`FaultyEndpoint::send`] model lost or
@@ -22,10 +22,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-
-/// How long a frame hit by a *reorder* fault is held back, letting frames
-/// that arrive within this window overtake it.
-const REORDER_HOLD: Duration = Duration::from_millis(2);
 
 /// A link that permanently disconnects partway through a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,10 +74,6 @@ pub struct FaultPlan {
     pub delay_rate: f64,
     /// Hold-back duration for delayed frames.
     pub delay: Duration,
-    /// Probability that a frame is delivered twice.
-    pub duplicate_rate: f64,
-    /// Probability that a frame lets later frames overtake it.
-    pub reorder_rate: f64,
     /// Probability that one byte of a frame is flipped in flight.
     pub corrupt_rate: f64,
     /// Links that disconnect permanently.
@@ -107,8 +99,6 @@ impl FaultPlan {
             drop_rate: 0.0,
             delay_rate: 0.0,
             delay: Duration::from_millis(5),
-            duplicate_rate: 0.0,
-            reorder_rate: 0.0,
             corrupt_rate: 0.0,
             dead: Vec::new(),
             stragglers: Vec::new(),
@@ -137,20 +127,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the duplication rate.
-    #[must_use]
-    pub fn with_duplicates(mut self, rate: f64) -> Self {
-        self.duplicate_rate = rate;
-        self
-    }
-
-    /// Sets the reorder rate.
-    #[must_use]
-    pub fn with_reorder(mut self, rate: f64) -> Self {
-        self.reorder_rate = rate;
-        self
-    }
-
     /// Sets the corruption rate.
     #[must_use]
     pub fn with_corruption(mut self, rate: f64) -> Self {
@@ -167,7 +143,7 @@ impl FaultPlan {
 
     /// Makes every reply received on `link` lag by `delay` — a
     /// deterministic straggler device. On a straggler link the fixed lag
-    /// supersedes the probabilistic delay/reorder rolls.
+    /// supersedes the probabilistic delay roll.
     #[must_use]
     pub fn with_straggler(mut self, link: usize, delay: Duration) -> Self {
         self.stragglers.push(Straggler { link, delay });
@@ -205,8 +181,6 @@ impl FaultPlan {
     pub fn is_zero(&self) -> bool {
         self.drop_rate == 0.0
             && self.delay_rate == 0.0
-            && self.duplicate_rate == 0.0
-            && self.reorder_rate == 0.0
             && self.corrupt_rate == 0.0
             && self.dead.is_empty()
             && self.stragglers.is_empty()
@@ -223,8 +197,6 @@ impl FaultPlan {
         let rates = [
             ("drop_rate", self.drop_rate),
             ("delay_rate", self.delay_rate),
-            ("duplicate_rate", self.duplicate_rate),
-            ("reorder_rate", self.reorder_rate),
             ("corrupt_rate", self.corrupt_rate),
         ];
         for (name, rate) in rates {
@@ -246,8 +218,6 @@ impl FaultPlan {
             drop_rate: self.drop_rate,
             delay_rate: self.delay_rate,
             delay: self.delay,
-            duplicate_rate: self.duplicate_rate,
-            reorder_rate: self.reorder_rate,
             corrupt_rate: self.corrupt_rate,
             dead_after: self.dead.iter().find(|d| d.link == link).map(|d| d.after_sends),
             straggler: self.stragglers.iter().find(|s| s.link == link).map(|s| s.delay),
@@ -274,10 +244,6 @@ pub struct LinkFaults {
     pub delay_rate: f64,
     /// Hold-back duration for delayed frames.
     pub delay: Duration,
-    /// Probability that a frame is delivered twice.
-    pub duplicate_rate: f64,
-    /// Probability that a frame lets later frames overtake it.
-    pub reorder_rate: f64,
     /// Probability that one byte of a frame is flipped.
     pub corrupt_rate: f64,
     /// Sends before permanent disconnect (`None` = immortal link).
@@ -290,8 +256,6 @@ impl LinkFaults {
     fn is_zero(&self) -> bool {
         self.drop_rate == 0.0
             && self.delay_rate == 0.0
-            && self.duplicate_rate == 0.0
-            && self.reorder_rate == 0.0
             && self.corrupt_rate == 0.0
             && self.dead_after.is_none()
             && self.straggler.is_none()
@@ -305,10 +269,6 @@ pub struct FaultStats {
     pub dropped: u64,
     /// Frames held back by the delay fault.
     pub delayed: u64,
-    /// Extra copies delivered by the duplication fault.
-    pub duplicated: u64,
-    /// Frames held back by the reorder fault.
-    pub reordered: u64,
     /// Frames with a byte flipped in flight.
     pub corrupted: u64,
 }
@@ -316,7 +276,7 @@ pub struct FaultStats {
 impl FaultStats {
     /// Total faults injected on the link.
     pub fn total(&self) -> u64 {
-        self.dropped + self.delayed + self.duplicated + self.reordered + self.corrupted
+        self.dropped + self.delayed + self.corrupted
     }
 }
 
@@ -336,8 +296,8 @@ pub struct FaultyEndpoint<'a> {
     inner: &'a Endpoint,
     faults: LinkFaults,
     rng: StdRng,
-    /// In-flight frames held back by delay/duplicate/reorder faults,
-    /// tagged with the instant they become deliverable.
+    /// In-flight frames held back by delay and straggler faults, tagged
+    /// with the instant they become deliverable.
     pending: VecDeque<(Instant, Bytes)>,
     sends: u64,
     dead: bool,
@@ -376,9 +336,9 @@ impl<'a> FaultyEndpoint<'a> {
     }
 
     /// Encodes and sends a message through the fault layer. The send path
-    /// rolls drop, corruption, and duplication; delay and reorder faults are
-    /// injected on the receive path only (holding outbound frames would need
-    /// a timer thread and models the same physics).
+    /// rolls drop and corruption; delay faults are injected on the receive
+    /// path only (holding outbound frames would need a timer thread and
+    /// models the same physics).
     ///
     /// # Errors
     ///
@@ -405,14 +365,7 @@ impl<'a> FaultyEndpoint<'a> {
         } else {
             frame
         };
-        let duplicate =
-            self.faults.duplicate_rate > 0.0 && self.rng.gen_bool(self.faults.duplicate_rate);
-        self.inner.send_bytes(frame.clone())?;
-        if duplicate {
-            self.injected.duplicated += 1;
-            self.inner.send_bytes(frame)?;
-        }
-        Ok(())
+        self.inner.send_bytes(frame)
     }
 
     /// Receives one message through the fault layer, giving up after
@@ -498,12 +451,8 @@ impl<'a> FaultyEndpoint<'a> {
         } else {
             frame
         };
-        if self.faults.duplicate_rate > 0.0 && self.rng.gen_bool(self.faults.duplicate_rate) {
-            self.injected.duplicated += 1;
-            self.pending.push_back((now, frame.clone()));
-        }
-        // A straggler link's fixed lag supersedes the probabilistic
-        // delay/reorder rolls: the device is late on *every* reply.
+        // A straggler link's fixed lag supersedes the probabilistic delay
+        // roll: the device is late on *every* reply.
         if let Some(lag) = self.faults.straggler {
             self.injected.delayed += 1;
             self.pending.push_back((now + lag, frame));
@@ -512,11 +461,6 @@ impl<'a> FaultyEndpoint<'a> {
         if self.faults.delay_rate > 0.0 && self.rng.gen_bool(self.faults.delay_rate) {
             self.injected.delayed += 1;
             self.pending.push_back((now + self.faults.delay, frame));
-            return Fate::Consumed;
-        }
-        if self.faults.reorder_rate > 0.0 && self.rng.gen_bool(self.faults.reorder_rate) {
-            self.injected.reordered += 1;
-            self.pending.push_back((now + REORDER_HOLD, frame));
             return Fate::Consumed;
         }
         Fate::Deliver(frame)
@@ -579,17 +523,6 @@ mod tests {
         assert_eq!(got, ping());
         assert!(started.elapsed() >= Duration::from_millis(9), "frame arrived too early");
         assert_eq!(faulty.fault_stats().delayed, 1);
-    }
-
-    #[test]
-    fn duplicated_frames_deliver_twice() {
-        let (server, client) = Endpoint::pair();
-        let plan = FaultPlan::seeded(3).with_duplicates(1.0);
-        let mut faulty = FaultyEndpoint::new(&server, plan.link_faults(0));
-        client.send(&ping()).unwrap();
-        assert_eq!(faulty.recv_timeout(Duration::from_millis(100)).unwrap(), ping());
-        assert_eq!(faulty.recv_timeout(Duration::from_millis(100)).unwrap(), ping());
-        assert_eq!(faulty.fault_stats().duplicated, 1);
     }
 
     #[test]
@@ -657,19 +590,6 @@ mod tests {
             .unwrap();
         let err = faulty.recv_timeout(Duration::from_millis(100)).unwrap_err();
         assert!(matches!(err, TransportError::Codec(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn reordered_frames_are_overtaken() {
-        let (server, client) = Endpoint::pair();
-        // Only the reorder die is loaded, so the first frame is held while
-        // the second sails through.
-        let plan = FaultPlan::seeded(5).with_reorder(1.0);
-        let mut faulty = FaultyEndpoint::new(&server, plan.link_faults(0));
-        client.send(&Message::CccpAdvance { cccp_round: 1 }).unwrap();
-        let first = faulty.recv_timeout(Duration::from_millis(200)).unwrap();
-        assert_eq!(first, Message::CccpAdvance { cccp_round: 1 }, "held frame still delivers");
-        assert_eq!(faulty.fault_stats().reordered, 1);
     }
 
     #[test]

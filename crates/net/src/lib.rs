@@ -27,7 +27,7 @@
 //!   a checkpoint-bindable fingerprint and a scoped-thread runner wiring
 //!   regional aggregators to a root over fresh duplex links;
 //! * [`fault`] — deterministic, seed-driven fault injection
-//!   (drop/delay/duplicate/reorder/corrupt/dead-link) wrapped around the
+//!   (drop/delay/corrupt/dead-link/straggler) wrapped around the
 //!   transport, so the fault-tolerant server can be exercised under
 //!   reproducible chaos;
 //! * [`metrics`] — traffic snapshots and an energy model (J/byte + J/flop);

@@ -168,7 +168,7 @@ const TAG_SHARD_RESIDUAL: u8 = 13;
 impl Message {
     /// Encodes the message to its wire representation.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
+        let mut buf = BytesMut::new();
         buf.put_u8(WIRE_VERSION);
         match self {
             Message::Broadcast { round, w0, u_t } => {
@@ -325,36 +325,6 @@ impl Message {
         }
         Ok(message)
     }
-
-    /// Exact encoded size in bytes.
-    pub fn wire_len(&self) -> usize {
-        2 + match self {
-            Message::Broadcast { w0, u_t, .. } => {
-                4 + codec::vector_wire_len(w0) + codec::vector_wire_len(u_t)
-            }
-            Message::ClientUpdate { w_t, v_t, .. } => {
-                4 + 4 + codec::vector_wire_len(w_t) + codec::vector_wire_len(v_t) + 8
-            }
-            Message::CccpAdvance { .. } => 4,
-            Message::Refine { w0, .. } => 4 + codec::vector_wire_len(w0),
-            Message::Shutdown => 0,
-            Message::RosterUpdate { .. } => 4,
-            Message::Restore { w_t, .. } => 4 + 4 + codec::vector_wire_len(w_t),
-            Message::AsyncUpdate { w_t, v_t, .. } => {
-                4 + 4 + 4 + codec::vector_wire_len(w_t) + codec::vector_wire_len(v_t) + 8
-            }
-            Message::ShardBroadcast { w0, .. } | Message::ShardCommit { w0, .. } => {
-                4 + 1 + codec::vector_wire_len(w0)
-            }
-            Message::PartialSum { sum_w, .. } => 4 * 4 + codec::exact_vec_sum_wire_len(sum_w),
-            Message::ShardResidual { a, b, c, .. } => {
-                4 + 4
-                    + codec::exact_sum_wire_len(a)
-                    + codec::exact_sum_wire_len(b)
-                    + codec::exact_sum_wire_len(c)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -362,9 +332,7 @@ mod tests {
     use super::*;
 
     fn round_trip(m: Message) {
-        let encoded = m.encode();
-        assert_eq!(encoded.len(), m.wire_len(), "wire_len must match encoding");
-        let decoded = Message::decode(encoded).unwrap();
+        let decoded = Message::decode(m.encode()).unwrap();
         assert_eq!(decoded, m);
     }
 
@@ -627,7 +595,9 @@ mod tests {
         // Fig. 13's claim: per-user message size is independent of the
         // number of users — it depends only on the model dimension.
         let size = |d: usize| {
-            Message::Broadcast { round: 0, w0: Vector::zeros(d), u_t: Vector::zeros(d) }.wire_len()
+            Message::Broadcast { round: 0, w0: Vector::zeros(d), u_t: Vector::zeros(d) }
+                .encode()
+                .len()
         };
         assert_eq!(size(10), 2 + 4 + 2 * (4 + 80));
         assert!(size(20) > size(10));

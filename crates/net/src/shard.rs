@@ -138,11 +138,6 @@ impl ShardMap {
         &self.assignment
     }
 
-    /// The shard owning device `t`, `None` when `t` is out of range.
-    pub fn shard_of(&self, t: usize) -> Option<usize> {
-        self.assignment.get(t).copied()
-    }
-
     /// The devices owned by `shard`, in ascending global index order —
     /// the order regionals gather in, which keeps per-shard folds
     /// deterministic.
@@ -272,14 +267,6 @@ mod tests {
         let err = ShardMap::from_assignment(vec![0, 1, 2], 2).unwrap_err();
         assert_eq!(err, ShardMapError::ShardOutOfRange { device: 2, shard: 2, num_shards: 2 });
         assert!(err.to_string().contains("device 2"));
-    }
-
-    #[test]
-    fn shard_of_bounds_checked() {
-        let map = ShardMap::contiguous(3, 2).unwrap();
-        assert_eq!(map.shard_of(0), Some(0));
-        assert_eq!(map.shard_of(2), Some(1));
-        assert_eq!(map.shard_of(3), None);
     }
 
     #[test]

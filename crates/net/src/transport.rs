@@ -215,7 +215,7 @@ mod tests {
             w0: Vector::from(vec![1.0, 2.0]),
             u_t: Vector::from(vec![3.0, 4.0]),
         };
-        let expected = msg.wire_len() as u64;
+        let expected = msg.encode().len() as u64;
         a.send(&msg).unwrap();
         let _ = b.recv().unwrap();
         assert_eq!(a.stats().bytes_sent, expected);

@@ -241,9 +241,6 @@ impl Span {
         let start = if enabled() { Some(Instant::now()) } else { None };
         Span { name, start }
     }
-
-    /// Closes the span now, emitting its duration. Equivalent to dropping.
-    pub fn finish(self) {}
 }
 
 impl Drop for Span {
@@ -361,7 +358,7 @@ mod tests {
         let _g = global_guard();
         let sink = Arc::new(MemorySink::new());
         set_sink(Some(sink.clone()));
-        Span::enter("unit_test_span").finish();
+        drop(Span::enter("unit_test_span"));
         set_sink(None);
         let events = sink.take();
         assert_eq!(events.len(), 1);

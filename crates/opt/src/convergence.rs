@@ -68,14 +68,6 @@ impl History {
     pub fn is_monotone_decreasing(&self, tol: f64) -> bool {
         self.values.iter().zip(self.values.iter().skip(1)).all(|(a, b)| *b <= *a + tol)
     }
-
-    /// Total decrease from the first to the last value (positive = progress).
-    pub fn total_decrease(&self) -> f64 {
-        match (self.values.first(), self.values.last()) {
-            (Some(first), Some(last)) => first - last,
-            _ => 0.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -89,7 +81,6 @@ mod tests {
         assert_eq!(h.last(), None);
         assert!(!h.converged(1.0));
         assert!(h.is_monotone_decreasing(0.0));
-        assert_eq!(h.total_decrease(), 0.0);
     }
 
     #[test]
@@ -120,13 +111,5 @@ mod tests {
         }
         assert!(h.is_monotone_decreasing(1e-6));
         assert!(!h.is_monotone_decreasing(1e-9));
-    }
-
-    #[test]
-    fn total_decrease() {
-        let mut h = History::new();
-        h.push(10.0);
-        h.push(3.0);
-        assert_eq!(h.total_decrease(), 7.0);
     }
 }

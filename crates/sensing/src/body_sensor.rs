@@ -21,9 +21,6 @@ use crate::window::{samples_for_windows, sliding_windows};
 use plos_linalg::Vector;
 use rand::SeedableRng;
 
-/// Body regions carrying sensing nodes, in the paper's order.
-pub const NODE_PLACEMENTS: [&str; 3] = ["waist", "left-shin", "right-shin"];
-
 /// Parameters of the body-sensor generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BodySensorSpec {

@@ -51,11 +51,6 @@ impl UserData {
         self.features.first().map_or(0, Vector::len)
     }
 
-    /// Indices of samples with observed labels.
-    pub fn labeled_indices(&self) -> Vec<usize> {
-        self.observed.iter().enumerate().filter_map(|(i, l)| l.map(|_| i)).collect()
-    }
-
     /// Number of observed labels `l_t`.
     pub fn num_labeled(&self) -> usize {
         self.observed.iter().filter(|l| l.is_some()).count()
@@ -112,11 +107,6 @@ impl MultiUserDataset {
     #[allow(clippy::indexing_slicing)]
     pub fn user(&self, t: usize) -> &UserData {
         &self.users[t]
-    }
-
-    /// Total number of samples across all users.
-    pub fn total_samples(&self) -> usize {
-        self.users.iter().map(UserData::num_samples).sum()
     }
 
     /// Indices of users that provide at least one label.
@@ -234,7 +224,6 @@ mod tests {
         assert_eq!(u.dim(), 3);
         assert_eq!(u.num_labeled(), 0);
         assert!(!u.is_provider());
-        assert!(u.labeled_indices().is_empty());
     }
 
     #[test]
@@ -242,7 +231,6 @@ mod tests {
         let d = toy_dataset(4, 6);
         assert_eq!(d.num_users(), 4);
         assert_eq!(d.dim(), 3);
-        assert_eq!(d.total_samples(), 24);
         assert!(d.providers().is_empty());
         assert_eq!(d.non_providers().len(), 4);
     }

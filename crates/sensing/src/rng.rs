@@ -36,17 +36,6 @@ pub fn sample_mvn(mean: &Vector, chol_l: &Matrix, rng: &mut impl Rng) -> Vector 
     x
 }
 
-/// A uniformly random 3-D rotation built from random Euler angles.
-///
-/// Not Haar-uniform over SO(3), but adequate for modeling arbitrary device
-/// placement; yaw/pitch/roll are each uniform over their natural ranges.
-pub fn random_rotation3d(rng: &mut impl Rng) -> Matrix {
-    let yaw = rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
-    let pitch = rng.gen_range(-std::f64::consts::FRAC_PI_2..std::f64::consts::FRAC_PI_2);
-    let roll = rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
-    Matrix::rotation3d(yaw, pitch, roll)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,21 +69,6 @@ mod tests {
         let var0: f64 = samples.iter().map(|s| (s[0] - m0) * (s[0] - m0)).sum::<f64>() / n as f64;
         assert!((var0 - 225.0).abs() < 10.0, "var0={var0}");
         assert!((cov01 + 180.0).abs() < 10.0, "cov01={cov01}");
-    }
-
-    #[test]
-    fn random_rotation_is_orthonormal() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        for _ in 0..10 {
-            let r = random_rotation3d(&mut rng);
-            let rtr = r.transpose().matmul(&r).unwrap();
-            for i in 0..3 {
-                for j in 0..3 {
-                    let expected = if i == j { 1.0 } else { 0.0 };
-                    assert!((rtr[(i, j)] - expected).abs() < 1e-10);
-                }
-            }
-        }
     }
 
     #[test]

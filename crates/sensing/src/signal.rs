@@ -46,11 +46,6 @@ impl Signal {
         self.samples.is_empty()
     }
 
-    /// Duration in seconds (`len / rate`).
-    pub fn duration_secs(&self) -> f64 {
-        self.samples.len() as f64 / self.sample_rate_hz
-    }
-
     /// Downsamples by integer decimation with block averaging to
     /// `target_hz`.
     ///
@@ -112,7 +107,6 @@ mod tests {
         assert_eq!(s.sample_rate_hz(), 20.0);
         assert_eq!(s.len(), 4);
         assert!(!s.is_empty());
-        assert_eq!(s.duration_secs(), 0.2);
     }
 
     #[test]

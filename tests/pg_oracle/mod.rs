@@ -32,7 +32,7 @@ impl DenseQp {
 
     /// Objective `½ γᵀQγ − bᵀγ`.
     pub fn objective(&self, gamma: &Vector) -> f64 {
-        0.5 * self.q.quadratic_form(gamma) - self.b.dot(gamma)
+        0.5 * gamma.dot(&self.q.matvec(gamma)) - self.b.dot(gamma)
     }
 
     /// Gradient `Q·γ − b` of the QP objective.

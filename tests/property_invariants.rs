@@ -38,9 +38,7 @@ proptest! {
             v_t: Vector::from(v),
             xi_t: xi,
         };
-        let encoded = msg.encode();
-        prop_assert_eq!(encoded.len(), msg.wire_len());
-        prop_assert_eq!(Message::decode(encoded).unwrap(), msg);
+        prop_assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
     }
 
     #[test]
@@ -266,53 +264,79 @@ proptest! {
     }
 }
 
-/// One sample frame of each of the twelve wire tags, with exact sums whose
-/// canonical encodings carry many limbs, a negative top limb and a flag.
-fn sample_frames() -> Vec<Message> {
-    let v = |xs: &[f64]| Vector::from(xs.to_vec());
-    let mut sum_w = ExactVecSum::zeros(3);
-    sum_w.add(&v(&[1e16, -0.5, 5e-324]));
-    sum_w.add(&v(&[1.0, -1e15, 3.0]));
-    let mut a = ExactSum::new();
-    a.add(1e16);
-    a.add(1.0);
-    a.add(-1e16);
-    let mut b = ExactSum::new();
-    b.add(-2.5e-3);
-    let mut c = ExactSum::new();
-    c.add(f64::NEG_INFINITY);
-    c.add(7.0);
+/// One random valid message of each of the twelve wire tags, in tag order:
+/// rounds, users and counts below 4, vectors 0, `dim − 1`, `dim` or
+/// `dim + 1` long over [`tricky_f64`] components, and exact sums whose
+/// canonical encodings carry many limbs, negative limbs and, at times, an
+/// infinity flag.
+fn random_messages(rng: &mut StdRng, dim: usize) -> Vec<Message> {
+    fn len(rng: &mut StdRng, dim: usize) -> usize {
+        [0, dim - 1, dim, dim + 1][rng.gen_range(0..4usize)]
+    }
+    fn vector(rng: &mut StdRng, dim: usize) -> Vector {
+        (0..len(rng, dim)).map(|_| tricky_f64(rng.gen())).collect()
+    }
+    fn sum(rng: &mut StdRng) -> Box<ExactSum> {
+        let mut s = ExactSum::new();
+        for _ in 0..rng.gen_range(0..4usize) {
+            s.add(tricky_f64(rng.gen()));
+        }
+        if rng.gen_bool(0.5) {
+            s.add(f64::NEG_INFINITY);
+        }
+        Box::new(s)
+    }
+    let small = |rng: &mut StdRng| rng.gen_range(0..4u32);
+    let mut sum_w = ExactVecSum::zeros(len(rng, dim));
+    for _ in 0..rng.gen_range(0..3usize) {
+        let v: Vector = (0..sum_w.dim()).map(|_| tricky_f64(rng.gen())).collect();
+        sum_w.add(&v);
+    }
     vec![
-        Message::Broadcast { round: 7, w0: v(&[1.0, -2.0, 3.5]), u_t: v(&[0.25, 0.0, -9.0]) },
+        Message::Broadcast { round: small(rng), w0: vector(rng, dim), u_t: vector(rng, dim) },
         Message::ClientUpdate {
-            round: 3,
-            user: 42,
-            w_t: v(&[0.1, 0.2]),
-            v_t: v(&[-0.1, 0.3]),
-            xi_t: 1.75,
+            round: small(rng),
+            user: small(rng),
+            w_t: vector(rng, dim),
+            v_t: vector(rng, dim),
+            xi_t: tricky_f64(rng.gen()),
         },
-        Message::CccpAdvance { cccp_round: 2 },
+        Message::CccpAdvance { cccp_round: small(rng) },
         Message::Shutdown,
-        Message::Refine { round: 3, w0: v(&[1.0, -0.5]) },
-        Message::RosterUpdate { t_count: 11 },
-        Message::Restore { round: 9, t_count: 5, w_t: v(&[0.5, -0.25, 8.0]) },
+        Message::Refine { round: small(rng), w0: vector(rng, dim) },
+        Message::RosterUpdate { t_count: small(rng) },
+        Message::Restore { round: small(rng), t_count: small(rng), w_t: vector(rng, dim) },
         Message::AsyncUpdate {
-            epoch: 17,
-            basis: 14,
-            user: 6,
-            w_t: v(&[0.1, 0.2]),
-            v_t: v(&[-0.1, 0.3]),
-            xi_t: -1.75,
+            epoch: small(rng),
+            basis: small(rng),
+            user: small(rng),
+            w_t: vector(rng, dim),
+            v_t: vector(rng, dim),
+            xi_t: tricky_f64(rng.gen()),
         },
-        Message::ShardBroadcast { round: 4, phase: 1, w0: v(&[0.5, -1.25]) },
-        Message::PartialSum { shard: 1, round: 9, n: 12, m: 11, sum_w },
-        Message::ShardCommit { round: 4, phase: 2, w0: v(&[0.5, -1.25, 3.0]) },
+        Message::ShardBroadcast {
+            round: small(rng),
+            phase: rng.gen_range(0..3u8),
+            w0: vector(rng, dim),
+        },
+        Message::PartialSum {
+            shard: small(rng),
+            round: small(rng),
+            n: small(rng),
+            m: small(rng),
+            sum_w,
+        },
+        Message::ShardCommit {
+            round: small(rng),
+            phase: rng.gen_range(0..3u8),
+            w0: vector(rng, dim),
+        },
         Message::ShardResidual {
-            shard: 3,
-            round: 4,
-            a: Box::new(a),
-            b: Box::new(b),
-            c: Box::new(c),
+            shard: small(rng),
+            round: small(rng),
+            a: sum(rng),
+            b: sum(rng),
+            c: sum(rng),
         },
     ]
 }
@@ -333,10 +357,14 @@ fn non_canonical(frame: &[u8]) -> Option<Message> {
 
 #[test]
 fn every_tag_decodes_canonically_under_mutation() {
-    let frames = sample_frames();
-    let tags: Vec<u8> = frames.iter().map(|m| m.encode().to_vec()[1]).collect();
-    assert_eq!(tags, [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13], "one frame per wire tag");
     let mut rng = StdRng::seed_from_u64(0x5eed);
+    let mut frames = Vec::new();
+    for _ in 0..4 {
+        let messages = random_messages(&mut rng, 3);
+        let tags: Vec<u8> = messages.iter().map(|m| m.encode().to_vec()[1]).collect();
+        assert_eq!(tags, [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13], "one frame per wire tag");
+        frames.extend(messages);
+    }
     let mut checked = 0usize;
     for message in &frames {
         let frame = message.encode().to_vec();
@@ -361,7 +389,7 @@ fn every_tag_decodes_canonically_under_mutation() {
         }
         checked += mutants.len();
     }
-    assert!(checked > 10_000, "only {checked} mutated frames");
+    assert!(checked > 40_000, "only {checked} mutated frames");
     // Tag 8 carried the retired asynchronous assignment frame.
     for len in [0, 8, 64] {
         let body = (0..len).map(|_| rng.gen_range(0..=u8::MAX));
